@@ -2,20 +2,26 @@
 
 Two small data objects drive the fast counting engine:
 
-  * ArithTable -- Euler totient phi(n) and Moebius mu(n) for n <= limit,
-    filled by a single linear sieve pass.
+  * ArithTable -- Euler totient phi(n), Moebius mu(n) and the smallest
+    prime factor spf(n) for n <= limit, filled by a single linear sieve
+    pass.  ``arith_table`` is the one shared cache every module reads:
+    it keeps one table and regrows it to the next power of two (at least
+    1024) when a request outgrows it.
   * RTable     -- r(n) = #{(x, y) : xy = n, 1 <= |x| <= X, 1 <= |y| <= Y}
     for 1 <= n <= X*Y.  For n >= 1 the two factors share a sign, so
     r(n) = 2 * #{d | n : d <= X, n/d <= Y}; r(-n) = r(n) is resolved at
     call sites and r(0) is never defined.
 
 Both tables are built once, single threaded, and are immutable afterwards;
-concurrent readers are safe.
+concurrent readers are safe, and a lock makes growing the shared sieve a
+single build however many threads ask for it at once.
 """
 
 from __future__ import annotations
 
 import math
+import threading
+from array import array
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -24,15 +30,19 @@ from .errors import ResourceLimitError
 
 # Largest X*Y an RTable will allocate (int64 entries; ~160 MB at the cap).
 R_TABLE_MAX_ENTRIES = 20_000_000
+# Largest limit the shared sieve will cover.
+SIEVE_MAX_LIMIT = 10**7
 
 
 @dataclass(frozen=True)
 class ArithTable:
-    """Totient and Moebius values for 1..limit (index 0 is unused)."""
+    """Totient and Moebius values for 1..limit and smallest prime factors
+    for 2..limit (indices 0 and 1 of spf, and index 0 elsewhere, are 0)."""
 
     limit: int
     phi: np.ndarray = field(repr=False)
     mu: np.ndarray = field(repr=False)
+    spf: np.ndarray = field(repr=False)
 
     def phi_of(self, n: int) -> int:
         return int(self.phi[n])
@@ -58,36 +68,59 @@ class RTable:
 
 
 def build_arith_tables(limit: int) -> ArithTable:
-    """Fill phi and mu up to ``limit`` with a linear (smallest-prime-factor) sieve.
+    """Fill phi, mu and spf up to ``limit`` with a linear (smallest-prime-factor) sieve.
 
+    Every composite m is reached once, as m = n * p with p = spf(m).
     Satisfies sum_{d|n} phi(d) = n and sum_{d|n} mu(d) = [n = 1] for every
     n <= limit; both functions are multiplicative on coprime arguments.
     """
     if limit < 1:
         raise ValueError("limit must be a positive integer")
-    phi = np.zeros(limit + 1, dtype=np.int64)
-    mu = np.zeros(limit + 1, dtype=np.int64)
+    # machine-int arrays: fast scalar access, 8 bytes per entry, shared with numpy below
+    phi, mu, spf = (array("q", [0]) * (limit + 1) for _ in range(3))
     phi[1] = 1
     mu[1] = 1
     primes: list[int] = []
     for n in range(2, limit + 1):
-        if phi[n] == 0:  # n is prime
+        if spf[n] == 0:  # n is prime
             primes.append(n)
+            spf[n] = n
             phi[n] = n - 1
             mu[n] = -1
         for p in primes:
             m = n * p
             if m > limit:
                 break
+            spf[m] = p
             if n % p == 0:
                 phi[m] = phi[n] * p
-                mu[m] = 0
                 break
             phi[m] = phi[n] * (p - 1)
             mu[m] = -mu[n]
-    phi.setflags(write=False)
-    mu.setflags(write=False)
-    return ArithTable(limit=limit, phi=phi, mu=mu)
+    arrays = [np.frombuffer(values, dtype=np.int64) for values in (phi, mu, spf)]
+    for a in arrays:
+        a.setflags(write=False)
+    return ArithTable(limit, *arrays)
+
+
+_shared: ArithTable | None = None
+_shared_lock = threading.Lock()
+
+
+def arith_table(limit: int) -> ArithTable:
+    """The shared sieve, covering at least 1..limit.
+
+    A request beyond the current table rebuilds it at the power of two at
+    or above ``limit`` (at least 1024), so nearby requests reuse one sieve.
+    Requests above SIEVE_MAX_LIMIT are refused before anything is built.
+    """
+    global _shared
+    if limit > SIEVE_MAX_LIMIT:
+        raise ResourceLimitError(f"sieve request {limit} exceeds the cap {SIEVE_MAX_LIMIT}")
+    with _shared_lock:
+        if _shared is None or _shared.limit < limit:
+            _shared = build_arith_tables(1 << max(10, (limit - 1).bit_length()))
+        return _shared
 
 
 def r_direct(n: int, X: int, Y: int) -> int:

@@ -31,29 +31,12 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .arith import ArithTable, build_arith_tables
+from .arith import arith_table
 from .closed_forms import F_closed
 from .counts import m_fast, n0_times4, n_times4, w_counts
 from .errors import ResourceLimitError
 
 _ZETA3_CUTOFF = 10_000
-_SIEVE_HARD_CAP = 10**7
-
-
-@lru_cache(maxsize=4)
-def _own_table(size: int) -> ArithTable:
-    return build_arith_tables(size)
-
-
-def _table_for(limit: int, table: ArithTable | None) -> ArithTable:
-    """The caller's table (strictly bounds-checked) or an internal grown one."""
-    if table is not None:
-        if limit > table.limit:
-            raise ValueError(f"limit {limit} exceeds the sieve table limit {table.limit}")
-        return table
-    if limit > _SIEVE_HARD_CAP:
-        raise ResourceLimitError(f"sieve request {limit} exceeds the cap {_SIEVE_HARD_CAP}")
-    return _own_table(1 << max(10, (limit - 1).bit_length()))
 
 
 @lru_cache(maxsize=1)
@@ -106,25 +89,22 @@ class DeviationRecord:
     deviation: float
 
 
-def singular_series_partial(Q: int, table: ArithTable | None = None) -> float:
+def singular_series_partial(Q: int) -> float:
     """sum_{q<=Q} phi(q)/q^3, ascending; converges to zeta(2)/zeta(3),
-    with tail below 1/Q.
-
-    An explicitly supplied sieve table is strictly bounds-checked; without
-    one, an internal table is grown on demand.
+    with tail below 1/Q.  Q is capped by the shared sieve (SIEVE_MAX_LIMIT).
     """
     if Q < 1:
         raise ValueError("Q must be >= 1")
-    phi = _table_for(Q, table).phi
+    phi = arith_table(Q).phi
     return math.fsum(int(phi[q]) / q**3 for q in range(1, Q + 1))
 
 
-def main_term_thm1(X: float, Y: float, table: ArithTable | None = None) -> float:
+def main_term_thm1(X: float, Y: float) -> float:
     """4 Y^2 sum_{q>=1} (phi(q)/q) F(floor(X/q)); the sum stops at q = floor(X)."""
     if X < 1.5:
         raise ValueError("the expansion needs X >= 3/2")
     top = math.floor(X)
-    phi = _table_for(top, table).phi
+    phi = arith_table(top).phi
     if float(X).is_integer():
         xi = int(X)
         floors = [xi // q for q in range(1, top + 1)]
@@ -144,10 +124,10 @@ def _log_scale(x: float) -> float:
     return max(math.log(x), 1.0)
 
 
-def deviation_thm1(X: int, Y: int, table: ArithTable | None = None) -> DeviationRecord:
+def deviation_thm1(X: int, Y: int) -> DeviationRecord:
     """|M(X,Y) - main term| over (XY)^(3/2) max(log X, 1) log Y."""
     exact = m_fast(X, Y)
-    main = main_term_thm1(X, Y, table)
+    main = main_term_thm1(X, Y)
     scale = (X * Y) ** 1.5 * _log_scale(X) * math.log(Y)
     return DeviationRecord(
         inputs=(X, Y),
@@ -166,9 +146,17 @@ def fit_theorem2(B_grid: list[int]) -> tuple[float, float]:
     """
     if len(set(B_grid)) < 2:
         raise ValueError("fit needs at least two distinct B values")
+    return solve_log_linear(B_grid, [n_times4(B) / 4.0 for B in B_grid])
+
+
+def solve_log_linear(B_grid: list[int], values: list[float]) -> tuple[float, float]:
+    """Least-squares (kappa, C) for values ~ kappa B log B + C B over the grid,
+    through the 2x2 normal equations accumulated in grid order.
+
+    Singular normal equations raise ValueError.
+    """
     s11 = s12 = s22 = r1 = r2 = 0.0
-    for B in B_grid:
-        nb = n_times4(B) / 4.0
+    for B, nb in zip(B_grid, values):
         f1 = B * math.log(B)
         f2 = float(B)
         s11 += f1 * f1

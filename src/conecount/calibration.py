@@ -35,8 +35,6 @@ class Calibration:
     j_bridge_rel_tol: float = 0.01
     # |G(t)| <= g_bound_constant * min(t, t^2)
     g_bound_constant: float = 36.0
-    # bridge between the q-summed closed forms and the exact box count
-    qsum_bridge_deviation_bound: float = 20.0
     # quadratic-sample main term
     xi_main_deviation_bound: float = 5.0
     xi_split_rel_tol: float = 1.0e-9

@@ -45,7 +45,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .arith import build_arith_tables, build_r_table
+from .arith import arith_table, build_r_table
 from .errors import ResourceLimitError
 
 # Cost caps: m_naive enumerates ~X^3 * Y^2 cells, m_fast convolves O((XY)^2).
@@ -94,17 +94,6 @@ def _checked(count) -> int:
     if not 0 <= count < _INT63:
         raise OverflowError(f"count {count} outside checked 64-bit range")
     return count
-
-
-@lru_cache(maxsize=8)
-def _arith(limit: int):
-    return build_arith_tables(limit)
-
-
-def _arith_grown(limit: int):
-    # round the limit up so repeated slightly-larger requests reuse one sieve
-    size = 1 << max(10, (limit - 1).bit_length())
-    return _arith(size)
 
 
 # ---------------------------------------------------------------------------
@@ -250,36 +239,12 @@ def p_count(X: int) -> int:
     g0, g1, g2 = np.meshgrid(side, side, side, indexing="ij")
     triples = np.stack([g0.ravel(), g1.ravel(), g2.ravel()], axis=1)
     triples = triples[np.any(triples != 0, axis=1)]
-    groups, masks = _pivot_groups(triples)
-    for (a0, a1, a2), mask in zip(groups, masks):
-        if a0.size == 0:
-            continue
+    groups, _ = _pivot_groups(triples)
+    for a0, a1, a2 in groups:
         xz = np.zeros(a0.size, dtype=np.int64)
-        hist = _count_y_allow_zero_vector(a0, a1, a2, xz, X)
-        total += int(hist.sum())
+        hist = _count_y(a0, a1, a2, xz, X, nonzero=False, primitive=False)
+        total += int(hist.sum()) + a0.size  # plus y = 0, which _count_y never counts
     return _checked(total)
-
-
-def _count_y_allow_zero_vector(x0, x1, x2, xz, Ym):
-    """Like _count_y with zeros allowed, but y = 0 is admitted (P-count)."""
-    side = np.arange(-Ym, Ym + 1, dtype=np.int64)
-    y0 = side[:, None]
-    y1 = side[None, :]
-    y0z = (y0 == 0).astype(np.int64) + (y1 == 0).astype(np.int64)
-    hist = np.zeros(5, dtype=np.int64)
-    rows = max(1, _CHUNK_CELLS // (side.size * side.size))
-    for lo in range(0, x0.shape[0], rows):
-        hi = min(x0.shape[0], lo + rows)
-        a0 = x0[lo:hi, None, None]
-        a1 = x1[lo:hi, None, None]
-        a2 = x2[lo:hi, None, None]
-        q = -(a0 * y0[None] + a1 * y1[None])
-        ok = q % a2 == 0
-        y2 = np.where(ok, q, 0) // a2
-        ok &= np.abs(y2) <= Ym
-        j = np.minimum(xz[lo:hi, None, None] + y0z[None] + (y2 == 0), 4)
-        hist += np.bincount(j[ok], minlength=5)[:5]
-    return hist
 
 
 def p_count_tiny(X: int) -> int:
@@ -331,7 +296,7 @@ def mprime(B: int) -> int:
 @lru_cache(maxsize=64)
 def _mu_dirichlet_square(limit: int) -> np.ndarray:
     """(mu * mu)(c) for c <= limit (Dirichlet convolution square of mu)."""
-    mu = _arith_grown(limit).mu
+    mu = arith_table(limit).mu
     acc = np.zeros(limit + 1, dtype=np.int64)
     for d in range(1, limit + 1):
         md = int(mu[d])
@@ -364,23 +329,13 @@ def _coprime_pair_count(Z: int) -> int:
     """#{1 <= a, b <= Z : gcd(a, b) = 1} by Moebius over the common divisor."""
     if Z < 1:
         return 0
-    mu = _arith_grown(Z).mu
+    mu = arith_table(Z).mu
     total = 0
     for d in range(1, Z + 1):
         if mu[d]:
             q = Z // d
             total += int(mu[d]) * q * q
     return total
-
-
-@lru_cache(maxsize=16)
-def _spf(limit: int) -> np.ndarray:
-    """Smallest prime factor table for 1..limit."""
-    spf = np.zeros(limit + 1, dtype=np.int64)
-    for p in range(2, limit + 1):
-        if spf[p] == 0:
-            spf[p::p][spf[p::p] == 0] = p
-    return spf
 
 
 def _squarefree_divisors(u: int, spf: np.ndarray) -> list[int]:
@@ -393,11 +348,11 @@ def _squarefree_divisors(u: int, spf: np.ndarray) -> list[int]:
     return divs
 
 
-def _coprime_count_upto(m: int, u: int, mu, spf) -> int:
+def _coprime_count_upto(m: int, u: int, table) -> int:
     """#{1 <= y <= m : gcd(y, u) = 1} via the squarefree divisors of u."""
     total = 0
-    for d in _squarefree_divisors(u, spf):
-        total += int(mu[d]) * (m // d)
+    for d in _squarefree_divisors(u, table.spf):
+        total += int(table.mu[d]) * (m // d)
     return total
 
 
@@ -425,14 +380,13 @@ def w_counts(B: int) -> tuple[int, int, int, int]:
     w4 = 24
     w3 = 48 * _coprime_pair_count(Z)
     w2 = 24 * _coprime_pair_count(R)
-    table = _arith_grown(max(Z, 2))
-    spf = _spf(max(Z, 2))
+    table = arith_table(Z)
     w1_plus = 0
     for x in range(2, R + 1):
         phi_x = table.phi_of(x)
         m = Z // x
         for u in range(1, Z // (x * x) + 1):
-            w1_plus += phi_x * _coprime_count_upto(m, u, table.mu, spf)
+            w1_plus += phi_x * _coprime_count_upto(m, u, table)
     w1 = 96 * (_coprime_pair_count(Z) + 2 * w1_plus)
     return (_checked(w1), _checked(w2), _checked(w3), w4)
 

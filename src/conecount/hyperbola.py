@@ -43,7 +43,7 @@ import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .arith import build_arith_tables
+from .arith import arith_table
 from .closed_forms import F_closed, G_value
 from .counts import m_fast, mprime
 
@@ -138,7 +138,7 @@ def xi_main_term(B: int) -> XiMainTerm:
     L = quadratic_partition(B).L
     if L < 2:
         return XiMainTerm(direct=0.0, c_part=0.0, g_part=0.0)
-    table = build_arith_tables(max((L - 1) ** 2, 1))
+    table = arith_table((L - 1) ** 2)
     c = 66.0 - 2.0 * math.pi**2
     direct_terms = []
     c_terms = []

@@ -47,7 +47,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from typing import Callable, NamedTuple
 
@@ -357,9 +356,3 @@ def j_closed(q: int, X: float, Y: float) -> float:
         return 0.0
     m = math.floor(Y)
     return (2 * m + 1) ** 2 * float(F_closed(n))
-
-
-def j_closed_exact(q: int, X: int, Y: int) -> Fraction:
-    """Exact rational J(q) for integer bounds (used by identity tests)."""
-    n = X // q
-    return (2 * Y + 1) ** 2 * F_closed(n)

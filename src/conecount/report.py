@@ -28,7 +28,6 @@ from typing import Callable
 import numpy as np
 
 from . import asymptotics, circle, closed_forms, counts, hyperbola, integrals
-from .arith import build_arith_tables
 from .calibration import Calibration
 
 CSV_HEADER = ["suite", "check_id", "input", "expected", "actual", "tolerance", "status", "runtime_ms"]
@@ -283,40 +282,39 @@ def _suite_counts(cfg: RunConfig) -> list[Check]:
 
 def _suite_thm1(cfg: RunConfig) -> list[Check]:
     cal = cfg.calibration
-    table = build_arith_tables(10**4)
     checks = [
         tol_check("main_term/example_a", "X=1.6,Y=10", 2400.0,
-                  lambda: asymptotics.main_term_thm1(1.6, 10, table), 1e-9),
+                  lambda: asymptotics.main_term_thm1(1.6, 10), 1e-9),
         tol_check("main_term/example_b", "X=2,Y=2", 552.0,
-                  lambda: asymptotics.main_term_thm1(2, 2, table), 1e-9),
+                  lambda: asymptotics.main_term_thm1(2, 2), 1e-9),
         tol_check("singular_series/partial_1e4", "Q=1e4",
                   lambda: asymptotics.constants().zeta2 / asymptotics.constants().zeta3,
-                  lambda: asymptotics.singular_series_partial(10**4, table),
+                  lambda: asymptotics.singular_series_partial(10**4),
                   cal.singular_series_tol),
         true_check("singular_series/monotone_bounded", "Q<=2000",
-                   lambda: _singular_series_monotone(table)),
+                   _singular_series_monotone),
     ]
     pairs = cfg.pair_grid([(20, 20), (20, 100), (40, 40), (60, 60)])
     for (x, y) in pairs:
         checks.append(
             bound_check(f"deviation/X={x},Y={y}", f"X={x},Y={y}",
-                        lambda x=x, y=y: asymptotics.deviation_thm1(x, y, table).deviation,
+                        lambda x=x, y=y: asymptotics.deviation_thm1(x, y).deviation,
                         cal.thm1_deviation_bound, cost=4.0 * (x * y) ** 2)
         )
 
     def trend():
-        devs = [asymptotics.deviation_thm1(s, s, table).deviation for s in (20, 40, 60)]
+        devs = [asymptotics.deviation_thm1(s, s).deviation for s in (20, 40, 60)]
         return max(b / a for a, b in zip(devs, devs[1:]))
 
     checks.append(bound_check("deviation/trend_factor", "(20,20)->(40,40)->(60,60)", trend, 2.0, cost=6e7))
     return checks
 
 
-def _singular_series_monotone(table) -> bool:
+def _singular_series_monotone() -> bool:
     limit = asymptotics.constants().zeta2 / asymptotics.constants().zeta3
     prev = 0.0
     for q in range(1, 2001):
-        cur = asymptotics.singular_series_partial(q, table)
+        cur = asymptotics.singular_series_partial(q)
         if cur < prev or cur > limit + 1.0 / q:
             return False
         prev = cur
@@ -348,18 +346,7 @@ def _suite_thm2(cfg: RunConfig) -> list[Check]:
 def _fit_synthetic() -> bool:
     kap, c = 5.8, -3.2
     grid = [10, 100, 1000, 10**4]
-    s11 = s12 = s22 = r1 = r2 = 0.0
-    for B in grid:
-        nb = kap * B * math.log(B) + c * B
-        f1, f2 = B * math.log(B), float(B)
-        s11 += f1 * f1
-        s12 += f1 * f2
-        s22 += f2 * f2
-        r1 += f1 * nb
-        r2 += f2 * nb
-    det = s11 * s22 - s12 * s12
-    kh = (r1 * s22 - r2 * s12) / det
-    ch = (s11 * r2 - s12 * r1) / det
+    kh, ch = asymptotics.solve_log_linear(grid, [kap * B * math.log(B) + c * B for B in grid])
     return abs(kh - kap) < 1e-9 and abs(ch - c) < 1e-9
 
 

@@ -17,7 +17,6 @@ import time
 import pytest
 
 from conecount import circle, counts, hyperbola, integrals
-from conecount.arith import build_arith_tables
 from conecount.asymptotics import (
     constants,
     deviation_thm1,
@@ -28,9 +27,9 @@ from conecount.asymptotics import (
 )
 from conecount.calibration import default_calibration
 from conecount.closed_forms import F_closed, s_brute_prefix, s_parts, tu_sums
+from conecount.report import _random_m_pairs
 
 CAL = default_calibration()
-TABLE = build_arith_tables(10**4)
 
 
 def report(num: int, label: str, ok: bool, t0: float, detail: str = ""):
@@ -66,17 +65,6 @@ def test_criterion_02_part_sums_exact():
 B_ORACLE_GRID = [1, 4, 16, 100, 1234, 10**4]
 
 
-def _random_pairs(seed=1, count=10):
-    rng = random.Random(seed)
-    pairs = []
-    while len(pairs) < count:
-        x = rng.randint(1, 18)
-        y_cap = min(5000 // x, int(math.sqrt(2e8 / x**3)))
-        if y_cap >= 1:
-            pairs.append((x, rng.randint(1, y_cap)))
-    return pairs
-
-
 def test_criterion_03_oracle_equivalence():
     t0 = time.time()
     ok = all(
@@ -84,7 +72,7 @@ def test_criterion_03_oracle_equivalence():
         for x in range(1, 11)
         for y in range(x, 11)
     )
-    for (x, y) in _random_pairs():
+    for (x, y) in _random_m_pairs(1):
         ok = ok and counts.m_fast(x, y) == counts.m_naive(x, y)
     for b in B_ORACLE_GRID:
         ok = ok and counts.mprime(b) == counts.mprime_naive(b)
@@ -113,7 +101,7 @@ def test_criterion_05_thm1_deviation():
     bound = CAL.thm1_deviation_bound
     devs = {}
     for (x, y) in [(20, 20), (20, 100), (40, 40), (60, 60)]:
-        devs[(x, y)] = deviation_thm1(x, y, TABLE).deviation
+        devs[(x, y)] = deviation_thm1(x, y).deviation
     detail = "  ".join(f"({x},{y})={d:.3f}" for (x, y), d in devs.items())
     ok = all(d <= bound for d in devs.values()) and (time.time() - t0) < 120.0
     report(5, f"box-count expansion deviation <= {bound}", ok, t0, detail)
@@ -155,7 +143,7 @@ def test_criterion_08_j_bridge():
 def test_criterion_09_singular_series():
     t0 = time.time()
     k = constants()
-    gap = abs(singular_series_partial(10**4, TABLE) - k.zeta2 / k.zeta3)
+    gap = abs(singular_series_partial(10**4) - k.zeta2 / k.zeta3)
     ok = gap < CAL.singular_series_tol
     report(9, "totient series partial sum vs zeta(2)/zeta(3)", ok, t0, f"gap={gap:.2e}")
 

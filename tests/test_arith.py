@@ -1,8 +1,14 @@
+import math
+import sys
+import time
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conecount import arith
 from conecount.arith import build_arith_tables, build_r_table, r_direct
 from conecount.errors import ResourceLimitError
 
@@ -14,6 +20,35 @@ def test_sieve_examples():
     assert TABLE.mu_of(10) == 1
     assert TABLE.mu_of(12) == 0
     assert TABLE.mu_of(30) == -1
+
+
+def test_spf_matches_trial_division():
+    for n in range(2, 10**4 + 1):
+        p = next((d for d in range(2, math.isqrt(n) + 1) if n % d == 0), n)
+        assert TABLE.spf[n] == p, n
+
+
+def test_shared_sieve_grows_once_under_concurrent_requests(monkeypatch):
+    builds = []
+
+    def counting_build(limit):
+        builds.append(limit)
+        time.sleep(0.05)  # hold the build open so racing threads would overlap it
+        return build_arith_tables(limit)
+
+    monkeypatch.setattr(arith, "_shared", None)
+    monkeypatch.setattr(arith, "build_arith_tables", counting_build)
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=8) as pool:
+            tables = list(pool.map(arith.arith_table, [3000] * 32, timeout=60))
+    finally:
+        sys.setswitchinterval(switch)
+    assert builds == [4096]
+    assert all(t is tables[0] for t in tables)
+    assert arith.arith_table(4096) is tables[0] and builds == [4096]
+    assert arith.arith_table(4097).limit == 8192 and builds == [4096, 8192]
 
 
 def test_zero_limit_rejected():
@@ -36,8 +71,6 @@ def test_divisor_sum_identities():
 @given(st.integers(2, 300), st.integers(2, 300))
 @settings(max_examples=60, deadline=None)
 def test_multiplicative_on_coprime_pairs(a, b):
-    import math
-
     if math.gcd(a, b) == 1:
         assert TABLE.phi_of(a * b) == TABLE.phi_of(a) * TABLE.phi_of(b)
         assert TABLE.mu_of(a * b) == TABLE.mu_of(a) * TABLE.mu_of(b)

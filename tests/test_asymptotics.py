@@ -3,8 +3,7 @@ import math
 import pytest
 from scipy.special import zeta as scipy_zeta
 
-from conecount import counts
-from conecount.arith import build_arith_tables
+from conecount import arith, counts
 from conecount.asymptotics import (
     boundary_check,
     constants,
@@ -16,11 +15,10 @@ from conecount.asymptotics import (
     main_term_simple,
     main_term_thm1,
     singular_series_partial,
+    solve_log_linear,
     zeta3_value,
 )
 from conecount.errors import ResourceLimitError
-
-TABLE = build_arith_tables(10**4)
 
 
 def test_zeta3():
@@ -40,34 +38,38 @@ def test_constant_consistency():
 
 
 def test_singular_series():
-    assert singular_series_partial(1, TABLE) == 1.0
-    assert singular_series_partial(2, TABLE) == 1.125
+    assert singular_series_partial(1) == 1.0
+    assert singular_series_partial(2) == 1.125
     k = constants()
-    assert abs(singular_series_partial(10**4, TABLE) - k.zeta2 / k.zeta3) < 2e-4
-    with pytest.raises(ValueError):
-        singular_series_partial(10**5, TABLE)
+    assert abs(singular_series_partial(10**4) - k.zeta2 / k.zeta3) < 2e-4
+
+
+def _refuse_sieve(limit):
+    raise AssertionError(f"a sieve of {limit} was built")
+
+
+def test_sieve_cap_refuses_before_building(monkeypatch):
+    monkeypatch.setattr(arith, "build_arith_tables", _refuse_sieve)
+    with pytest.raises(ResourceLimitError):
+        singular_series_partial(arith.SIEVE_MAX_LIMIT + 1)
+    with pytest.raises(ResourceLimitError):  # isqrt(B) just above the cap
+        counts.w_counts((arith.SIEVE_MAX_LIMIT + 1) ** 2)
 
 
 def test_singular_series_monotone_bounded():
     k = constants()
     prev = 0.0
     for q in (1, 2, 3, 10, 50, 200, 1000):
-        cur = singular_series_partial(q, TABLE)
+        cur = singular_series_partial(q)
         assert prev <= cur <= k.zeta2 / k.zeta3 + 1.0 / q
         prev = cur
 
 
 def test_main_term_examples():
-    assert main_term_thm1(1.6, 10, TABLE) == pytest.approx(2400.0, abs=1e-9)
-    assert main_term_thm1(2, 2, TABLE) == pytest.approx(552.0, abs=1e-9)
+    assert main_term_thm1(1.6, 10) == pytest.approx(2400.0, abs=1e-9)
+    assert main_term_thm1(2, 2) == pytest.approx(552.0, abs=1e-9)
     with pytest.raises(ValueError):
-        main_term_thm1(1.2, 10, TABLE)
-
-
-def test_main_term_truncation_invariance():
-    # terms with q > X vanish, so stretching the sieve range changes nothing
-    small = build_arith_tables(25)
-    assert main_term_thm1(25, 30, small) == pytest.approx(main_term_thm1(25, 30, TABLE), abs=1e-9)
+        main_term_thm1(1.2, 10)
 
 
 def test_main_term_simple():
@@ -78,34 +80,25 @@ def test_main_term_simple():
 
 
 def test_deviation_records():
-    rec = deviation_thm1(20, 20, TABLE)
+    rec = deviation_thm1(20, 20)
     assert rec.exact == counts.m_fast(20, 20)
     assert math.isfinite(rec.deviation) and rec.scale > 0
     # measured desk-scale deviations: the metric sits near 11 at (20,20)
     assert 8.0 < rec.deviation < 13.0
-    assert 2.5 < deviation_thm1(20, 100, TABLE).deviation < 4.0
+    assert 2.5 < deviation_thm1(20, 100).deviation < 4.0
 
 
 def test_deviation_trend_does_not_grow():
-    devs = [deviation_thm1(s, s, TABLE).deviation for s in (20, 40, 60)]
+    devs = [deviation_thm1(s, s).deviation for s in (20, 40, 60)]
     assert all(b <= 2.0 * a for a, b in zip(devs, devs[1:]))
 
 
 def test_fit_recovers_synthetic_exactly():
     kap, c = 5.8, -3.2
     grid = [10, 100, 1000, 10**4]
-    s11 = s12 = s22 = r1 = r2 = 0.0
-    for B in grid:
-        nb = kap * B * math.log(B) + c * B
-        f1, f2 = B * math.log(B), float(B)
-        s11 += f1 * f1
-        s12 += f1 * f2
-        s22 += f2 * f2
-        r1 += f1 * nb
-        r2 += f2 * nb
-    det = s11 * s22 - s12 * s12
-    assert abs((r1 * s22 - r2 * s12) / det - kap) < 1e-9
-    assert abs((s11 * r2 - s12 * r1) / det - c) < 1e-9
+    kh, ch = solve_log_linear(grid, [kap * B * math.log(B) + c * B for B in grid])
+    assert abs(kh - kap) < 1e-9
+    assert abs(ch - c) < 1e-9
 
 
 def test_fit_two_points_interpolates():
