@@ -14,12 +14,20 @@ Quantities (all exact integers):
 
                      M = 6 * sum_{a,b >= 1} r(a) r(b) r(a+b),
 
-                 one integer convolution.  r(0) is never defined or used.
+                 one self-convolution of r.  r(0) is never defined or used.
+                 The square is a float64 FFT rounded to integers; a
+                 rounding bound after Percival (Math. Comp. 72, 2003),
+                 checked before rounding, proves every rounded value
+                 exact, and the final int64 dot is checked against
+                 overflow before it runs.
   * P(X)      -- all integer solutions with |coordinates| <= X, zeros
                  allowed.
   * M'(B)     -- nonzero-coordinate pairs with |x|^2 |y|^2 <= B, via the
                  shell sums M'(B) = sum_k [M(k, Z//k) - M(k-1, Z//k)],
-                 Z = isqrt(B).
+                 Z = isqrt(B).  The k sharing q = Z//k form one block
+                 lo..hi whose shells telescope to M(hi, q) - M(lo-1, q)
+                 (the floor-division block trick of Deleglise-Rivat,
+                 Exp. Math. 5, 1996): about 4 sqrt(Z) box counts.
   * 4*N0(B)   -- primitive nonzero-coordinate pairs, by Moebius inversion
                  4 N0(B) = sum_{nm <= sqrt(B)} mu(n) mu(m) M'(B/(nm)^2).
   * W1..W4    -- primitive pairs on coordinate hyperplanes with exactly j
@@ -31,7 +39,8 @@ Quantities (all exact integers):
 Every fast path has a naive enumeration oracle in this module.  All
 counters fit comfortably in checked 64-bit range at the configured
 budgets; results are returned as Python ints and verified nonnegative
-and < 2^63 (an OverflowError is raised rather than wrapping).
+and < 2^63 (an OverflowError is raised rather than wrapping).  A failed
+rounding bound raises FloatingPointError; there is no fallback path.
 
 Counting functions are pure; the module-level caches are append-only and
 safe for concurrent readers.
@@ -48,7 +57,8 @@ import numpy as np
 from .arith import arith_table, build_r_table
 from .errors import ResourceLimitError
 
-# Cost caps: m_naive enumerates ~X^3 * Y^2 cells, m_fast convolves O((XY)^2).
+# Cost caps: m_naive enumerates ~X^3 * Y^2 cells; m_fast squares a length-XY
+# table by an FFT of length ~2XY, O(XY log XY).
 M_NAIVE_MAX_COST = 10**9
 M_FAST_MAX_XY = 200_000
 _CHUNK_CELLS = 4_000_000  # max broadcast cells per numpy kernel call
@@ -170,18 +180,84 @@ def m_naive(X, Y) -> int:
     return _checked(8 * total)
 
 
+_EPS = 2.0**-53  # unit roundoff of float64
+
+
+def _smooth_length(n: int) -> int:
+    """The smallest 2^a 3^b 5^c >= n: a length pocketfft transforms quickly."""
+    best = 1 << (n - 1).bit_length()
+    p5 = 1
+    while p5 < best:
+        p35 = p5
+        while p35 < best:
+            best = min(best, p35 << (-(-n // p35) - 1).bit_length())
+            p35 *= 3
+        p5 *= 5
+    return best
+
+
+def _fft_error_bound(norm2: float, length: int) -> float:
+    """Percival's bound on max |computed - exact| for the FFT square of a
+    vector with squared 2-norm ``norm2`` at transform length ``length``:
+
+        norm2 * ((1+e)^(3n) (1+e sqrt5)^(3n+1) (1+b)^(3n) - 1),
+
+    n = ceil(log2 length), e the unit roundoff, and b = e the error of a
+    twiddle factor (Percival, Math. Comp. 72 (2003)).  The bound is derived
+    for radix-2 transforms; pocketfft's radix-3 and radix-5 passes are
+    counted as n = ceil(log2 length) levels.
+    """
+    n = (length - 1).bit_length()
+    log_growth = 6 * n * math.log1p(_EPS) + (3 * n + 1) * math.log1p(_EPS * math.sqrt(5))
+    return norm2 * math.expm1(log_growth)
+
+
+def _square_exact(v: np.ndarray) -> np.ndarray:
+    """The linear self-convolution v*v of an integer vector, exactly, as int64.
+
+    One float64 rfft of the smallest smooth length >= 2 len(v) - 1, squared
+    in place and inverted, then rounded by np.rint.  Rounding is exact when
+    the error bound is below 1/2; otherwise FloatingPointError is raised
+    before any value is rounded.
+    """
+    size = 2 * v.size - 1
+    length = _smooth_length(size)
+    buf = np.zeros(length)
+    buf[: v.size] = v
+    # Integer squares summed in float64 are exact below 2^53; at or above
+    # it the bound is far beyond 1/2 whatever the rounding of norm2.
+    bound = _fft_error_bound(float(np.dot(buf, buf)), length)
+    if bound >= 0.5:
+        raise FloatingPointError(f"FFT rounding bound {bound:.3g} >= 1/2: the square would not be exact")
+    spectrum = np.fft.rfft(buf)
+    del buf
+    spectrum *= spectrum
+    square = np.fft.irfft(spectrum, length)[:size]
+    del spectrum
+    np.rint(square, out=square)
+    return square.astype(np.int64)
+
+
+def _triple_sum(pos: np.ndarray) -> int:
+    """sum_{a, b >= 1, a+b <= N} r(a) r(b) r(a+b) for pos = r(1..N).
+
+    Raises OverflowError when the int64 dot could wrap, before running it.
+    """
+    conv = _square_exact(pos)[: pos.size - 1]  # conv[i] = sum_{a+b=i+2} r(a) r(b)
+    tail = pos[1:]  # r(c), c = 2..N
+    if conv.size and int(conv.max()) * int(tail.sum()) >= _INT63:
+        raise OverflowError("r-table triple sum could exceed the int64 range")
+    return int(np.dot(conv, tail))
+
+
 @lru_cache(maxsize=200_000)
 def _m_fast_cached(X: int, Y: int) -> int:
     r = build_r_table(X, Y).r  # index 0..N, r[0] = 0
-    pos = r[1:]
-    conv = np.convolve(pos, pos)  # conv[i] = sum_{a+b=i+2} r(a) r(b)
-    N = X * Y
-    t_pp = int(np.dot(conv[: N - 1], pos[1:]))  # c = 2..N
-    return _checked(6 * t_pp)
+    return _checked(6 * _triple_sum(r[1:]))
 
 
 def m_fast(X, Y) -> int:
-    """M(X, Y) via the coefficient identity (one integer convolution).
+    """M(X, Y) via the coefficient identity (one exact FFT square of r).
 
     Real-valued bounds are floored: a box count only sees integer points.
     Results are memoised; X, Y enter symmetrically.
@@ -192,7 +268,7 @@ def m_fast(X, Y) -> int:
     if X == 0 or Y == 0:
         return 0
     if X * Y > M_FAST_MAX_XY:
-        raise ResourceLimitError(f"m_fast quadratic cost capped at X*Y <= {M_FAST_MAX_XY}")
+        raise ResourceLimitError(f"m_fast FFT square capped at X*Y <= {M_FAST_MAX_XY}")
     if X > Y:
         X, Y = Y, X  # M is symmetric; normalise the cache key
     return _m_fast_cached(X, Y)
@@ -274,11 +350,15 @@ def p_count_tiny(X: int) -> int:
 
 @lru_cache(maxsize=None)
 def _mprime_z(z: int) -> int:
-    """M'(B) for any B with isqrt(B) = z: shell sums over |x| = k exactly."""
+    """M'(B) for any B with isqrt(B) = z: shell sums over |x| = k exactly,
+    in blocks of k sharing q = z // k, each telescoped to two box counts."""
     total = 0
-    for k in range(1, z + 1):
-        ym = z // k
-        total += m_fast(k, ym) - m_fast(k - 1, ym)
+    lo = 1
+    while lo <= z:
+        q = z // lo
+        hi = z // q
+        total += m_fast(hi, q) - m_fast(lo - 1, q)
+        lo = hi + 1
     return _checked(total)
 
 

@@ -226,7 +226,8 @@ def _suite_counts(cfg: RunConfig) -> list[Check]:
         return "all equal", "all equal" if not bad else f"mismatch at {bad}", "exact", not bad
 
     checks.append(Check(check_id="m/oracle_grid", input="1<=X<=Y<=10", run=run_grid, cost=2e7))
-    for i, (x, y) in enumerate(_random_m_pairs(cfg.seed)):
+    random_pairs = _random_m_pairs(cfg.seed)
+    for i, (x, y) in enumerate(random_pairs):
         checks.append(
             exact_check(
                 f"m/oracle_random_{i:02d}", f"X={x},Y={y}",
@@ -237,7 +238,8 @@ def _suite_counts(cfg: RunConfig) -> list[Check]:
     checks.append(
         true_check("m/divisible_by_16", "grid + random pairs",
                    lambda: all(counts.m_fast(x, y) % 16 == 0
-                               for x in range(1, 11) for y in range(1, 11)), cost=1e6)
+                               for x, y in [(x, y) for x in range(1, 11) for y in range(1, 11)] + random_pairs),
+                   cost=1e6)
     )
     checks.append(exact_check("p/example_1", "X=1", 245, lambda: counts.p_count(1), cost=1e3))
     checks.append(

@@ -1,10 +1,12 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conecount import counts
+from conecount.arith import build_r_table
 from conecount.errors import ResourceLimitError
 
 
@@ -58,6 +60,36 @@ def test_m_fast_structure(X, Y):
     assert m == counts.m_fast(Y, X)
 
 
+def m_literal(X, Y):
+    """M(X, Y) from the coefficient identity with the literal integer convolution."""
+    pos = build_r_table(X, Y).r[1:]
+    return 6 * int(np.dot(np.convolve(pos, pos)[: X * Y - 1], pos[1:]))
+
+
+@st.composite
+def boxes(draw):
+    """Boxes with XY <= 2e4, from square to 1 x 20000."""
+    X = draw(st.integers(1, 400))
+    return X, draw(st.integers(1, 2 * 10**4 // X))
+
+
+@given(boxes())
+@settings(max_examples=25, deadline=None)
+def test_m_fast_matches_literal_convolution(box):
+    assert counts.m_fast(*box) == m_literal(*box)
+
+
+def test_square_guards_raise_instead_of_rounding():
+    # ||v||^2 = 1e17: the rounding bound is far above 1/2
+    with pytest.raises(FloatingPointError):
+        counts._square_exact(np.full(1000, 10**7, dtype=np.int64))
+    # ||v||^2 = 1e13 squares exactly, but max(v*v) * sum(v[1:]) ~ 1e21 >= 2^63
+    v = np.full(1000, 10**5, dtype=np.int64)
+    assert np.array_equal(counts._square_exact(v), np.convolve(v, v))
+    with pytest.raises(OverflowError):
+        counts._triple_sum(v)
+
+
 def test_m_budgets():
     with pytest.raises(ResourceLimitError):
         counts.m_naive(200, 5000)
@@ -97,6 +129,26 @@ def test_height_fast_paths_match_enumeration(B):
     h = counts.height_counts(B)
     assert h.n_times4 == n4
     assert (h.W1, h.W2, h.W3, h.W4) == w
+
+
+def test_mprime_blocks_match_shell_loop():
+    for z in range(1, 401):
+        shells = sum(counts.m_fast(k, z // k) - counts.m_fast(k - 1, z // k) for k in range(1, z + 1))
+        assert counts._mprime_z.__wrapped__(z) == shells
+
+
+@pytest.mark.parametrize("z", [1, 2, 3, 10, 99, 400, 12345, 10**5])
+def test_mprime_block_sums_call_count(z, monkeypatch):
+    # only the number of box counts asked for matters here, not their values
+    calls = []
+
+    def counted(X, Y):
+        calls.append((X, Y))
+        return 0
+
+    monkeypatch.setattr(counts, "m_fast", counted)
+    counts._mprime_z.__wrapped__(z)
+    assert len(calls) <= 4 * math.isqrt(z) + 2
 
 
 def test_mprime_nondecreasing():
