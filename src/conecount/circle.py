@@ -39,6 +39,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .arith import build_r_table
+from .calibration import Calibration
 from .errors import ResourceLimitError
 from .integrals import QuadResult, integrate_panels
 
@@ -274,13 +275,13 @@ def j_quadrature(
     Y: float,
     T: float = 50.0,
     tol: float = 1.0e-9,
-    v_decay_constant: float = 10.0,
 ) -> QuadResult:
     """int_{-T}^{T} v_q(gamma)^3 dgamma plus a tail bound.
 
     v_q is even, so 2 int_0^T is computed on panels cut at the zeros
     gamma = j/(2 floor(Y) + 1); the tail uses |v_q| <= C log X / gamma
-    (C = ``v_decay_constant``, an empirical constant):
+    (C = ``Calibration.v_decay_constant``, the empirical constant that the
+    ``v/decay_bound`` check verifies):
 
         |tail| <= 2 (C log X)^3 / (2 T^2).
 
@@ -303,6 +304,6 @@ def j_quadrature(
     brk = np.unique(np.concatenate([[0.0], np.arange(1, int(T * k) + 1) / k, [T]]))
     brk = brk[brk <= T]
     body = integrate_panels(integrand, brk, tol, order=16)
-    c_log = v_decay_constant * max(math.log(X), 1.0)
+    c_log = Calibration.v_decay_constant * max(math.log(X), 1.0)
     tail = c_log**3 / (T * T)
     return QuadResult(value=2.0 * body, tail_bound=tail)

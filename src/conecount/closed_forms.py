@@ -28,8 +28,8 @@ multiply-add per term instead of a Fraction reduction per term.
 from __future__ import annotations
 
 import math
+import threading
 from fractions import Fraction
-from functools import lru_cache
 
 import numpy as np
 
@@ -38,38 +38,60 @@ from .errors import ResourceLimitError
 # Caps keeping the O(n^3) brute sums in interactive territory.
 S_BRUTE_MAX_N = 100
 TU_BRUTE_MAX_N = 200
+# Cap on the exact harmonic tables: A(j) and B(j) take ~1.1 j bytes together,
+# so the table up to n holds ~0.54 n^2 bytes (54 MB at the cap).
+HARMONIC_EXACT_MAX_N = 10**4
 
 #: Modes accepted by s_parts / tu_sums.
 MODES = ("brute", "closed")
 
 
-@lru_cache(maxsize=None)
+# Exact cumulative tables: _EXACT_A[n] = A(n), _EXACT_B[n] = B(n).  They are
+# extended iteratively (no recursion depth to run out of) under a lock, since
+# suites evaluate closed forms from several threads.
+_EXACT_A = [Fraction(0)]
+_EXACT_B = [Fraction(0)]
+_EXACT_LOCK = threading.Lock()
+
+
+def _harmonic_exact(n: int) -> tuple[Fraction, Fraction]:
+    if n < 0:
+        raise ValueError("n must be a nonnegative integer")
+    if n > HARMONIC_EXACT_MAX_N:
+        raise ResourceLimitError(f"exact harmonic sums capped at n <= {HARMONIC_EXACT_MAX_N}")
+    with _EXACT_LOCK:
+        for j in range(len(_EXACT_A), n + 1):
+            _EXACT_A.append(_EXACT_A[-1] + Fraction(1, j))
+            _EXACT_B.append(_EXACT_B[-1] + Fraction(1, j * j))
+        return _EXACT_A[n], _EXACT_B[n]
+
+
+def _clear_exact_tables() -> None:
+    """Drop the exact tables back to A(0), B(0), freeing their memory."""
+    with _EXACT_LOCK:
+        del _EXACT_A[1:], _EXACT_B[1:]
+
+
 def harmonic_A(n: int) -> Fraction:
     """A(n) = sum_{j<=n} 1/j as an exact rational; A(0) = 0."""
-    if n < 0:
-        raise ValueError("n must be a nonnegative integer")
-    if n == 0:
-        return Fraction(0)
-    return harmonic_A(n - 1) + Fraction(1, n)
+    return _harmonic_exact(n)[0]
 
 
-@lru_cache(maxsize=None)
 def harmonic_B(n: int) -> Fraction:
     """B(n) = sum_{j<=n} 1/j^2 as an exact rational; B(0) = 0."""
-    if n < 0:
-        raise ValueError("n must be a nonnegative integer")
-    if n == 0:
-        return Fraction(0)
-    return harmonic_B(n - 1) + Fraction(1, n * n)
+    return _harmonic_exact(n)[1]
+
+
+# For callers that reset the tables between timed calls: both functions read
+# one table, so clearing either clears both.
+harmonic_A.cache_clear = harmonic_B.cache_clear = _clear_exact_tables
 
 
 def F_closed(n: int) -> Fraction:
     """F(n) = (33/2 - 3B(n)) n^2 - (21/2 + 3B(n)) n + 6A(n), exactly."""
-    if n < 0:
-        raise ValueError("n must be a nonnegative integer")
-    A = harmonic_A(n)
-    B = harmonic_B(n)
-    return (Fraction(33, 2) - 3 * B) * n * n - (Fraction(21, 2) + 3 * B) * n + 6 * A
+    A, B = _harmonic_exact(n)
+    # grouped so that only one sum has two large denominators (those of A and B)
+    return Fraction(33 * n * n - 21 * n, 2) - 3 * (n * n + n) * B + 6 * A
 
 
 _FLOAT_TABLE_A = np.zeros(1)
@@ -166,8 +188,7 @@ def S_brute(n: int) -> Fraction:
 
 
 def _s_parts_closed(n: int) -> tuple[Fraction, Fraction, Fraction]:
-    A = harmonic_A(n)
-    B = harmonic_B(n)
+    A, B = _harmonic_exact(n)
     nn = Fraction(n)
     s1 = Fraction(3, 2) * n * (n + 1) * A * A + 6 * n * n * A
     s3 = Fraction(3, 2) * n * (n + 1) * A * A - 2 * n * n * A
@@ -226,8 +247,7 @@ def s_parts(n: int, mode: str) -> tuple[Fraction, Fraction, Fraction]:
 
 
 def _tu_closed(n: int) -> tuple[Fraction, ...]:
-    A = harmonic_A(n)
-    B = harmonic_B(n)
+    A, B = _harmonic_exact(n)
     t1 = (n + 1) * A - 2 * n
     t2 = Fraction(1, 2) * n * (n + 1) * A - n * n
     u0 = A * A - B

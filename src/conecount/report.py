@@ -19,6 +19,7 @@ import io
 import json
 import math
 import random
+import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -159,12 +160,29 @@ def true_check(check_id: str, inp: str, predicate: Callable[[], bool], cost=1.0)
 # ---------------------------------------------------------------------------
 
 
+def _once(fn: Callable[[], object]) -> Callable[[], object]:
+    """fn() computed on the first call and shared by later ones, also across threads."""
+    lock = threading.Lock()
+    value = []
+
+    def get():
+        with lock:
+            if not value:
+                value.append(fn())
+        return value[0]
+
+    return get
+
+
 def _suite_identities(cfg: RunConfig) -> list[Check]:
     checks: list[Check] = []
-    prefix = closed_forms.s_brute_prefix(60)
+    # the brute prefix is summed once, by whichever check needs it first, so
+    # its cost lands in the checks' runtime_ms
+    prefix = _once(lambda: closed_forms.s_brute_prefix(60))
     for n in range(1, 61):
         checks.append(
-            exact_check(f"triple_sum_closed_form/n={n:02d}", f"n={n}", closed_forms.F_closed(n), lambda n=n: prefix[n])
+            exact_check(f"triple_sum_closed_form/n={n:02d}", f"n={n}", closed_forms.F_closed(n),
+                        lambda n=n: prefix()[n])
         )
     for n in range(1, 41):
         def run_parts(n=n):
@@ -363,11 +381,22 @@ def _fit_two_point() -> bool:
 
 def _suite_thm3(cfg: RunConfig) -> list[Check]:
     cal = cfg.calibration
-    return [
+    checks = [
         tol_check("si_cubed/quad_vs_closed", "default config (T=1e4)",
                   integrals.si_cubed_closed, lambda: integrals.si_cubed_quad().value,
                   cal.si_cubed_tol, cost=1e6),
     ]
+    rng = random.Random(20)
+    cases = [("w=1,1,1", (1, 1, 1), 3 * math.pi / 4), ("w=2,1,1", (2, 1, 1), math.pi)]
+    for i in range(20):
+        ws = tuple(rng.uniform(0.5, 3.0) for _ in range(3))
+        cases.append((f"random_{i:02d}", ws, lambda ws=ws: integrals.triple_sine_closed(*ws)))
+    for name, ws, expected in cases:
+        checks.append(
+            tol_check(f"triple_sine/{name}", "w=" + ",".join(_fmt(w) for w in ws), expected,
+                      lambda ws=ws: integrals.triple_sine_quad(*ws).value, cal.triple_sine_tol, cost=1e6)
+        )
+    return checks
 
 
 def _suite_circle(cfg: RunConfig) -> list[Check]:

@@ -50,13 +50,14 @@ def test_f_matches_brute(X, Y):
 def test_g_q():
     assert all(circle.g_q_eval(a, 1, 6, 6) == 0.0 for a in ALPHAS)
     assert circle.g_q_eval(0.0, 2, 3, 5) == 4 * 2 * 5  # x in {+-1, +-3}
-    for a in ALPHAS:
-        brute = sum(
-            cmath.exp(2j * math.pi * a * x * y)
-            for x in range(-7, 8) if x and x % 3
-            for y in range(-6, 7) if y
-        ).real
-        assert circle.g_q_eval(a, 3, 7, 6) == pytest.approx(brute, abs=1e-9)
+    for (q, X, Y) in [(3, 7, 6), (2, 2, 2), (2, 3, 5), (2, 8, 8), (2, 5, 8)]:
+        for a in ALPHAS:
+            brute = sum(
+                cmath.exp(2j * math.pi * a * x * y)
+                for x in range(-X, X + 1) if x and x % q
+                for y in range(-Y, Y + 1) if y
+            ).real
+            assert circle.g_q_eval(a, q, X, Y) == pytest.approx(brute, abs=1e-9)
 
 
 def test_f_star():
@@ -79,7 +80,7 @@ def test_w_v_at_zero_and_brute():
     assert circle.w_q_eval(0.0, 1, 2, 2) == 20.0
     assert circle.v_q_eval(0.0, 1, 2, 2) == 20.0
     for g in (0.013, 0.21, -0.37):
-        for (q, X, Y) in [(1, 8, 8), (2, 8, 6), (3, 7, 9)]:
+        for (q, X, Y) in [(1, 8, 8), (2, 8, 6), (3, 7, 9), (2, 2, 2), (2, 3, 5), (2, 8, 8), (2, 5, 8)]:
             n, m = X // q, Y
             w_brute = 2 * math.fsum(
                 math.sin(math.pi * (2 * m + 1) * g * x) / math.sin(math.pi * g * x)
@@ -130,7 +131,7 @@ def test_minor_intervals_cover_complement():
 def test_l2():
     assert circle.l2_via_r(1, 1) == 8
     for x in (1, 2, 3, 5):
-        for y in (1, 2, 4, 8):
+        for y in (1, 2, 4, 5, 8):
             assert circle.l2_via_r(x, y) == circle.l2_naive(x, y)
     for x in (1, 2, 5, 10, 30, 60, 100):
         for y in (x, 100):

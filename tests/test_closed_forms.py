@@ -1,4 +1,6 @@
 import math
+import sys
+from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
 import pytest
@@ -45,6 +47,36 @@ def test_f_float_tracks_exact():
     for n in (1, 2, 17, 60, 200):
         exact = float(F_closed(n))
         assert abs(F_float(n) - exact) <= 1e-9 * max(1.0, abs(exact))
+
+
+def test_f_closed_cold_at_large_n():
+    # the exact harmonic tables fill iteratively, so a cold call far past the
+    # interpreter's recursion limit returns
+    harmonic_A.cache_clear()
+    harmonic_B.cache_clear()
+    try:
+        exact = float(F_closed(10**4))
+        assert abs(F_float(10**4) - exact) <= 1e-12 * abs(exact)
+    finally:
+        harmonic_A.cache_clear()  # the exact table up to 1e4 holds ~50 MB of rationals
+    with pytest.raises(ResourceLimitError):
+        F_closed(10**4 + 1)
+
+
+def test_exact_table_grows_correctly_under_concurrent_requests():
+    targets = [25 * (i % 16 + 1) for i in range(64)]
+    harmonic_A.cache_clear()
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=8) as pool:
+            got = list(pool.map(F_closed, targets, timeout=60))
+    finally:
+        sys.setswitchinterval(switch)
+    assert all(harmonic_A(n) - harmonic_A(n - 1) == Fraction(1, n) for n in range(1, 401))
+    assert all(harmonic_B(n) - harmonic_B(n - 1) == Fraction(1, n * n) for n in range(1, 401))
+    harmonic_A.cache_clear()
+    assert got == [F_closed(n) for n in targets]
 
 
 def test_g_values():
