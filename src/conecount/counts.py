@@ -36,11 +36,15 @@ Quantities (all exact integers):
   * 4*N(B)    -- all primitive pairs of height <= B:
                  4N = 4N0 + W1 + W2 + W3 + W4.
 
-Every fast path has a naive enumeration oracle in this module.  All
-counters fit comfortably in checked 64-bit range at the configured
-budgets; results are returned as Python ints and verified nonnegative
-and < 2^63 (an OverflowError is raised rather than wrapping).  A failed
-rounding bound raises FloatingPointError; there is no fallback path.
+Every fast path has a naive enumeration oracle in this module.  The
+oracles share one kernel that uses no r(n): x runs shell by shell, up to
+order and signs, and for each (x, y0) the (y1, y2) on the line
+x1 y1 + x2 y2 = -x0 y0 are counted in closed form, bucketed by how many of
+the six coordinates vanish (``_line_counts``).  All counters fit
+comfortably in checked 64-bit range at the configured budgets; results
+are returned as Python ints and verified nonnegative and < 2^63 (an
+OverflowError is raised rather than wrapping).  A failed rounding bound
+raises FloatingPointError; there is no fallback path.
 
 Counting functions are pure; the module-level caches are append-only and
 safe for concurrent readers.
@@ -49,6 +53,7 @@ safe for concurrent readers.
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -57,11 +62,11 @@ import numpy as np
 from .arith import arith_table, build_r_table
 from .errors import ResourceLimitError
 
-# Cost caps: m_naive enumerates ~X^3 * Y^2 cells; m_fast squares a length-XY
-# table by an FFT of length ~2XY, O(XY log XY).
+# Cost caps: m_naive's line-counting kernel visits about (X+1)^3 (Y+1) / 6
+# (x, y0) cells; its cap stays on X^3 Y^2 so that it refuses the same boxes.
+# m_fast squares a length-XY table by an FFT of length ~2XY, O(XY log XY).
 M_NAIVE_MAX_COST = 10**9
 M_FAST_MAX_XY = 200_000
-_CHUNK_CELLS = 4_000_000  # max broadcast cells per numpy kernel call
 
 _INT63 = 1 << 63
 
@@ -107,50 +112,72 @@ def _checked(count) -> int:
 
 
 # ---------------------------------------------------------------------------
-# y-side kernel: count (or bucket by zero count) the y solutions for many x
+# Enumeration kernel: the y on x.y = 0, one x-shell at a time
 # ---------------------------------------------------------------------------
 
 
-def _count_y(x0, x1, x2, xz, Ym: int, *, nonzero: bool, primitive: bool) -> np.ndarray:
-    """Histogram (by total zero coordinates) of solutions y of x.y = 0.
+def _shell(k: int):
+    """The x with max |x_i| = k up to order and signs, as (x0, x1, weight, zeros).
 
-    ``x0, x1, x2`` are int64 arrays of x-triples with x2 != 0 everywhere,
-    ``xz`` the per-triple count of zero x-coordinates.  y ranges over
-    |y_i| <= Ym, with y_i != 0 enforced when ``nonzero`` and gcd(y) == 1
-    when ``primitive``; y = 0 is never counted.  y2 is solved from the
-    linear relation where x2 divides exactly.
+    Permuting the coordinates of x and y together, and flipping x_i and y_i
+    together, keep x.y, |y|, gcd(y) and the zero count.  So x runs over
+    0 <= x0 <= x1 <= x2 = k, weighted by its distinct orderings times its
+    2^(#nonzero x_i) sign patterns; ``zeros`` counts its zero coordinates.
     """
-    if Ym < 1:
-        return np.zeros(5, dtype=np.int64)
-    if nonzero:
-        side = np.concatenate([np.arange(-Ym, 0), np.arange(1, Ym + 1)])
-    else:
-        side = np.arange(-Ym, Ym + 1)
-    y0 = side[:, None]
-    y1 = side[None, :]
-    g01 = np.gcd(np.abs(y0), np.abs(y1)) if primitive else None
-    y0z = (y0 == 0).astype(np.int64) + (y1 == 0).astype(np.int64)
+    x0, x1 = np.triu_indices(k + 1)
+    orderings = 6 // ((1 + (x0 == x1)) * (1 + (x1 == k)))  # 6, 3, or 1 when x0 = x1 = k
+    weight = orderings << (1 + (x0 > 0) + (x1 > 0))
+    return x0, x1, weight, (x0 == 0).astype(np.int64) + (x1 == 0)
 
+
+def _box_columns(q: int):
+    """The y0 of a box |y| <= q as kernel columns (y0, ym, weight): y0 >= 0
+    only, weighted 2 for y0 > 0 because y -> -y keeps every count."""
+    y0 = np.arange(q + 1, dtype=np.int64)
+    return y0, np.full(q + 1, q, dtype=np.int64), np.where(y0 > 0, 2, 1)
+
+
+def _line_counts(x0, x1, k: int, y0, ym, wy) -> np.ndarray:
+    """Weighted counts of y != 0 on x.y = 0 for x = (x0, x1, k), by zero count of y.
+
+    ``x0 <= x1`` are int64 arrays of length n in [0, k]; the columns
+    ``y0, ym`` (length m, 0 <= y0 <= ym) fix y0 and the box |y| <= ym,
+    and ``wy`` (shape (m,) or (m, r)) weights them.  Entry [i, j] of the
+    (n, 3[, r]) result sums wy over the columns times the number of y
+    with j zero coordinates.  For each (x, y0) the (y1, y2) on the line
+    x1 y1 + k y2 = c = x0 y0 (the sign of c is immaterial, the box being
+    symmetric) form an arithmetic progression in y1, counted in closed
+    form after one modular inverse per value of x1; the at most one point
+    with y1 = 0, the points with y2 = 0 and the origin are split off by
+    inclusion-exclusion.
+    """
+    side = np.arange(k + 1, dtype=np.int64)
+    g = np.gcd(side, k)
+    # a y1 + b y2 = c / g with gcd(a, b) = 1; x1 = 0 only at x = (0, 0, k),
+    # where c = 0 and a = 1 bounds y1 to the box just as a = 0 would
+    a, b = np.maximum(side // g, 1), k // g
+    inv = np.array([pow(int(u), -1, int(v)) for u, v in zip(a, b)], dtype=np.int64)
+    a, b, g, inv = (v[x1, None] for v in (a, b, g, inv))
+    c = x0[:, None] * y0
+    cg, rem = np.divmod(c, g)
+    r = cg * inv % b  # the y1 on the line are r + b t
+    lo = np.maximum(-ym, -((b * ym - cg) // a))  # |y2| = |cg - a y1| / b <= ym
+    hi = np.minimum(ym, (cg + b * ym) // a)
+    line = np.maximum((hi - r) // b - (lo - 1 - r) // b, 0) * (rem == 0)
+    y1_zero = (c % k == 0) & (c <= k * ym)
+    y2_zero = np.where(x1[:, None] > 0, (rem == 0) & (cg % a == 0) & (cg <= a * ym), line)
+    origin = c == 0
+    e0 = line - y1_zero - y2_zero + origin
+    e1 = y1_zero + y2_zero - 2 * origin
+    # y0 = 0 adds one zero and turns the origin of the line into y = 0
+    z = y0 == 0
+    return np.stack([np.where(z, 0, e0) @ wy, np.where(z, e0, e1) @ wy, np.where(z, e1, origin) @ wy], axis=1)
+
+
+def _by_zero_count(weight, zeros, counts) -> np.ndarray:
+    """sum_i weight_i counts[i, j] into bucket zeros_i + j: the total zero count."""
     hist = np.zeros(5, dtype=np.int64)
-    n = x0.shape[0]
-    rows = max(1, _CHUNK_CELLS // (side.size * side.size))
-    for lo in range(0, n, rows):
-        hi = min(n, lo + rows)
-        a0 = x0[lo:hi, None, None]
-        a1 = x1[lo:hi, None, None]
-        a2 = x2[lo:hi, None, None]
-        q = -(a0 * y0[None] + a1 * y1[None])
-        ok = q % a2 == 0
-        y2 = np.where(ok, q, 0) // a2
-        ok &= np.abs(y2) <= Ym
-        if nonzero:
-            ok &= y2 != 0
-        else:
-            ok &= (y0[None] != 0) | (y1[None] != 0) | (y2 != 0)
-        if primitive:
-            ok &= np.gcd(g01[None], np.abs(y2)) == 1
-        j = xz[lo:hi, None, None] + y0z[None] + (y2 == 0)
-        hist += np.bincount(j[ok], minlength=5)[:5]
+    np.add.at(hist, zeros[:, None] + np.arange(3), weight[:, None] * counts)
     return hist
 
 
@@ -159,25 +186,24 @@ def _count_y(x0, x1, x2, xz, Ym: int, *, nonzero: bool, primitive: bool) -> np.n
 # ---------------------------------------------------------------------------
 
 
+def _box_hist(X: int, Y: int) -> np.ndarray:
+    """Pairs x, y != 0 on the cone with |x| <= X, |y| <= Y, by zero count."""
+    columns = _box_columns(Y)
+    hist = np.zeros(5, dtype=np.int64)
+    for k in range(1, X + 1):
+        x0, x1, weight, zeros = _shell(k)
+        hist += _by_zero_count(weight, zeros, _line_counts(x0, x1, k, *columns))
+    return hist
+
+
 def m_naive(X, Y) -> int:
-    """M(X, Y) by enumeration: x over the positive octant (an exact factor 8
-    from flipping (x_i, y_i) jointly per coordinate), y0, y1 over the signed
-    box, y2 solved from the relation when x2 divides exactly."""
+    """M(X, Y) by enumeration: the zero-free bucket of the line-counting kernel."""
     X, Y = math.floor(X), math.floor(Y)
     if X < 1 or Y < 1:
         raise ValueError("box bounds must be >= 1")
     if X**3 * Y**2 > M_NAIVE_MAX_COST:
         raise ResourceLimitError(f"m_naive cost X^3 Y^2 > {M_NAIVE_MAX_COST}")
-    side = np.arange(1, X + 1, dtype=np.int64)
-    g1, g2 = np.meshgrid(side, side, indexing="ij")
-    x1 = g1.ravel()
-    x2 = g2.ravel()
-    xz = np.zeros_like(x1)
-    total = 0
-    for x0 in range(1, X + 1):
-        a0 = np.full_like(x1, x0)
-        total += int(_count_y(a0, x1, x2, xz, Y, nonzero=True, primitive=False).sum())
-    return _checked(8 * total)
+    return _checked(_box_hist(X, Y)[0])
 
 
 _EPS = 2.0**-53  # unit roundoff of float64
@@ -285,42 +311,14 @@ def box_count(X: int, Y: int) -> BoxCount:
 P_COUNT_MAX_X = 40
 
 
-def _pivot_groups(triples: np.ndarray):
-    """Split x-triples into groups with a nonzero last ("pivot") coordinate.
-
-    Simultaneously permuting the coordinates of x and y preserves the
-    relation and every count, so triples with x2 = 0 are re-slotted by
-    swapping in a nonzero coordinate.
-    """
-    x0, x1, x2 = triples[:, 0], triples[:, 1], triples[:, 2]
-    groups = []
-    m_a = x2 != 0
-    groups.append((x0[m_a], x1[m_a], x2[m_a]))
-    m_b = ~m_a & (x1 != 0)
-    groups.append((x0[m_b], x2[m_b], x1[m_b]))
-    m_c = ~m_a & ~m_b
-    groups.append((x2[m_c], x1[m_c], x0[m_c]))
-    masks = (m_a, m_b, m_c)
-    return groups, masks
-
-
 def p_count(X: int) -> int:
     """P(X): every integer solution with |coordinates| <= X, zeros allowed."""
     if X < 1:
         raise ValueError("X must be >= 1")
     if X > P_COUNT_MAX_X:
         raise ResourceLimitError(f"p_count enumeration capped at X <= {P_COUNT_MAX_X}")
-    side = np.arange(-X, X + 1, dtype=np.int64)
-    total = (2 * X + 1) ** 3  # x = 0: every y solves the relation
-    g0, g1, g2 = np.meshgrid(side, side, side, indexing="ij")
-    triples = np.stack([g0.ravel(), g1.ravel(), g2.ravel()], axis=1)
-    triples = triples[np.any(triples != 0, axis=1)]
-    groups, _ = _pivot_groups(triples)
-    for a0, a1, a2 in groups:
-        xz = np.zeros(a0.size, dtype=np.int64)
-        hist = _count_y(a0, a1, a2, xz, X, nonzero=False, primitive=False)
-        total += int(hist.sum()) + a0.size  # plus y = 0, which _count_y never counts
-    return _checked(total)
+    # plus x = 0 with every y, and y = 0 with every x != 0
+    return _checked(_box_hist(X, X).sum() + 2 * (2 * X + 1) ** 3 - 1)
 
 
 def p_count_tiny(X: int) -> int:
@@ -497,68 +495,65 @@ def height_counts(B: int) -> HeightCounts:
 # ---------------------------------------------------------------------------
 
 PAIR_ORACLE_MAX_B = 10**6  # enumeration cost grows like isqrt(B)^3
+_PAIR_LOCK = threading.Lock()  # oracle checks run side by side at one B share one walk
 
 
-def _shell_triples(k: int, include_zero: bool) -> np.ndarray:
-    """All x with max |x_i| = k, as an (n, 3) int64 array (x = 0 excluded)."""
-    if include_zero:
-        full = np.arange(-k, k + 1, dtype=np.int64)
-        inner = np.arange(-(k - 1), k, dtype=np.int64)
-    else:
-        full = np.concatenate([np.arange(-k, 0), np.arange(1, k + 1)]).astype(np.int64)
-        inner = np.concatenate([np.arange(-(k - 1), 0), np.arange(1, k)]).astype(np.int64)
-    edge = np.array([-k, k], dtype=np.int64)
-    faces = []
-    a, b = np.meshgrid(full, full, indexing="ij")
-    for e in edge:
-        faces.append(np.stack([np.full(a.size, e, dtype=np.int64), a.ravel(), b.ravel()], axis=1))
-    a, b = np.meshgrid(inner, full, indexing="ij")
-    for e in edge:
-        faces.append(np.stack([a.ravel(), np.full(a.size, e, dtype=np.int64), b.ravel()], axis=1))
-    a, b = np.meshgrid(inner, inner, indexing="ij")
-    for e in edge:
-        faces.append(np.stack([a.ravel(), b.ravel(), np.full(a.size, e, dtype=np.int64)], axis=1))
-    return np.concatenate(faces, axis=0)
+def _pair_columns(ym: int, mertens: np.ndarray):
+    """Kernel columns for both rows of the pair table at |y| <= ym.
+
+    Weight column 0 counts every y: the box |y| <= ym.  Column 1 counts
+    the primitive y by Moebius inversion over the scale d of y = d y',
+    |y'| <= ym // d; the d sharing q = ym // d, i.e. ym // (q + 1) < d <= ym // q,
+    are grouped into one box q weighted by a difference of Mertens sums.
+    """
+    parts = []
+    for q in {ym // d for d in range(1, ym + 1)}:
+        coeff = int(mertens[ym // q] - mertens[ym // (q + 1)])
+        if coeff:
+            y0, box, w = _box_columns(q)
+            parts.append((y0, box, np.stack([w * (q == ym), w * coeff], axis=1)))
+    return tuple(np.concatenate(col) for col in zip(*parts))
 
 
-def pair_zero_histogram(B: int, *, primitive: bool, nonzero_coords: bool) -> np.ndarray:
-    """Enumeration oracle: pairs on the cone with height <= B, bucketed
-    by how many of the six coordinates vanish (indices 0..4).
+@lru_cache(maxsize=None)
+def _pair_table(Z: int) -> np.ndarray:
+    table = np.zeros((2, 5), dtype=np.int64)
+    mertens = np.cumsum(arith_table(Z).mu[: Z + 1])
+    for k in range(1, Z + 1):
+        x0, x1, weight, zeros = _shell(k)
+        primitive = np.gcd(np.gcd(x0, x1), k) == 1
+        counts = _line_counts(x0, x1, k, *_pair_columns(Z // k, mertens))
+        table[0] += _by_zero_count(weight, zeros, counts[..., 0])
+        table[1] += _by_zero_count(weight * primitive, zeros, counts[..., 1])
+    table.setflags(write=False)
+    return table
 
-    x is enumerated shell by shell over |x| = k (signed, all sign patterns);
-    for each x the admissible y are counted by the solve-for-pivot kernel
-    with |y| <= isqrt(B) // k.
+
+def pair_zero_histogram(B: int) -> np.ndarray:
+    """Enumeration oracle: pairs x, y != 0 on the cone with height <= B, as a
+    read-only (2, 5) table: row 0 all pairs, row 1 the pairs with x and y
+    both primitive, by how many of the six coordinates vanish (0..4).
+
+    One walk over the x-shells |x| = k <= isqrt(B) with |y| <= isqrt(B) // k
+    fills both rows; it is cached, keyed by isqrt(B).
     """
     if B < 1:
         raise ValueError("B must be >= 1")
     if B > PAIR_ORACLE_MAX_B:
         raise ResourceLimitError(f"pair enumeration capped at B <= {PAIR_ORACLE_MAX_B}")
-    Z = math.isqrt(B)
-    hist = np.zeros(5, dtype=np.int64)
-    for k in range(1, Z + 1):
-        ym = Z // k
-        triples = _shell_triples(k, include_zero=not nonzero_coords)
-        if primitive:
-            g = np.gcd(np.gcd(np.abs(triples[:, 0]), np.abs(triples[:, 1])), np.abs(triples[:, 2]))
-            triples = triples[g == 1]
-        xz_all = np.sum(triples == 0, axis=1).astype(np.int64)
-        groups, masks = _pivot_groups(triples)
-        for (a0, a1, a2), mask in zip(groups, masks):
-            if a0.size == 0:
-                continue
-            hist += _count_y(a0, a1, a2, xz_all[mask], ym, nonzero=nonzero_coords, primitive=primitive)
-    return hist
+    with _PAIR_LOCK:
+        return _pair_table(math.isqrt(B))
 
 
 def mprime_naive(B: int) -> int:
-    return _checked(pair_zero_histogram(B, primitive=False, nonzero_coords=True).sum())
+    return _checked(pair_zero_histogram(B)[0, 0])
 
 
 def n0_times4_naive(B: int) -> int:
-    return _checked(pair_zero_histogram(B, primitive=True, nonzero_coords=True).sum())
+    return _checked(pair_zero_histogram(B)[1, 0])
 
 
 def n_w_naive(B: int) -> tuple[int, tuple[int, int, int, int]]:
-    """(4N(B), (W1..W4)) from one primitive-pair enumeration."""
-    hist = pair_zero_histogram(B, primitive=True, nonzero_coords=False)
-    return _checked(hist.sum()), tuple(int(v) for v in hist[1:5])
+    """(4N(B), (W1..W4)) from the primitive row of the pair table."""
+    row = pair_zero_histogram(B)[1]
+    return _checked(row.sum()), tuple(int(v) for v in row[1:5])

@@ -1,4 +1,6 @@
+import itertools
 import math
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -184,4 +186,58 @@ def test_counts_depend_on_isqrt_only(B):
 
 def test_pair_oracle_budget():
     with pytest.raises(ResourceLimitError):
-        counts.pair_zero_histogram(10**7, primitive=False, nonzero_coords=True)
+        counts.pair_zero_histogram(10**7)
+
+
+@given(st.integers(1, 12), st.integers(1, 300))
+@settings(max_examples=25, deadline=None)
+def test_m_naive_matches_m_fast_on_thin_boxes(X, Y):
+    assert counts.m_naive(X, Y) == counts.m_fast(X, Y)
+
+
+def pair_tables_literal(Z):
+    """The (2, 5) pair table at every height bound h <= Z, by a literal loop
+    over x and y with gcd on both vectors (no numpy, no symmetry)."""
+    by_height = [[[0] * 5 for _ in range(2)] for _ in range(Z + 1)]
+    for x in itertools.product(range(-Z, Z + 1), repeat=3):
+        nx = max(map(abs, x))
+        if not nx:
+            continue
+        for y in itertools.product(range(-(Z // nx), Z // nx + 1), repeat=3):
+            ny = max(map(abs, y))
+            if ny and x[0] * y[0] + x[1] * y[1] + x[2] * y[2] == 0:
+                zeros = (x + y).count(0)
+                cell = by_height[nx * ny]
+                cell[0][zeros] += 1
+                if math.gcd(*x) == 1 and math.gcd(*y) == 1:
+                    cell[1][zeros] += 1
+    tables = [by_height[0]]
+    for cell in by_height[1:]:
+        tables.append([[a + b for a, b in zip(*rows)] for rows in zip(tables[-1], cell)])
+    return tables
+
+
+def test_pair_table_matches_literal_loop():
+    tables = pair_tables_literal(8)
+    for B in range(1, 65):
+        assert counts.pair_zero_histogram(B).tolist() == tables[math.isqrt(B)], B
+
+
+def test_pair_oracles_walk_the_shells_once(monkeypatch):
+    # run side by side, as the suites run them at --jobs 2, the three oracles
+    # still share one walk over the shells
+    B = 1500
+    walked = []
+    shell = counts._shell
+
+    def counted(k):
+        walked.append(k)
+        return shell(k)
+
+    counts._pair_table.cache_clear()
+    monkeypatch.setattr(counts, "_shell", counted)
+    with ThreadPoolExecutor(max_workers=3) as pool:
+        futures = [pool.submit(f, B) for f in (counts.mprime_naive, counts.n0_times4_naive, counts.n_w_naive)]
+        for future in futures:
+            future.result(timeout=60)
+    assert walked == list(range(1, math.isqrt(B) + 1))
