@@ -100,17 +100,16 @@ def singular_series_partial(Q: int) -> float:
 
 
 def main_term_thm1(X: float, Y: float) -> float:
-    """4 Y^2 sum_{q>=1} (phi(q)/q) F(floor(X/q)); the sum stops at q = floor(X)."""
+    """4 Y^2 sum_{q>=1} (phi(q)/q) F(floor(X/q)); the sum stops at q = floor(X).
+
+    For integer X, math.floor(X / q) equals X // q whenever X + q < 2^53,
+    far beyond the sieve cap on X.
+    """
     if X < 1.5:
         raise ValueError("the expansion needs X >= 3/2")
     top = math.floor(X)
     phi = arith_table(top).phi
-    if float(X).is_integer():
-        xi = int(X)
-        floors = [xi // q for q in range(1, top + 1)]
-    else:
-        floors = [math.floor(X / q) for q in range(1, top + 1)]
-    terms = [int(phi[q]) / q * float(F_closed(n)) for q, n in zip(range(1, top + 1), floors)]
+    terms = [int(phi[q]) / q * float(F_closed(math.floor(X / q))) for q in range(1, top + 1)]
     return 4.0 * Y * Y * math.fsum(terms)
 
 

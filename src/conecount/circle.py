@@ -7,7 +7,7 @@ The generating sum of the box count is
 with e(t) = exp(2 pi i t); summing the inner geometric sum gives the real
 Dirichlet-kernel form
 
-    sum_{|y|<=Y} e(theta y) = sin(pi (2 floor(Y) + 1) theta) / sin(pi theta),
+    D_m(theta) = sum_{|y|<=m} e(theta y) = sin(pi (2m + 1) theta) / sin(pi theta),
 
 so f and its major-arc companions are evaluated through that kernel:
 
@@ -17,7 +17,11 @@ so f and its major-arc companions are evaluated through that kernel:
     v_q(gamma)  = sum_{0<|x|<=X/q} sin(pi(2 floor(Y)+1) gamma x) / (pi gamma x),
 
 with f*_q(beta) = w_q(q beta).  All five are real (each sum is closed
-under x -> -x).
+under x -> -x).  ``kernel_sum`` evaluates 2 sum_x (D_m(alpha x) - drop)
+for f, g_q, w_q (hence f*_q) and the minor-arc scan; v_q has its own sinc
+sum.  Each sum also has a literal term-by-term oracle (``*_naive``) that
+shares no code with the kernels; the f, g_q and f*_q oracles return the
+complex sum as written, whose imaginary part is rounding.
 
 The dissection places, for Q = sqrt(X Y)/2, an arc of half-width
 Q/(q X Y) around every fraction a/q with 1 <= a <= q <= Q, gcd(a, q) = 1,
@@ -31,6 +35,7 @@ cancellation; the removable point itself returns the exact limit.
 
 from __future__ import annotations
 
+import cmath
 import math
 import random
 from dataclasses import dataclass
@@ -41,7 +46,7 @@ import numpy as np
 from .arith import build_r_table
 from .calibration import Calibration
 from .errors import ResourceLimitError
-from .integrals import QuadResult, integrate_panels
+from .integrals import QUAD_TOLERANCE, QuadResult, integrate_panels
 
 _SIN_EPS = 1.0e-8
 
@@ -64,39 +69,30 @@ def _dirichlet_full(theta: np.ndarray, m: int) -> np.ndarray:
     return vals
 
 
+def kernel_sum(alpha, x: np.ndarray, m: int, drop: float) -> np.ndarray:
+    """2 sum_x (D_m(alpha x) - drop) over the integers x, along the last axis,
+    for a scalar alpha or an array of them (one sum per alpha).  drop = 1
+    removes the y = 0 term of each kernel, drop = 0 keeps it."""
+    return 2.0 * np.sum(_dirichlet_full(np.multiply.outer(alpha, x), m) - drop, axis=-1)
+
+
 def sym_kernel(theta: float, Y: float) -> float:
     """sum_{1<=|y|<=Y} e(theta y), i.e. the Dirichlet kernel minus the y = 0 term."""
-    m = math.floor(Y)
-    return float(_dirichlet_full(np.asarray([theta], dtype=float), m)[0]) - 1.0
+    return float(_dirichlet_full(np.asarray([theta], dtype=float), math.floor(Y))[0]) - 1.0
 
 
 def f_eval(alpha: float, X: float, Y: float) -> float:
     """f(alpha) over the box |x| <= X, |y| <= Y (O(X) kernel calls)."""
-    nx = math.floor(X)
     m = math.floor(Y)
-    if nx < 1 or m < 1:
+    if m < 1:
         return 0.0
-    x = np.arange(1, nx + 1, dtype=float)
-    return float(2.0 * np.sum(_dirichlet_full(alpha * x, m) - 1.0))
-
-
-def _f_eval_many(alphas: np.ndarray, X: float, Y: float) -> np.ndarray:
-    nx = math.floor(X)
-    m = math.floor(Y)
-    x = np.arange(1, nx + 1, dtype=float)
-    theta = alphas[:, None] * x[None, :]
-    return 2.0 * np.sum(_dirichlet_full(theta, m) - 1.0, axis=1)
+    return float(kernel_sum(alpha, np.arange(1, math.floor(X) + 1), m, 1.0))
 
 
 def g_q_eval(alpha: float, q: int, X: float, Y: float) -> float:
     """The part of f(alpha) with q not dividing x (zero for q = 1)."""
-    nx = math.floor(X)
-    m = math.floor(Y)
-    x = np.arange(1, nx + 1, dtype=float)
-    x = x[np.arange(1, nx + 1) % q != 0]
-    if x.size == 0:
-        return 0.0
-    return float(2.0 * np.sum(_dirichlet_full(alpha * x, m) - 1.0))
+    x = np.arange(1, math.floor(X) + 1)
+    return float(kernel_sum(alpha, x[x % q != 0], math.floor(Y), 1.0))
 
 
 def f_star_eval(beta: float, q: int, X: float, Y: float) -> float:
@@ -106,19 +102,13 @@ def f_star_eval(beta: float, q: int, X: float, Y: float) -> float:
 
 def w_q_eval(gamma: float, q: int, X: float, Y: float) -> float:
     """w_q(gamma) = sum over 0 < |x| <= X/q of the full Dirichlet kernel at gamma x."""
-    n = math.floor(X / q)
-    m = math.floor(Y)
-    if n < 1:
-        return 0.0
-    x = np.arange(1, n + 1, dtype=float)
-    return float(2.0 * np.sum(_dirichlet_full(gamma * x, m)))
+    return float(kernel_sum(gamma, np.arange(1, math.floor(X / q) + 1), math.floor(Y), 0.0))
 
 
 def _sinc_sum(gamma: np.ndarray, n: int, m: int) -> np.ndarray:
     """v_q on an array of gamma: 2 sum_{x<=n} sin(pi(2m+1) gamma x)/(pi gamma x)."""
     k = 2 * m + 1
-    x = np.arange(1, n + 1, dtype=float)
-    z = np.pi * gamma[:, None] * x[None, :]
+    z = np.pi * gamma[:, None] * np.arange(1, n + 1)[None, :]
     small = np.abs(z) < _SIN_EPS
     safe = np.where(small, 1.0, z)
     vals = np.sin(k * z) / safe
@@ -130,11 +120,7 @@ def _sinc_sum(gamma: np.ndarray, n: int, m: int) -> np.ndarray:
 
 def v_q_eval(gamma: float, q: int, X: float, Y: float) -> float:
     """v_q(gamma): the w_q sum with sin(pi gamma x) replaced by pi gamma x."""
-    n = math.floor(X / q)
-    m = math.floor(Y)
-    if n < 1:
-        return 0.0
-    return float(_sinc_sum(np.asarray([gamma], dtype=float), n, m)[0])
+    return float(_sinc_sum(np.asarray([gamma], dtype=float), math.floor(X / q), math.floor(Y))[0])
 
 
 # ---------------------------------------------------------------------------
@@ -209,20 +195,71 @@ def l2_via_r(X: int, Y: int) -> int:
     return int(2 * np.dot(r[1:], r[1:]))
 
 
+# ---------------------------------------------------------------------------
+# Literal oracles: every sum term by term, sharing no code with the kernels
+# ---------------------------------------------------------------------------
+
+
+def _nonzero(n: int) -> list[int]:
+    return [x for x in range(-n, n + 1) if x]
+
+
 def l2_naive(X: int, Y: int) -> int:
     """Quadruple-loop count of xy = uv in the box (tiny boxes only)."""
     if X * X * Y > 10**6:
         raise ResourceLimitError("l2_naive is for tiny boxes")
-    xs = [x for x in range(-X, X + 1) if x]
-    ys = [y for y in range(-Y, Y + 1) if y]
+    xs = _nonzero(X)
     count = 0
     for x in xs:
-        for y in ys:
+        for y in _nonzero(Y):
             p = x * y
             for u in xs:
                 if p % u == 0 and 1 <= abs(p // u) <= Y:
                     count += 1
     return count
+
+
+def _exp_double_sum(alpha: float, xs, ys) -> complex:
+    """sum_{x in xs} sum_{y in ys} e(alpha x y), one cmath.exp per term, complex as
+    written: f, g_q and f*_q are real, so its imaginary part is rounding."""
+    return sum(cmath.exp(2j * math.pi * alpha * x * y) for x in xs for y in ys)
+
+
+def f_naive(alpha: float, X: int, Y: int) -> complex:
+    """f(alpha) as its literal double sum."""
+    return _exp_double_sum(alpha, _nonzero(X), _nonzero(Y))
+
+
+def g_q_naive(alpha: float, q: int, X: int, Y: int) -> complex:
+    """g_q(alpha) as its literal double sum over q !| x."""
+    return _exp_double_sum(alpha, [x for x in _nonzero(X) if x % q], _nonzero(Y))
+
+
+def f_star_naive(beta: float, q: int, X: int, Y: int) -> complex:
+    """f*_q(beta) as its literal double sum, y = 0 row included."""
+    return _exp_double_sum(beta * q, _nonzero(X // q), range(-Y, Y + 1))
+
+
+def _sine_ratio_sum(gamma: float, n: int, Y: int, denom) -> float:
+    """2 sum_{x<=n} sin(pi (2Y+1) gamma x) / denom(pi gamma x) term by term;
+    a term whose denominator vanishes takes its limit 2Y + 1."""
+    k = 2 * Y + 1
+
+    def term(x: int) -> float:
+        d = denom(math.pi * gamma * x)
+        return math.sin(math.pi * k * gamma * x) / d if abs(d) > 1e-12 else k
+
+    return 2 * math.fsum(term(x) for x in range(1, n + 1))
+
+
+def w_q_naive(gamma: float, q: int, X: int, Y: int) -> float:
+    """w_q(gamma) term by term."""
+    return _sine_ratio_sum(gamma, X // q, Y, math.sin)
+
+
+def v_q_naive(gamma: float, q: int, X: int, Y: int) -> float:
+    """v_q(gamma) term by term."""
+    return _sine_ratio_sum(gamma, X // q, Y, lambda t: t)
 
 
 # ---------------------------------------------------------------------------
@@ -256,7 +293,7 @@ def minor_arc_scan(X: float, Y: float, n_samples: int, seed: int) -> MinorArcSca
                 alphas[i] = a + u
                 break
             u -= ln
-    vals = np.abs(_f_eval_many(alphas, X, Y))
+    vals = np.abs(kernel_sum(alphas, np.arange(1, math.floor(X) + 1), math.floor(Y), 1.0))
     scale = (X * Y / diss.Q) * math.log(Y)
     m = float(vals.max())
     return MinorArcScan(
@@ -269,13 +306,7 @@ def minor_arc_scan(X: float, Y: float, n_samples: int, seed: int) -> MinorArcSca
 # ---------------------------------------------------------------------------
 
 
-def j_quadrature(
-    q: int,
-    X: float,
-    Y: float,
-    T: float = 50.0,
-    tol: float = 1.0e-9,
-) -> QuadResult:
+def j_quadrature(q: int, X: float, Y: float, T: float = 50.0) -> QuadResult:
     """int_{-T}^{T} v_q(gamma)^3 dgamma plus a tail bound.
 
     v_q is even, so 2 int_0^T is computed on panels cut at the zeros
@@ -285,25 +316,19 @@ def j_quadrature(
 
         |tail| <= 2 (C log X)^3 / (2 T^2).
 
-    ``tol`` is the absolute tolerance of ``integrate_panels`` over [0, T],
-    shared across panels by length.  Each panel's share is floored at its
-    own float64 rounding level, so a panel worth ~1e4 is held to ~1e-10
-    rather than to its ~1e-12 share of ``tol``; a ConvergenceError
-    therefore means the panels did not resolve v_q^3, not that ``tol`` is
-    finer than float64 can resolve.
+    The panels share ``QUAD_TOLERANCE`` over [0, T] by length, each share
+    floored at the panel's float64 rounding level, so a ConvergenceError
+    means the panels did not resolve v_q^3, not that the tolerance is finer
+    than float64 can resolve.
     """
     if q > X:
         return QuadResult(value=0.0, tail_bound=0.0)
     n = math.floor(X / q)
     m = math.floor(Y)
     k = 2 * m + 1
-
-    def integrand(g: np.ndarray) -> np.ndarray:
-        return _sinc_sum(g, n, m) ** 3
-
     brk = np.unique(np.concatenate([[0.0], np.arange(1, int(T * k) + 1) / k, [T]]))
     brk = brk[brk <= T]
-    body = integrate_panels(integrand, brk, tol, order=16)
+    body = integrate_panels(lambda g: _sinc_sum(g, n, m) ** 3, brk, QUAD_TOLERANCE, order=16)
     c_log = Calibration.v_decay_constant * max(math.log(X), 1.0)
     tail = c_log**3 / (T * T)
     return QuadResult(value=2.0 * body, tail_bound=tail)

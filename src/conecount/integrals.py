@@ -58,21 +58,19 @@ from .errors import ConvergenceError
 _PI = math.pi
 # a panel is never asked to agree beyond 50 ulps of its own size
 _ROUNDING_FLOOR = 50.0 * np.finfo(float).eps
+# absolute tolerance of every improper integral's panel quadrature
+QUAD_TOLERANCE = 1.0e-9
 
 
 @dataclass(frozen=True)
 class QuadratureConfig:
-    """Truncation and tolerance knobs for the improper integrals."""
+    """Truncation point of the improper integrals."""
 
     truncation: float = 1.0e4
-    tolerance: float = 1.0e-9
-    max_panel_depth: int = 12
 
     def __post_init__(self):
         if self.truncation < 1.0:
             raise ValueError("truncation must be >= 1")
-        if self.tolerance < 1.0e-12:
-            raise ValueError("tolerance must be >= 1e-12")
 
 
 class QuadResult(NamedTuple):
@@ -297,7 +295,7 @@ def triple_sine_quad(
     def integrand(t: np.ndarray) -> np.ndarray:
         return np.sin(w1 * t) * np.sin(w2 * t) * np.sin(w3 * t) / t**3
 
-    body = integrate_panels(integrand, brk, cfg.tolerance, cfg.max_panel_depth, order=12)
+    body = integrate_panels(integrand, brk, QUAD_TOLERANCE, order=12)
     head = _triple_sine_small_t((w1, w2, w3), eps)
     tail_bound = 1.0 / (T * T)
     return QuadResult(value=2.0 * (head + body), tail_bound=tail_bound)
@@ -334,11 +332,11 @@ def si_cubed_quad(cfg: QuadratureConfig | None = None) -> QuadResult:
         s = si(t)
         return s * s * s / t**3
 
-    body = integrate_panels(integrand, brk, cfg.tolerance, cfg.max_panel_depth, order=16)
+    body = integrate_panels(integrand, brk, QUAD_TOLERANCE, order=16)
     head = eps - eps**3 / 18.0 + (77.0 / 27000.0) * eps**5
     tail = (_PI / 2.0) ** 3 / (2.0 * T * T)
     # |Si t - pi/2| <= 1.1/t for t >= 100 bounds the dropped oscillatory part
-    residual = 3.0 * (_PI / 2.0 + 1.1 / T) ** 2 * 1.1 * (2.0 / (3.0 * T**3)) + cfg.tolerance
+    residual = 3.0 * (_PI / 2.0 + 1.1 / T) ** 2 * 1.1 * (2.0 / (3.0 * T**3)) + QUAD_TOLERANCE
     return QuadResult(value=head + body + tail, tail_bound=residual)
 
 

@@ -24,6 +24,7 @@ import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import partial
 from typing import Callable
 
 import numpy as np
@@ -176,6 +177,34 @@ def _once(fn: Callable[[], object]) -> Callable[[], object]:
     return get
 
 
+# Cost estimates of the FFT-engine rows in the oracle rows' unit, the kernel's
+# (x, y0) cell (~200 ns): an FFT square of length L takes L log2 L steps, and
+# the engine's large rows (fit/kappa_hat, sandwich/B=1000000) run ~3.4 ns/step.
+_FFT_STEPS_PER_CELL = 60.0
+
+
+def _box_units(xy: float) -> float:
+    """m_fast(X, Y) with X*Y = xy: one FFT square of length about 2 xy."""
+    length = max(2.0 * xy, 2.0)
+    return length * math.log2(length) / _FFT_STEPS_PER_CELL
+
+
+def _mprime_units(b: int) -> float:
+    """M'(B): about 2 sqrt(z) floor blocks (z = isqrt(B)), each two boxes of X*Y <= z."""
+    z = math.isqrt(b)
+    return 4.0 * math.sqrt(z) * _box_units(z)
+
+
+def _height_units(b: int) -> float:
+    """4N(B): M'(B / c^2) over c <= isqrt(B), at most zeta(3/2) < 3 times M'(B)."""
+    return 3.0 * _mprime_units(b)
+
+
+def _xi_units(b: int) -> float:
+    """Xi(B): 2 (L - 1) boxes of X*Y <= isqrt(B)."""
+    return 2.0 * (hyperbola.quadratic_partition(b).L - 1) * _box_units(math.isqrt(b))
+
+
 def _suite_identities(cfg: RunConfig) -> list[Check]:
     checks: list[Check] = []
     # the brute prefix is summed once, by whichever check needs it first, so
@@ -294,7 +323,7 @@ def _suite_counts(cfg: RunConfig) -> list[Check]:
             ok = h.n_times4 - h.n0_times4 == h.W1 + h.W2 + h.W3 + h.W4 and h.W4 == 24
             return "4(N-N0) = W1+W2+W3+W4, W4 = 24", "ok" if ok else "violated", "exact", ok
 
-        checks.append(Check(check_id=f"decomposition/B={b}", input=f"B={b}", run=run_decomp, cost=math.isqrt(b) ** 3 + 1e4))
+        checks.append(Check(check_id=f"decomposition/B={b}", input=f"B={b}", run=run_decomp, cost=_height_units(b)))
     checks.append(
         true_check("mprime/nondecreasing", "B=1..300",
                    lambda: all(counts.mprime(b) <= counts.mprime(b + 1) for b in range(1, 300)), cost=1e7)
@@ -321,14 +350,15 @@ def _suite_thm1(cfg: RunConfig) -> list[Check]:
         checks.append(
             bound_check(f"deviation/X={x},Y={y}", f"X={x},Y={y}",
                         lambda x=x, y=y: asymptotics.deviation_thm1(x, y).deviation,
-                        cal.thm1_deviation_bound, cost=4.0 * (x * y) ** 2)
+                        cal.thm1_deviation_bound, cost=_box_units(x * y))
         )
 
     def trend():
         devs = [asymptotics.deviation_thm1(s, s).deviation for s in (20, 40, 60)]
         return max(b / a for a, b in zip(devs, devs[1:]))
 
-    checks.append(bound_check("deviation/trend_factor", "(20,20)->(40,40)->(60,60)", trend, 2.0, cost=6e7))
+    checks.append(bound_check("deviation/trend_factor", "(20,20)->(40,40)->(60,60)", trend, 2.0,
+                              cost=sum(_box_units(s * s) for s in (20, 40, 60))))
     return checks
 
 
@@ -346,7 +376,7 @@ def _singular_series_monotone() -> bool:
 def _suite_thm2(cfg: RunConfig) -> list[Check]:
     cal = cfg.calibration
     grid = cfg.b_grid([i * 10**5 for i in range(1, 11)])
-    cost = float(sum(math.isqrt(b) ** 3 for b in grid))
+    cost = sum(_height_units(b) for b in grid)
     k = asymptotics.constants  # evaluated inside the checks, so their runtime_ms sees it
     checks = [
         tol_check("constants/kappa2_consistency", "33 - 6 zeta(2) = c/2",
@@ -360,7 +390,8 @@ def _suite_thm2(cfg: RunConfig) -> list[Check]:
                     lambda: max(r.deviation for r in asymptotics.fit_residual_trend(grid)),
                     cal.thm2_residual_bound, cost=cost),
         true_check("fit/synthetic_recovery", "kappa=5.8,C=-3.2", _fit_synthetic),
-        true_check("fit/two_point_interpolation", "B={1e4,1e6-ish}", _fit_two_point, cost=2e8),
+        true_check("fit/two_point_interpolation", "B={1e4,1e6-ish}", _fit_two_point,
+                   cost=_height_units(10**4) + _height_units(9 * 10**4)),
     ]
     return checks
 
@@ -406,15 +437,15 @@ def _suite_circle(cfg: RunConfig) -> list[Check]:
     tol = cal.kernel_oracle_tol
     alphas = [0.0, 0.5, 1.0 / 3.0, 0.123456, 0.987, -0.377, 2.345]
     checks = [
-        bound_check("kernels/f_vs_brute", "X,Y<=8", lambda: _kernel_worst("f", alphas), tol, cost=1e6),
-        bound_check("kernels/g_vs_brute", "X,Y<=8", lambda: _kernel_worst("g", alphas), tol, cost=1e6),
-        bound_check("kernels/fstar_vs_brute", "X,Y<=8", lambda: _kernel_worst("fstar", alphas), tol, cost=1e6),
-        bound_check("kernels/w_vs_brute", "X,Y<=8", lambda: _kernel_worst("w", alphas), tol, cost=1e6),
-        bound_check("kernels/v_vs_brute", "X,Y<=8", lambda: _kernel_worst("v", alphas), tol, cost=1e6),
+        bound_check(f"kernels/{name}_vs_brute", "X,Y<=8",
+                    lambda fast=fast, oracle=oracle: _kernel_worst(fast, oracle, alphas), tol, cost=1e6)
+        for name, fast, oracle in _KERNEL_PAIRS
+    ] + [
         true_check("kernels/g1_zero", "q=1", lambda: all(circle.g_q_eval(a, 1, 6, 6) == 0.0 for a in alphas)),
         bound_check("decomposition/restored_row", "major-arc samples, X,Y<=8",
                     _decomposition_slack, 0.0, cost=1e6),
-        exact_check("arcs/example_4x4", "X=Y=4", ((1, 0.125), (2, 0.0625)), _arc_example),
+        exact_check("arcs/example_4x4", "X=Y=4", ((1, 0.125), (2, 0.0625)),
+                    lambda: tuple(sorted((a.q, a.half_width) for a in circle.dissect(4, 4).arcs))),
         exact_check("arcs/count_10x10", "X=Y=10", 10, lambda: len(circle.dissect(10, 10).arcs)),
         true_check("arcs/disjoint_30x30", "X=Y=30", lambda: circle.dissect(30, 30) is not None),
         exact_check("l2/example_1x1", "X=Y=1", 8, lambda: circle.l2_via_r(1, 1)),
@@ -425,11 +456,18 @@ def _suite_circle(cfg: RunConfig) -> list[Check]:
                    lambda: all(circle.l2_via_r(x, y) <= cal.l2_bound_constant * x * y * max(math.log(x), 1.0)
                                for x in (1, 2, 5, 10, 30, 60, 100) for y in (x, 100)), cost=1e6),
         bound_check("wv/proximity", "|gamma| <= 1/(2X) sampled",
-                    lambda: _wv_worst(cal.wv_proximity_constant), 1.0, cost=1e6),
+                    lambda: max(abs(circle.w_q_eval(g, q, X, Y) - circle.v_q_eval(g, q, X, Y))
+                                / (cal.wv_proximity_constant * g * X * X / (q * q))
+                                for (q, X, Y) in _SWEEP_BOXES for g in np.linspace(1e-9, 1 / (2 * X), 120)),
+                    1.0, cost=1e6),
         bound_check("v/sup_bound", "gamma sampled",
-                    lambda: _v_sup_worst(cal.v_sup_constant), 1.0, cost=1e6),
+                    lambda: max(abs(circle.v_q_eval(g, q, X, Y)) / (cal.v_sup_constant * X * Y / q)
+                                for (q, X, Y) in _SWEEP_BOXES for g in np.linspace(1e-7, 0.5, 150)),
+                    1.0, cost=1e6),
         bound_check("v/decay_bound", "gamma sampled",
-                    lambda: _v_decay_worst(cal.v_decay_constant), 1.0, cost=1e6),
+                    lambda: max(abs(circle.v_q_eval(g, q, X, Y)) * g / (cal.v_decay_constant * math.log(X))
+                                for (q, X, Y) in _DECAY_BOXES for g in np.logspace(-6, -0.31, 150)),
+                    1.0, cost=1e6),
         bound_check("minor_arcs/ratio", f"X=Y=40, n=1000, seed={cfg.seed}",
                     lambda: circle.minor_arc_scan(40, 40, 1000, cfg.seed).ratio,
                     cal.minor_arc_ratio_bound, cost=1e6),
@@ -448,103 +486,34 @@ def _suite_circle(cfg: RunConfig) -> list[Check]:
     return checks
 
 
-def _kernel_worst(which: str, alphas) -> float:
-    import cmath
+# (name, fast kernel, literal oracle), both called as (alpha, X=X, Y=Y)
+_KERNEL_PAIRS = (
+    ("f", circle.f_eval, circle.f_naive),
+    ("g", partial(circle.g_q_eval, q=3), partial(circle.g_q_naive, q=3)),
+    ("fstar", partial(circle.f_star_eval, q=2), partial(circle.f_star_naive, q=2)),
+    ("w", partial(circle.w_q_eval, q=2), partial(circle.w_q_naive, q=2)),
+    ("v", partial(circle.v_q_eval, q=2), partial(circle.v_q_naive, q=2)),
+)
 
-    worst = 0.0
-    for (X, Y) in [(2, 2), (3, 5), (8, 8), (5, 8)]:
-        for a in alphas:
-            if which == "f":
-                brute = sum(
-                    cmath.exp(2j * math.pi * a * x * y)
-                    for x in range(-X, X + 1) if x
-                    for y in range(-Y, Y + 1) if y
-                ).real
-                mine = circle.f_eval(a, X, Y)
-            elif which == "g":
-                q = 3
-                brute = sum(
-                    cmath.exp(2j * math.pi * a * x * y)
-                    for x in range(-X, X + 1) if x and x % q
-                    for y in range(-Y, Y + 1) if y
-                ).real
-                mine = circle.g_q_eval(a, q, X, Y)
-            elif which == "fstar":
-                q = 2
-                brute = sum(
-                    cmath.exp(2j * math.pi * a * q * x * y)
-                    for x in range(-(X // q), X // q + 1) if x
-                    for y in range(-Y, Y + 1)
-                ).real
-                mine = circle.f_star_eval(a, q, X, Y)
-            elif which == "w":
-                q = 2
-                m = Y
-                brute = sum(
-                    math.sin(math.pi * (2 * m + 1) * a * x) / math.sin(math.pi * a * x)
-                    if abs(math.sin(math.pi * a * x)) > 1e-12 else (2 * m + 1)
-                    for x in range(1, X // q + 1)
-                ) * 2.0
-                mine = circle.w_q_eval(a, q, X, Y)
-            else:
-                q = 2
-                m = Y
-                brute = sum(
-                    math.sin(math.pi * (2 * m + 1) * a * x) / (math.pi * a * x)
-                    if abs(a * x) > 1e-12 else (2 * m + 1)
-                    for x in range(1, X // q + 1)
-                ) * 2.0
-                mine = circle.v_q_eval(a, q, X, Y)
-            worst = max(worst, abs(brute - mine))
-    return worst
+
+def _kernel_worst(fast, oracle, alphas) -> float:
+    """max |Re oracle - fast| over four boxes with X, Y <= 8 and the given alphas."""
+    return max(abs(oracle(a, X=X, Y=Y).real - fast(a, X=X, Y=Y))
+               for (X, Y) in [(2, 2), (3, 5), (8, 8), (5, 8)] for a in alphas)
 
 
 def _decomposition_slack() -> float:
-    worst = -math.inf
-    for (X, Y) in [(6, 8), (8, 8)]:
-        diss = circle.dissect(X, Y)
-        for arc in diss.arcs:
-            for t in (-0.7, 0.0, 0.9):
-                beta = t * arc.half_width
-                alpha = arc.center + beta
-                diff = abs(
-                    circle.f_eval(alpha, X, Y)
-                    - circle.f_star_eval(beta, arc.q, X, Y)
-                    - circle.g_q_eval(alpha, arc.q, X, Y)
-                )
-                worst = max(worst, diff - (2 * X + 1))
-    return worst
+    """max of |f(a/q + b) - f*_q(b) - g_q(a/q + b)| - (2X + 1) over major-arc samples."""
+    return max(
+        abs(circle.f_eval(arc.center + beta, X, Y) - circle.f_star_eval(beta, arc.q, X, Y)
+            - circle.g_q_eval(arc.center + beta, arc.q, X, Y)) - (2 * X + 1)
+        for (X, Y) in [(6, 8), (8, 8)] for arc in circle.dissect(X, Y).arcs
+        for beta in (t * arc.half_width for t in (-0.7, 0.0, 0.9)))
 
 
-def _arc_example():
-    d = circle.dissect(4, 4)
-    return tuple(sorted((a.q, a.half_width) for a in d.arcs))
-
-
-def _wv_worst(constant: float) -> float:
-    worst = 0.0
-    for (q, X, Y) in [(1, 2, 2), (1, 8, 8), (2, 8, 6), (3, 7, 9), (1, 20, 30), (5, 17, 23)]:
-        for g in np.linspace(1e-9, 1 / (2 * X), 120):
-            w = circle.w_q_eval(g, q, X, Y)
-            v = circle.v_q_eval(g, q, X, Y)
-            worst = max(worst, abs(w - v) / (constant * g * X * X / (q * q)))
-    return worst
-
-
-def _v_sup_worst(constant: float) -> float:
-    worst = 0.0
-    for (q, X, Y) in [(1, 2, 2), (1, 8, 8), (2, 8, 6), (3, 7, 9), (1, 20, 30), (5, 17, 23)]:
-        for g in np.linspace(1e-7, 0.5, 150):
-            worst = max(worst, abs(circle.v_q_eval(g, q, X, Y)) / (constant * X * Y / q))
-    return worst
-
-
-def _v_decay_worst(constant: float) -> float:
-    worst = 0.0
-    for (q, X, Y) in [(1, 8, 8), (2, 8, 6), (3, 7, 9), (1, 20, 30), (5, 17, 23)]:
-        for g in np.logspace(-6, -0.31, 150):
-            worst = max(worst, abs(circle.v_q_eval(g, q, X, Y)) * g / (constant * math.log(X)))
-    return worst
+# (q, X, Y) of the sampled w_q / v_q sweeps; the decay bound, scaled by log X, leaves out X = 2
+_SWEEP_BOXES = ((1, 2, 2), (1, 8, 8), (2, 8, 6), (3, 7, 9), (1, 20, 30), (5, 17, 23))
+_DECAY_BOXES = ((1, 8, 8), (2, 8, 6), (3, 7, 9), (1, 20, 30), (5, 17, 23))
 
 
 def _suite_hyperbola(cfg: RunConfig) -> list[Check]:
@@ -559,7 +528,8 @@ def _suite_hyperbola(cfg: RunConfig) -> list[Check]:
                    )),
         exact_check("xi/example_16", "B=16", lambda: counts.m_fast(1, 4) - counts.m_fast(1, 1),
                     lambda: hyperbola.xi_sum(16)),
-        true_check("xi/resummation", "B in {1e4, 5e4}", _xi_resummation, cost=1e8),
+        true_check("xi/resummation", "B in {1e4, 5e4}", _xi_resummation,
+                   cost=2.0 * (_xi_units(10**4) + _xi_units(5 * 10**4))),
         tol_check("telescope/L2", "L=2", 15.0 / 16.0 - 4.0 * math.log(2.0),
                   lambda: hyperbola.telescope_constant(2), 1e-12),
         bound_check("telescope/cauchy", "L=1e3 vs 1e4",
@@ -574,16 +544,16 @@ def _suite_hyperbola(cfg: RunConfig) -> list[Check]:
             ok = s.lower <= s.exact <= s.upper
             return "lower <= exact <= upper", f"{s.lower} <= {s.exact} <= {s.upper}", "exact", ok
 
+        # M'(B), Xi(B), and the upper bound's 2 (L - 1) boxes, which cost about Xi again
         checks.append(Check(check_id=f"sandwich/B={b}", input=f"B={b}", run=run_sandwich,
-                            cost=2.0 * math.isqrt(b) ** 3))
+                            cost=_mprime_units(b) + 2.0 * _xi_units(b)))
     for b in (10**4, 10**6):
         checks.append(
             bound_check(f"xi_main/split_gap_B={b}", f"B={b}",
                         lambda b=b: _xi_split_gap(b), cal.xi_split_rel_tol, cost=1e6))
         checks.append(
             bound_check(f"xi_main/vs_xi_B={b}", f"B={b}",
-                        lambda b=b: _xi_vs_main(b), cal.xi_main_deviation_bound,
-                        cost=2.0 * math.isqrt(b) ** 3))
+                        lambda b=b: _xi_vs_main(b), cal.xi_main_deviation_bound, cost=_xi_units(b)))
     return checks
 
 
@@ -629,9 +599,9 @@ def _suite_boundary(cfg: RunConfig) -> list[Check]:
         exact_check("height_zeta/cutoff_1", "s=2, cutoff=1", 192.0,
                     lambda: asymptotics.height_zeta_truncated(2.0, 1)),
         true_check("height_zeta/monotone", "s=2, cutoffs 1..40",
-                   lambda: _hz_monotone(), cost=1e7),
+                   lambda: _hz_monotone(), cost=sum(_height_units(h * h) for h in range(1, 41))),
         true_check("height_zeta/tail_bound", "s=2, 100 vs 200",
-                   lambda: _hz_tail(), cost=3e9),
+                   lambda: _hz_tail(), cost=sum(_height_units(h * h) for h in range(1, 201))),
     ]
     return checks
 

@@ -1,23 +1,17 @@
-import cmath
 import math
 
 import numpy as np
 import pytest
 
-from conecount import circle
+from conecount import circle, report
 from conecount.counts import m_fast
 from conecount.integrals import j_closed
 
 ALPHAS = [0.0, 0.5, 1.0 / 3.0, 0.123456, 0.987, -0.377, 2.345]
 
 
-def f_brute(alpha, X, Y):
-    total = sum(
-        cmath.exp(2j * math.pi * alpha * x * y)
-        for x in range(-X, X + 1) if x
-        for y in range(-Y, Y + 1) if y
-    )
-    assert abs(total.imag) < 1e-9
+def real(total):
+    assert abs(total.imag) < 1e-9  # the literal sums of f, g_q and f*_q are real
     return total.real
 
 
@@ -44,7 +38,24 @@ def test_f_examples_and_periodicity():
 @pytest.mark.parametrize("X,Y", [(2, 2), (3, 5), (8, 8), (5, 8)])
 def test_f_matches_brute(X, Y):
     for a in ALPHAS:
-        assert circle.f_eval(a, X, Y) == pytest.approx(f_brute(a, X, Y), abs=1e-9)
+        assert circle.f_eval(a, X, Y) == pytest.approx(real(circle.f_naive(a, X, Y)), abs=1e-9)
+
+
+def test_kernel_sum_on_an_array_is_f_eval_bit_for_bit():
+    # the minor-arc scan evaluates f on an array of alpha through the same routine
+    alphas = np.array(ALPHAS + [0.0123, 0.5 + 1e-12, 1e-10, 7.75])
+    for X, Y in [(1, 1), (2, 2), (5, 8), (40, 40), (20, 80)]:
+        many = circle.kernel_sum(alphas, np.arange(1, X + 1, dtype=float), Y, 1.0)
+        assert [float(v) for v in many] == [circle.f_eval(a, X, Y) for a in alphas]
+
+
+@pytest.mark.parametrize("X,Y,q", [(2, 2, 1), (3, 5, 2), (8, 8, 3), (7, 4, 5), (5, 8, 7)])
+def test_oracles_count_points_at_zero(X, Y, q):
+    # at alpha = 0 each oracle counts its index set, independently of the kernels
+    assert circle.f_naive(0.0, X, Y) == 4 * X * Y
+    assert circle.g_q_naive(0.0, q, X, Y) == 4 * (X - X // q) * Y
+    for oracle in (circle.f_star_naive, circle.w_q_naive, circle.v_q_naive):
+        assert oracle(0.0, q, X, Y) == 2 * (X // q) * (2 * Y + 1)
 
 
 def test_g_q():
@@ -52,12 +63,7 @@ def test_g_q():
     assert circle.g_q_eval(0.0, 2, 3, 5) == 4 * 2 * 5  # x in {+-1, +-3}
     for (q, X, Y) in [(3, 7, 6), (2, 2, 2), (2, 3, 5), (2, 8, 8), (2, 5, 8)]:
         for a in ALPHAS:
-            brute = sum(
-                cmath.exp(2j * math.pi * a * x * y)
-                for x in range(-X, X + 1) if x and x % q
-                for y in range(-Y, Y + 1) if y
-            ).real
-            assert circle.g_q_eval(a, q, X, Y) == pytest.approx(brute, abs=1e-9)
+            assert circle.g_q_eval(a, q, X, Y) == pytest.approx(real(circle.g_q_naive(a, q, X, Y)), abs=1e-9)
 
 
 def test_f_star():
@@ -68,12 +74,7 @@ def test_f_star():
             assert circle.f_star_eval(b, q, 8, 6) == pytest.approx(
                 circle.w_q_eval(q * b, q, 8, 6), abs=1e-12
             )
-            brute = sum(
-                cmath.exp(2j * math.pi * b * q * x * y)
-                for x in range(-(8 // q), 8 // q + 1) if x
-                for y in range(-6, 7)
-            ).real
-            assert circle.f_star_eval(b, q, 8, 6) == pytest.approx(brute, abs=1e-9)
+            assert circle.f_star_eval(b, q, 8, 6) == pytest.approx(real(circle.f_star_naive(b, q, 8, 6)), abs=1e-9)
 
 
 def test_w_v_at_zero_and_brute():
@@ -81,34 +82,14 @@ def test_w_v_at_zero_and_brute():
     assert circle.v_q_eval(0.0, 1, 2, 2) == 20.0
     for g in (0.013, 0.21, -0.37):
         for (q, X, Y) in [(1, 8, 8), (2, 8, 6), (3, 7, 9), (2, 2, 2), (2, 3, 5), (2, 8, 8), (2, 5, 8)]:
-            n, m = X // q, Y
-            w_brute = 2 * math.fsum(
-                math.sin(math.pi * (2 * m + 1) * g * x) / math.sin(math.pi * g * x)
-                for x in range(1, n + 1)
-            )
-            v_brute = 2 * math.fsum(
-                math.sin(math.pi * (2 * m + 1) * g * x) / (math.pi * g * x)
-                for x in range(1, n + 1)
-            )
-            assert circle.w_q_eval(g, q, X, Y) == pytest.approx(w_brute, abs=1e-9)
-            assert circle.v_q_eval(g, q, X, Y) == pytest.approx(v_brute, abs=1e-9)
+            assert circle.w_q_eval(g, q, X, Y) == pytest.approx(circle.w_q_naive(g, q, X, Y), abs=1e-9)
+            assert circle.v_q_eval(g, q, X, Y) == pytest.approx(circle.v_q_naive(g, q, X, Y), abs=1e-9)
 
 
 def test_decomposition_restored_row():
     # f(a/q + b) - f*_q(b) - g_q(a/q + b) is exactly the restored y = 0 row,
-    # at most 2 floor(X/q) + 1 <= 2X + 1 unit terms
-    for (X, Y) in [(6, 8), (8, 8)]:
-        diss = circle.dissect(X, Y)
-        for arc in diss.arcs:
-            for t in (-0.7, 0.0, 0.9):
-                beta = t * arc.half_width
-                alpha = arc.center + beta
-                diff = abs(
-                    circle.f_eval(alpha, X, Y)
-                    - circle.f_star_eval(beta, arc.q, X, Y)
-                    - circle.g_q_eval(alpha, arc.q, X, Y)
-                )
-                assert diff <= 2 * X + 1
+    # at most 2 floor(X/q) + 1 <= 2X + 1 unit terms; the slack is diff - (2X + 1)
+    assert report._decomposition_slack() <= 0.0
 
 
 def test_dissect_examples():

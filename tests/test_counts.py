@@ -96,6 +96,10 @@ def test_m_budgets():
     with pytest.raises(ResourceLimitError):
         counts.m_naive(200, 5000)
     with pytest.raises(ResourceLimitError):
+        counts.m_naive(400, 1)  # thin: the kernel would visit ~2e7 cells
+    with pytest.raises(ResourceLimitError):
+        counts.m_naive(1, 10**6)  # wide: few cells, but the last shell holds 3e6 of them at once
+    with pytest.raises(ResourceLimitError):
         counts.m_fast(1000, 1000)
 
 

@@ -118,8 +118,6 @@ def test_si_cubed_config_validation():
     with pytest.raises(ValueError):
         si_cubed_quad(QuadratureConfig(truncation=50.0))
     with pytest.raises(ValueError):
-        QuadratureConfig(tolerance=1e-15)
-    with pytest.raises(ValueError):
         QuadratureConfig(truncation=0.5)
 
 

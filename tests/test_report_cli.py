@@ -58,6 +58,16 @@ def test_budget_skips():
     assert rep.all_passed  # skipped checks never fail the run
 
 
+def test_budget_prices_fft_rows_in_kernel_cells():
+    # the engine's rows are priced in the oracle rows' kernel cells (~200 ns
+    # each): a 1e5-cell cap runs sandwich/B=1000000 (~11 ms) but skips the
+    # two ~170 ms theorem-2 fits, which square ~5e7 FFT steps
+    hyp = run_suite("hyperbola", RunConfig(budget=10**5))
+    assert {r.check_id: r.status for r in hyp.records}["sandwich/B=1000000"] == "pass"
+    fits = run_suite("thm2", RunConfig(budget=10**5))
+    assert {r.check_id for r in fits.records if r.status == "skip"} == {"fit/kappa_hat", "fit/residual_trend"}
+
+
 def test_csv_roundtrip_and_determinism():
     cfg = RunConfig(seed=3)
     rep1 = run_suite("hyperbola", cfg)
