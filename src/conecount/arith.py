@@ -2,9 +2,11 @@
 
 Two small data objects drive the fast counting engine:
 
-  * ArithTable -- Euler totient phi(n), Moebius mu(n) and the smallest
-    prime factor spf(n) for n <= limit, filled by a single linear sieve
-    pass.  ``arith_table`` is the one shared cache every module reads:
+  * ArithTable -- Euler totient phi(n), Moebius mu(n) and the Mertens
+    sums M(n) = mu(1) + ... + mu(n) for n <= limit, filled by a single
+    linear sieve pass.  The Mertens sums weigh each floor-division block
+    of a Moebius sum by one difference M(hi) - M(lo - 1).
+    ``arith_table`` is the one shared cache every module reads:
     it keeps one table and regrows it to the next power of two (at least
     1024) when a request outgrows it.
   * RTable     -- r(n) = #{(x, y) : xy = n, 1 <= |x| <= X, 1 <= |y| <= Y}
@@ -36,13 +38,12 @@ SIEVE_MAX_LIMIT = 10**7
 
 @dataclass(frozen=True)
 class ArithTable:
-    """Totient and Moebius values for 1..limit and smallest prime factors
-    for 2..limit (indices 0 and 1 of spf, and index 0 elsewhere, are 0)."""
+    """Totient, Moebius and Mertens values for 0..limit (index 0 holds 0)."""
 
     limit: int
     phi: np.ndarray = field(repr=False)
     mu: np.ndarray = field(repr=False)
-    spf: np.ndarray = field(repr=False)
+    mertens: np.ndarray = field(repr=False)  # mertens[n] = mu[1] + ... + mu[n]
 
     def phi_of(self, n: int) -> int:
         return int(self.phi[n])
@@ -68,36 +69,37 @@ class RTable:
 
 
 def build_arith_tables(limit: int) -> ArithTable:
-    """Fill phi, mu and spf up to ``limit`` with a linear (smallest-prime-factor) sieve.
+    """Fill phi, mu and their Mertens sums up to ``limit`` with a linear sieve.
 
-    Every composite m is reached once, as m = n * p with p = spf(m).
+    Every composite m is reached once, as m = n * p with p the smallest
+    prime factor of m, before the pass gets to m; so the n still at
+    phi[n] == 0 when the pass gets to them are the primes.
     Satisfies sum_{d|n} phi(d) = n and sum_{d|n} mu(d) = [n = 1] for every
     n <= limit; both functions are multiplicative on coprime arguments.
     """
     if limit < 1:
         raise ValueError("limit must be a positive integer")
     # machine-int arrays: fast scalar access, 8 bytes per entry, shared with numpy below
-    phi, mu, spf = (array("q", [0]) * (limit + 1) for _ in range(3))
+    phi, mu = (array("q", [0]) * (limit + 1) for _ in range(2))
     phi[1] = 1
     mu[1] = 1
     primes: list[int] = []
     for n in range(2, limit + 1):
-        if spf[n] == 0:  # n is prime
+        if phi[n] == 0:  # n is prime
             primes.append(n)
-            spf[n] = n
             phi[n] = n - 1
             mu[n] = -1
         for p in primes:
             m = n * p
             if m > limit:
                 break
-            spf[m] = p
             if n % p == 0:
                 phi[m] = phi[n] * p
                 break
             phi[m] = phi[n] * (p - 1)
             mu[m] = -mu[n]
-    arrays = [np.frombuffer(values, dtype=np.int64) for values in (phi, mu, spf)]
+    phi, mu = (np.frombuffer(values, dtype=np.int64) for values in (phi, mu))
+    arrays = (phi, mu, np.cumsum(mu))
     for a in arrays:
         a.setflags(write=False)
     return ArithTable(limit, *arrays)

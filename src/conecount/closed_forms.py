@@ -94,19 +94,23 @@ def F_closed(n: int) -> Fraction:
     return Fraction(33 * n * n - 21 * n, 2) - 3 * (n * n + n) * B + 6 * A
 
 
-_FLOAT_TABLE_A = np.zeros(1)
-_FLOAT_TABLE_B = np.zeros(1)
+# Cumulative-sum table: _FLOAT_TABLE[:, n] = (A(n), B(n)) in floating point.
+# A grown table replaces the old one in a single assignment, and each reader
+# takes one reference to it, so a thread never pairs rows of two sizes.
+_FLOAT_TABLE = np.zeros((2, 1))
 
 
 def _harmonic_float(n: int) -> tuple[float, float]:
-    """(A(n), B(n)) in floating point, from cached cumulative-sum tables."""
-    global _FLOAT_TABLE_A, _FLOAT_TABLE_B
-    if n >= _FLOAT_TABLE_A.size:
-        size = max(2 * _FLOAT_TABLE_A.size, n + 1, 1024)
-        j = np.arange(1, size, dtype=float)
-        _FLOAT_TABLE_A = np.concatenate([[0.0], np.cumsum(1.0 / j)])
-        _FLOAT_TABLE_B = np.concatenate([[0.0], np.cumsum(1.0 / (j * j))])
-    return float(_FLOAT_TABLE_A[n]), float(_FLOAT_TABLE_B[n])
+    """(A(n), B(n)) in floating point, from the cached cumulative-sum table."""
+    global _FLOAT_TABLE
+    table = _FLOAT_TABLE
+    if n >= table.shape[1]:
+        j = np.arange(1, max(2 * table.shape[1], n + 1, 1024), dtype=float)
+        table = np.zeros((2, j.size + 1))
+        np.cumsum(1.0 / j, out=table[0, 1:])
+        np.cumsum(1.0 / (j * j), out=table[1, 1:])
+        _FLOAT_TABLE = table
+    return float(table[0, n]), float(table[1, n])
 
 
 def F_float(n: int) -> float:
@@ -124,9 +128,9 @@ def G_value(t: float) -> float:
     return F_float(math.floor(t)) - (33.0 - math.pi**2) / 2.0 * t * t
 
 
-def box_int(v: int) -> int:
-    """Box(v) = v|v| on integers (sign-preserving square, exact)."""
-    return v * v if v >= 0 else -v * v
+def box_fn(v):
+    """Box(v) = v |v|, the sign-preserving square (exact on integers)."""
+    return v * abs(v)
 
 
 def _harmonic_weights(n: int) -> tuple[int, list[int]]:
@@ -165,18 +169,18 @@ def _s_shell(k: int, w: list[int]) -> int:
         d = k - x2
         w2 = wk * w[x2]
         for x3 in range(1, k + 1):
-            acc += ((s + x3) ** 2 + 3 * box_int(d - x3)) * w2 * w[x3]
+            acc += ((s + x3) ** 2 + 3 * box_fn(d - x3)) * w2 * w[x3]
     # x2 = k, x1 < k
     for x1 in range(1, k):
         s = x1 + k
         d = x1 - k
         w1 = w[x1] * wk
         for x3 in range(1, k + 1):
-            acc += ((s + x3) ** 2 + 3 * box_int(d - x3)) * w1 * w[x3]
+            acc += ((s + x3) ** 2 + 3 * box_fn(d - x3)) * w1 * w[x3]
     # x3 = k, x1 < k, x2 < k
     for x1 in range(1, k):
         for x2 in range(1, k):
-            acc += ((x1 + x2 + k) ** 2 + 3 * box_int(x1 - x2 - k)) * w[x1] * w[x2] * wk
+            acc += ((x1 + x2 + k) ** 2 + 3 * box_fn(x1 - x2 - k)) * w[x1] * w[x2] * wk
     return acc
 
 
@@ -257,8 +261,7 @@ def _tu_closed(n: int) -> tuple[Fraction, ...]:
 
 
 def _tu_brute(n: int) -> tuple[Fraction, ...]:
-    L = math.lcm(*range(1, n + 1))
-    w = [0] + [L // x for x in range(1, n + 1)]
+    L, w = _harmonic_weights(n)
     D = L * L
     a_t1 = a_t2 = a_u0 = a_u1 = a_u2 = 0
     for x1 in range(1, n + 1):

@@ -32,9 +32,18 @@ Quantities (all exact integers):
                  4 N0(B) = sum_{nm <= sqrt(B)} mu(n) mu(m) M'(B/(nm)^2).
   * W1..W4    -- primitive pairs on coordinate hyperplanes with exactly j
                  of the six coordinates zero, via their structural
-                 parametrizations (cross-checked by enumeration).
+                 parametrizations in coprime-pair counts (cross-checked
+                 by enumeration).
   * 4*N(B)    -- all primitive pairs of height <= B:
                  4N = 4N0 + W1 + W2 + W3 + W4.
+
+Every floor-division sum goes through one block walk, ``_blocks``: the runs
+of d on which every n // d is constant.  The shell sums of M' telescope
+over it, and one Moebius sum, ``_moebius(f, *ns) = sum_d mu(d) f(n // d,
+...)``, weighs one f-value per run by a difference of the Mertens sums
+the shared sieve carries.  It serves 4N0 (nested once: (z // n) // m =
+z // (nm)), the coprime-pair counts of W1..W3 and the primitive row of
+the pair oracle.
 
 Every fast path has a naive enumeration oracle in this module.  The
 oracles share one kernel that uses no r(n): x runs shell by shell, up to
@@ -53,9 +62,10 @@ safe for concurrent readers.
 from __future__ import annotations
 
 import math
+import operator
 import threading
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 
 import numpy as np
 
@@ -351,18 +361,39 @@ def p_count_tiny(X: int) -> int:
 # ---------------------------------------------------------------------------
 
 
+def _blocks(*ns):
+    """The runs lo..hi of 1 <= d <= min(ns) on which every n // d is constant.
+
+    Each n // d takes at most 2 sqrt(n) values, so there are at most
+    2 sum sqrt(n) runs (the floor-division blocks of Deleglise-Rivat).
+    """
+    lo, top = 1, min(ns)
+    while lo <= top:
+        hi = min(n // (n // lo) for n in ns)
+        yield lo, hi
+        lo = hi + 1
+
+
+def _moebius(f, *ns) -> int:
+    """sum_{d <= min(ns)} mu(d) f(n1 // d, n2 // d, ...), one term per block.
+
+    The d of a block share the arguments of f, so the block weighs f by the
+    Mertens difference sum_{lo <= d <= hi} mu(d); blocks of weight 0 skip f.
+    """
+    mertens = arith_table(max(ns)).mertens
+    total = 0
+    for lo, hi in _blocks(*ns):
+        weight = int(mertens[hi] - mertens[lo - 1])
+        if weight:
+            total += weight * f(*(n // lo for n in ns))
+    return total
+
+
 @lru_cache(maxsize=None)
 def _mprime_z(z: int) -> int:
     """M'(B) for any B with isqrt(B) = z: shell sums over |x| = k exactly,
     in blocks of k sharing q = z // k, each telescoped to two box counts."""
-    total = 0
-    lo = 1
-    while lo <= z:
-        q = z // lo
-        hi = z // q
-        total += m_fast(hi, q) - m_fast(lo - 1, q)
-        lo = hi + 1
-    return _checked(total)
+    return _checked(sum(m_fast(hi, z // lo) - m_fast(lo - 1, z // lo) for lo, hi in _blocks(z)))
 
 
 def mprime(B: int) -> int:
@@ -376,67 +407,17 @@ def mprime(B: int) -> int:
     return _mprime_z(math.isqrt(B))
 
 
-@lru_cache(maxsize=64)
-def _mu_dirichlet_square(limit: int) -> np.ndarray:
-    """(mu * mu)(c) for c <= limit (Dirichlet convolution square of mu)."""
-    mu = arith_table(limit).mu
-    acc = np.zeros(limit + 1, dtype=np.int64)
-    for d in range(1, limit + 1):
-        md = int(mu[d])
-        if md:
-            top = limit // d
-            acc[d :: d][: top] += md * mu[1 : top + 1]
-    return acc
-
-
 def n0_times4(B: int) -> int:
     """4*N0(B) by Moebius inversion over both primitivity conditions:
 
-        4 N0(B) = sum_{c <= sqrt(B)} (mu*mu)(c) M'(B / c^2),
+        4 N0(B) = sum_{n, m} mu(n) mu(m) M'(B / (nm)^2),
 
-    where (mu*mu) groups the pairs n*m = c.  Exact integer identity.
+    with M' a function of z = isqrt(B) alone and (z // n) // m = z // (nm),
+    so the sum over m is a Moebius block sum at z // n.  Exact integer identity.
     """
     if B < 1:
         raise ValueError("B must be >= 1")
-    z = math.isqrt(B)
-    coeff = _mu_dirichlet_square(z)
-    total = 0
-    for c in range(1, z + 1):
-        if coeff[c]:
-            total += int(coeff[c]) * _mprime_z(z // c)
-    return _checked(total)
-
-
-@lru_cache(maxsize=None)
-def _coprime_pair_count(Z: int) -> int:
-    """#{1 <= a, b <= Z : gcd(a, b) = 1} by Moebius over the common divisor."""
-    if Z < 1:
-        return 0
-    mu = arith_table(Z).mu
-    total = 0
-    for d in range(1, Z + 1):
-        if mu[d]:
-            q = Z // d
-            total += int(mu[d]) * q * q
-    return total
-
-
-def _squarefree_divisors(u: int, spf: np.ndarray) -> list[int]:
-    divs = [1]
-    while u > 1:
-        p = int(spf[u])
-        divs += [d * p for d in divs]
-        while u % p == 0:
-            u //= p
-    return divs
-
-
-def _coprime_count_upto(m: int, u: int, table) -> int:
-    """#{1 <= y <= m : gcd(y, u) = 1} via the squarefree divisors of u."""
-    total = 0
-    for d in _squarefree_divisors(u, table.spf):
-        total += int(table.mu[d]) * (m // d)
-    return total
+    return _checked(_moebius(lambda y: _moebius(_mprime_z, y), math.isqrt(B)))
 
 
 def w_counts(B: int) -> tuple[int, int, int, int]:
@@ -447,12 +428,13 @@ def w_counts(B: int) -> tuple[int, int, int, int]:
       * W4: x = +-e_i, y = +-e_j with i != j -- always 24.
       * W3: the doubly-zero vector is +-e_i and forces a zero in the other
         vector; the free coprime pair ranges over [1, Z]^2 with 12 * 4
-        sign/role choices: W3 = 48 * C2(Z).
+        sign/role choices: W3 = 48 * C2(Z, Z).
       * W2: both zeros share a coordinate slot and (x1, x2) = +-(y2, -y1);
-        the bound becomes max(|x1|, |x2|) <= R: W2 = 24 * C2(R).
+        the bound becomes max(|x1|, |x2|) <= R: W2 = 24 * C2(R, R).
       * W1: with the zero in x0, rows are y2 = u x1, y1 = -u x2, y0 = y with
         gcd(x1, x2) = gcd(u, y) = 1, y x_i <= Z, u x_i^2 <= Z.  Splitting
-        x1 = x2 = 1 from x1 < x2 gives W1 = 96 (C2(Z) + 2 W1plus).
+        x1 = x2 = 1 from x1 < x2 gives W1 = 96 (C2(Z, Z) + 2 W1plus), where
+        W1plus = sum_{2 <= x <= R} phi(x) C2(Z // x^2, Z // x).
 
     C2 is the coprime-pair count.  All counts are exact.
     """
@@ -460,18 +442,11 @@ def w_counts(B: int) -> tuple[int, int, int, int]:
         raise ValueError("B must be >= 1")
     Z = math.isqrt(B)
     R = math.isqrt(Z)
-    w4 = 24
-    w3 = 48 * _coprime_pair_count(Z)
-    w2 = 24 * _coprime_pair_count(R)
-    table = arith_table(Z)
-    w1_plus = 0
-    for x in range(2, R + 1):
-        phi_x = table.phi_of(x)
-        m = Z // x
-        for u in range(1, Z // (x * x) + 1):
-            w1_plus += phi_x * _coprime_count_upto(m, u, table)
-    w1 = 96 * (_coprime_pair_count(Z) + 2 * w1_plus)
-    return (_checked(w1), _checked(w2), _checked(w3), w4)
+    C2 = partial(_moebius, operator.mul)  # C2(a, b) = sum_d mu(d) (a // d) (b // d)
+    c2 = C2(Z, Z)  # first: a Z above the sieve cap is refused before any sieve is built
+    phi = arith_table(R).phi
+    w1_plus = sum(int(phi[x]) * C2(Z // (x * x), Z // x) for x in range(2, R + 1))
+    return _checked(96 * (c2 + 2 * w1_plus)), _checked(24 * C2(R, R)), _checked(48 * c2), 24
 
 
 def n_times4(B: int) -> int:
@@ -508,22 +483,23 @@ def _pair_columns(ym: int, mertens: np.ndarray):
 
     Weight column 0 counts every y: the box |y| <= ym.  Column 1 counts
     the primitive y by Moebius inversion over the scale d of y = d y',
-    |y'| <= ym // d; the d sharing q = ym // d, i.e. ym // (q + 1) < d <= ym // q,
-    are grouped into one box q weighted by a difference of Mertens sums.
+    |y'| <= ym // d; the d of one block lo..hi of ``_blocks(ym)`` share the
+    box q = ym // lo, weighted by a difference of Mertens sums.
     """
     parts = []
-    for q in {ym // d for d in range(1, ym + 1)}:
-        coeff = int(mertens[ym // q] - mertens[ym // (q + 1)])
+    for lo, hi in _blocks(ym):
+        coeff = int(mertens[hi] - mertens[lo - 1])
         if coeff:
+            q = ym // lo
             y0, box, w = _box_columns(q)
-            parts.append((y0, box, np.stack([w * (q == ym), w * coeff], axis=1)))
+            parts.append((y0, box, np.stack([w * (lo == 1), w * coeff], axis=1)))
     return tuple(np.concatenate(col) for col in zip(*parts))
 
 
 @lru_cache(maxsize=None)
 def _pair_table(Z: int) -> np.ndarray:
     table = np.zeros((2, 5), dtype=np.int64)
-    mertens = np.cumsum(arith_table(Z).mu[: Z + 1])
+    mertens = arith_table(Z).mertens
     for k in range(1, Z + 1):
         x0, x1, weight, zeros = _shell(k)
         primitive = np.gcd(np.gcd(x0, x1), k) == 1

@@ -2,8 +2,7 @@
 
 Closed forms implemented here:
 
-  * Box(v) = v|v|.
-  * For positive w1, w2, w3,
+  * For positive w1, w2, w3, with Box(v) = v|v| (``closed_forms.box_fn``),
 
         I(w1,w2,w3) = int_{-inf}^{inf} sin(w1 t) sin(w2 t) sin(w3 t) / t^3 dt
                     = (pi/8) [ (w1+w2+w3)^2 + Box(w1-w2-w3)
@@ -28,7 +27,7 @@ the panel's own rounding level 50 eps (|left| + |right|) (eps the float64
 machine epsilon, left/right the two half-panel estimates), as in QUADPACK:
 no panel is asked to agree beyond what float64 can resolve, so whether a
 panel converges does not depend on how the platform rounds.  Panel results
-are reduced in deterministic left-to-right order.
+are added by math.fsum, correctly rounded and so independent of their order.
 
 The sine integral uses three regimes, each with truncation error below
 1e-13:  the Maclaurin series for t <= 2 (terms fall below 1e-17 by k = 13);
@@ -52,7 +51,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .closed_forms import F_closed
+from .closed_forms import F_closed, box_fn
 from .errors import ConvergenceError
 
 _PI = math.pi
@@ -100,7 +99,8 @@ def integrate_panels(
     ``max_depth`` times).  A panel's share is ``tolerance * (b - a) /
     total_len``, floored at ``50 eps (|left| + |right|)``, the rounding
     level of its two half-panel estimates.  The surviving panel values are
-    summed left to right.
+    added by ``math.fsum``, which rounds the exact sum once, so the result
+    does not depend on the order the panels converge in.
 
     Raises ConvergenceError when some panel still moves by more than its
     share after ``max_depth`` bisections.  Because of the floor this means
@@ -123,7 +123,7 @@ def integrate_panels(
     a = pts[:-1].copy()
     b = pts[1:].copy()
     coarse = gl(a, b)
-    finished: list[tuple[float, float]] = []  # (left endpoint, panel value)
+    finished: list[np.ndarray] = []  # the converged panel values of each depth
     depth = 0
     while a.size:
         if depth >= max_depth:
@@ -137,15 +137,13 @@ def integrate_panels(
             _ROUNDING_FLOOR * (np.abs(left) + np.abs(right)),
         )
         done = np.abs(fine - coarse) <= share
-        for i in np.nonzero(done)[0]:
-            finished.append((float(a[i]), float(fine[i])))
+        finished.append(fine[done])
         keep = ~done
         a = np.concatenate([a[keep], mid[keep]])
         b = np.concatenate([mid[keep], b[keep]])
         coarse = np.concatenate([left[keep], right[keep]])
         depth += 1
-    finished.sort(key=lambda t: t[0])
-    return math.fsum(v for _, v in finished)
+    return math.fsum(np.concatenate(finished))
 
 
 # ---------------------------------------------------------------------------
@@ -240,11 +238,6 @@ def si(t):
     if hi.any():
         out[hi] = _si_asymptotic(x[hi])
     return float(out[0]) if scalar else out
-
-
-def box_fn(v: float) -> float:
-    """Box(v) = v |v|, the sign-preserving square."""
-    return v * abs(v)
 
 
 # ---------------------------------------------------------------------------

@@ -22,10 +22,13 @@ def test_sieve_examples():
     assert TABLE.mu_of(30) == -1
 
 
-def test_spf_matches_trial_division():
-    for n in range(2, 10**4 + 1):
-        p = next((d for d in range(2, math.isqrt(n) + 1) if n % d == 0), n)
-        assert TABLE.spf[n] == p, n
+def test_mertens_is_cumsum_of_mu():
+    total = 0
+    for n in range(TABLE.limit + 1):
+        total += TABLE.mu_of(n)
+        assert TABLE.mertens[n] == total, n
+    assert [int(TABLE.mertens[n]) for n in (1, 10, 100, 1000)] == [1, -1, 1, 2]
+    assert not TABLE.mertens.flags.writeable
 
 
 def test_shared_sieve_grows_once_under_concurrent_requests(monkeypatch):

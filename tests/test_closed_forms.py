@@ -1,3 +1,4 @@
+import importlib.util
 import math
 import sys
 from concurrent.futures import ThreadPoolExecutor
@@ -77,6 +78,29 @@ def test_exact_table_grows_correctly_under_concurrent_requests():
     assert all(harmonic_B(n) - harmonic_B(n - 1) == Fraction(1, n * n) for n in range(1, 401))
     harmonic_A.cache_clear()
     assert got == [F_closed(n) for n in targets]
+
+
+def fresh_closed_forms():
+    """A new instance of the module, whose float table starts empty."""
+    spec = importlib.util.find_spec("conecount.closed_forms")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_float_table_grows_correctly_under_concurrent_requests():
+    # a fresh module starts with an empty table, so the requests grow it
+    # several times while other threads read it
+    targets = [1000 * 2 ** (i % 8) for i in range(64)]
+    expected = [F_float(n) for n in targets]
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(30):
+            with ThreadPoolExecutor(max_workers=8) as pool:
+                assert list(pool.map(fresh_closed_forms().F_float, targets, timeout=60)) == expected
+    finally:
+        sys.setswitchinterval(switch)
 
 
 def test_g_values():

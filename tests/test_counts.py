@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conecount import counts
-from conecount.arith import build_r_table
+from conecount.arith import build_arith_tables, build_r_table
 from conecount.errors import ResourceLimitError
 
 
@@ -155,6 +155,32 @@ def test_mprime_block_sums_call_count(z, monkeypatch):
     monkeypatch.setattr(counts, "m_fast", counted)
     counts._mprime_z.__wrapped__(z)
     assert len(calls) <= 4 * math.isqrt(z) + 2
+
+
+def test_blocks_match_literal_loop():
+    for ns in [(n,) for n in range(1, 301)] + [(a, b) for a in range(1, 301, 7) for b in range(1, 301, 11)]:
+        runs = list(counts._blocks(*ns))
+        assert [d for lo, hi in runs for d in range(lo, hi + 1)] == list(range(1, min(ns) + 1)), ns
+        for lo, hi in runs:
+            assert all(n // d == n // lo for n in ns for d in range(lo, hi + 1)), ns
+            assert hi == min(ns) or any(n // (hi + 1) != n // lo for n in ns), ns  # runs are maximal
+
+
+def test_moebius_matches_literal_sum():
+    mu = build_arith_tables(300).mu
+
+    def f(a, b=1):
+        return a * a + 3 * b
+
+    for ns in [(1,), (2,), (17,), (300,), (5, 9), (100, 37), (300, 299)]:
+        literal = sum(int(mu[d]) * f(*(n // d for n in ns)) for d in range(1, min(ns) + 1))
+        assert counts._moebius(f, *ns) == literal, ns
+
+
+def test_height_counts_pinned_at_1e8():
+    h = counts.height_counts(10**8)
+    assert (h.mprime, h.n0_times4, h.W1, h.W2, h.W3) == (80939740032, 35121743520, 10071838368, 146088, 2918158608)
+    assert counts.w_counts(10**10) == (1011620526432, 1459368, 291806472336, 24)
 
 
 def test_mprime_nondecreasing():
