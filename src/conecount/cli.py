@@ -2,10 +2,10 @@
 
     conecount --suite all --format csv --out report.csv
 
-Exit codes: 0 all non-skipped checks pass, 1 at least one failure,
-2 usage error, 3 I/O failure while writing the report.  Environment
-variables are never consulted; the seed, budget and calibration file
-fully determine the run (runtime_ms columns aside).
+Exit codes: 0 all checks pass, 1 at least one failure, 2 usage error
+(including a malformed ``--grid`` item), 3 I/O failure while writing the
+report.  Environment variables are never consulted; the seed, grid and
+calibration file fully determine the run (runtime_ms columns aside).
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ import argparse
 import sys
 
 from .calibration import default_calibration, load_calibration
-from .report import DEFAULT_BUDGET, SUITE_NAMES, RunConfig, emit, run_suite
+from .report import SUITE_NAMES, RunConfig, emit, run_suite
 
 EXIT_PASS = 0
 EXIT_FAIL = 1
@@ -33,12 +33,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default=None, help="write the report to this path")
     p.add_argument("--seed", type=int, default=1, help="seed for all sampled checks")
     p.add_argument(
-        "--budget",
-        type=float,
-        default=DEFAULT_BUDGET,
-        help="work-unit cap per check; costlier checks are reported as skip",
-    )
-    p.add_argument(
         "--grid",
         default=None,
         help="comma-separated grid override: XxY items for box-count suites, B values otherwise",
@@ -56,14 +50,12 @@ def main(argv: list[str] | None = None) -> int:
         print(f"conecount: bad calibration file: {exc}", file=sys.stderr)
         return EXIT_USAGE
     grid = tuple(s.strip() for s in args.grid.split(",") if s.strip()) if args.grid else None
-    config = RunConfig(
-        seed=args.seed,
-        budget=int(args.budget),
-        grid=grid,
-        calibration=calibration,
-        jobs=args.jobs,
-    )
-    report = run_suite(args.suite, config)
+    config = RunConfig(seed=args.seed, grid=grid, calibration=calibration, jobs=args.jobs)
+    try:
+        report = run_suite(args.suite, config)
+    except ValueError as exc:  # a malformed --grid item, found before any check runs
+        print(f"conecount: {exc}", file=sys.stderr)
+        return EXIT_USAGE
 
     counts = report.counts_by_status
     for record in report.records:
@@ -71,8 +63,8 @@ def main(argv: list[str] | None = None) -> int:
             print(f"[{record.status}] {record.suite}/{record.check_id}  "
                   f"input={record.input}  expected={record.expected}  actual={record.actual}")
     print(
-        f"suite={report.suite}: {counts['pass']} pass, {counts['fail']} fail, "
-        f"{counts['skip']} skip ({len(report.records)} checks)"
+        f"suite={report.suite}: {counts['pass']} pass, {counts['fail']} fail "
+        f"({len(report.records)} checks)"
     )
 
     if args.out:

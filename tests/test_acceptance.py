@@ -1,4 +1,5 @@
-"""Acceptance gate: one test per criterion, one printed line per criterion.
+"""Acceptance gate: one test per criterion, one printed line per criterion,
+and one test that the whole report is there.
 
 No criterion computes anything itself: each one asserts over its rows of a
 verification suite's records (``report.run_suite``), selected by check_id, so
@@ -26,7 +27,7 @@ import functools
 import math
 
 from conecount.calibration import default_calibration
-from conecount.report import CheckRecord, RunConfig, run_suite
+from conecount.report import SUITE_NAMES, CheckRecord, RunConfig, run_suite
 
 CAL = default_calibration()
 
@@ -143,3 +144,11 @@ def test_criterion_13_circle_micro_suite():
     sel = rows("circle", "kernels/", "l2/naive_equal", "arcs/disjoint_30x30", "minor_arcs/ratio")
     report(13, "circle-method micro-suite", sel, 9,
            detail=f"minor-arc ratio={value(sel, 'minor_arcs/ratio'):.3f}")
+
+
+def test_whole_report_every_row_once():
+    # every check runs, so no row can drop out of the report unnoticed
+    records = [r for suite in SUITE_NAMES if suite != "all" for r in suite_records(suite)]
+    assert len(records) == 263
+    assert len({(r.suite, r.check_id) for r in records}) == len(records)
+    assert {r.status for r in records} <= {"pass", "fail"}

@@ -8,7 +8,6 @@ from conecount.asymptotics import (
     boundary_check,
     constants,
     deviation_thm1,
-    fit_residual_trend,
     fit_theorem2,
     height_zeta_tail_bound,
     height_zeta_truncated,
@@ -116,12 +115,9 @@ def test_fit_rejects_degenerate_grid():
         fit_theorem2([10**4, 10**4])
 
 
-def test_fit_at_scale():
-    grid = [i * 10**5 for i in range(1, 11)]
-    kh, ch = fit_theorem2(grid)
-    k = constants()
-    assert abs(kh - k.kappa2) / k.kappa2 < 0.25
-    assert max(r.deviation for r in fit_residual_trend(grid)) < 5.0
+def test_fit_at_scale(suite_rows):
+    rows = suite_rows("thm2")
+    assert [rows[i].status for i in ("fit/kappa_hat", "fit/residual_trend")] == ["pass"] * 2
 
 
 def test_boundary_check():

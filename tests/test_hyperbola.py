@@ -87,14 +87,10 @@ def test_xi_main_term_example():
 
 
 @pytest.mark.parametrize("B", [10**4, 10**6])
-def test_xi_main_split_agreement(B):
-    m = xi_main_term(B)
-    assert abs(m.direct - m.split) <= 1e-9 * abs(m.direct)
+def test_xi_main_split_agreement(suite_rows, B):
+    assert suite_rows("hyperbola")[f"xi_main/split_gap_B={B}"].status == "pass"
 
 
 @pytest.mark.parametrize("B", [10**4, 10**6])
-def test_xi_vs_main_term_deviation(B):
-    dev = abs(2.0 * xi_sum(B) - 2.0 * xi_main_term(B).direct) / (
-        B ** (7.0 / 8.0) * math.log(B) ** 2
-    )
-    assert dev <= 5.0
+def test_xi_vs_main_term_deviation(suite_rows, B):
+    assert suite_rows("hyperbola")[f"xi_main/vs_xi_B={B}"].status == "pass"

@@ -33,7 +33,7 @@ def test_run_suite_unknown_name():
 
 def test_thm3_suite_passes():
     rep = run_suite("thm3")
-    assert rep.counts_by_status == {"pass": 23, "fail": 0, "skip": 0}
+    assert rep.counts_by_status == {"pass": 23, "fail": 0}
 
 
 def test_identities_suite_all_pass():
@@ -48,24 +48,8 @@ def test_partial_failure_does_not_abort():
     rep = run_suite("thm1")
     c = rep.counts_by_status
     assert c["fail"] >= 1 and c["pass"] >= 1
-    assert c["fail"] + c["pass"] + c["skip"] == len(rep.records)
+    assert c["fail"] + c["pass"] == len(rep.records)
     assert not rep.all_passed
-
-
-def test_budget_skips():
-    rep = run_suite("thm3", RunConfig(budget=10))
-    assert rep.counts_by_status["skip"] == 23
-    assert rep.all_passed  # skipped checks never fail the run
-
-
-def test_budget_prices_fft_rows_in_kernel_cells():
-    # the engine's rows are priced in the oracle rows' kernel cells (~200 ns
-    # each): a 1e5-cell cap runs sandwich/B=1000000 (~11 ms) but skips the
-    # two ~170 ms theorem-2 fits, which square ~5e7 FFT steps
-    hyp = run_suite("hyperbola", RunConfig(budget=10**5))
-    assert {r.check_id: r.status for r in hyp.records}["sandwich/B=1000000"] == "pass"
-    fits = run_suite("thm2", RunConfig(budget=10**5))
-    assert {r.check_id for r in fits.records if r.status == "skip"} == {"fit/kappa_hat", "fit/residual_trend"}
 
 
 def test_csv_roundtrip_and_determinism():
@@ -96,7 +80,7 @@ def test_json_structure():
     data = json.loads(to_json_text(rep))
     assert set(data) == {"suite", "records", "calibration", "seeds"}
     assert data["seeds"] == {"seed": 1, "summation": "ascending-index math.fsum"}
-    assert data["records"][0]["status"] in ("pass", "fail", "skip")
+    assert data["records"][0]["status"] in ("pass", "fail")
     assert "thm1_deviation_bound" in data["calibration"]
 
 
@@ -123,6 +107,20 @@ def test_cli_pair_grid_override():
     assert [r.input for r in dev_rows] == ["X=20,Y=100"]
 
 
+@pytest.mark.parametrize("suite,grid,item", [
+    ("thm1", "20", "'20'"),          # thm1 reads XxY pairs
+    ("hyperbola", "abc", "'abc'"),   # hyperbola reads B values
+    ("all", "16,10000", "'16'"),     # thm1 and hyperbola read the grid differently
+    ("all", "20x100", "'20x100'"),
+])
+def test_cli_bad_grid_is_usage_error(tmp_path, capsys, suite, grid, item):
+    out = tmp_path / "r.csv"
+    assert main(["--suite", suite, "--grid", grid, "--out", str(out)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and item in err[0]
+    assert not out.exists()
+
+
 def test_cli_exit_codes(tmp_path):
     # failure -> 1 (the deviation checks exceed the default bound)
     assert main(["--suite", "thm1"]) == 1
@@ -134,6 +132,10 @@ def test_cli_exit_codes(tmp_path):
     # argparse rejects unknown suites with SystemExit(2)
     with pytest.raises(SystemExit) as exc:
         main(["--suite", "bogus"])
+    assert exc.value.code == 2
+    # every check runs: there is no work cap to set
+    with pytest.raises(SystemExit) as exc:
+        main(["--budget", "1e8"])
     assert exc.value.code == 2
 
 
