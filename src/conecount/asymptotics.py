@@ -33,7 +33,7 @@ from functools import lru_cache
 
 from .arith import arith_table
 from .closed_forms import F_closed
-from .counts import m_fast, n0_times4, n_times4, w_counts
+from .counts import m_fast, n_times4, w_counts
 from .errors import ResourceLimitError
 
 _ZETA3_CUTOFF = 10_000

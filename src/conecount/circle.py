@@ -285,14 +285,19 @@ def minor_arc_scan(X: float, Y: float, n_samples: int, seed: int) -> MinorArcSca
     lengths = [b - a for a, b in intervals]
     total = sum(lengths)
     rng = random.Random(seed)
-    alphas = np.empty(n_samples)
-    for i in range(n_samples):
-        u = rng.random() * total
-        for (a, b), ln in zip(intervals, lengths):
-            if u <= ln:
-                alphas[i] = a + u
-                break
-            u -= ln
+    u = np.array([rng.random() * total for _ in range(n_samples)])
+    # all samples walk the intervals together, each through the same float
+    # subtractions as a one-sample scan; a remainder that rounding carries
+    # past every interval takes the last interval's right end
+    alphas = np.full(n_samples, intervals[-1][1])
+    open_ = np.ones(n_samples, dtype=bool)
+    for (a, _), ln in zip(intervals, lengths):
+        hit = open_ & (u <= ln)
+        alphas[hit] = a + u[hit]
+        open_ &= ~hit
+        if not open_.any():
+            break
+        u -= ln
     vals = np.abs(kernel_sum(alphas, np.arange(1, math.floor(X) + 1), math.floor(Y), 1.0))
     scale = (X * Y / diss.Q) * math.log(Y)
     m = float(vals.max())

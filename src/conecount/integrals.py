@@ -21,7 +21,15 @@ their tolerance.
 
 Quadrature is fixed-order Gauss-Legendre on panels cut at the integrand's
 sign-change breakpoints, with adaptive bisection of any panel whose
-halved-panel estimate moves by more than its share of the tolerance.  A
+halved-panel estimate moves by more than its share of the tolerance.  The
+order follows what one panel holds.  The triple-sine integrand is cut at
+every zero k pi / w_i and the cubed-Si integrand at every k pi, so each
+panel spans at most half a period of its fastest sine: order 6 (triple
+sine) and 8 (cubed Si) resolve such a panel, and the rare one that they
+do not is bisected.  The J(q) integrand v_q(gamma)^3
+(``circle.j_quadrature``) keeps order 16: its panels are cut only at the
+zeros j/(2 floor(Y) + 1) of the outer sine, and each holds up to
+floor(X/q) half-periods of the inner ones.  A
 panel's share is its length-proportional part of the tolerance, floored at
 the panel's own rounding level 50 eps (|left| + |right|) (eps the float64
 machine epsilon, left/right the two half-panel estimates), as in QUADPACK:
@@ -288,7 +296,7 @@ def triple_sine_quad(
     def integrand(t: np.ndarray) -> np.ndarray:
         return np.sin(w1 * t) * np.sin(w2 * t) * np.sin(w3 * t) / t**3
 
-    body = integrate_panels(integrand, brk, QUAD_TOLERANCE, order=12)
+    body = integrate_panels(integrand, brk, QUAD_TOLERANCE, order=6)
     head = _triple_sine_small_t((w1, w2, w3), eps)
     tail_bound = 1.0 / (T * T)
     return QuadResult(value=2.0 * (head + body), tail_bound=tail_bound)
@@ -325,7 +333,7 @@ def si_cubed_quad(cfg: QuadratureConfig | None = None) -> QuadResult:
         s = si(t)
         return s * s * s / t**3
 
-    body = integrate_panels(integrand, brk, QUAD_TOLERANCE, order=16)
+    body = integrate_panels(integrand, brk, QUAD_TOLERANCE, order=8)
     head = eps - eps**3 / 18.0 + (77.0 / 27000.0) * eps**5
     tail = (_PI / 2.0) ** 3 / (2.0 * T * T)
     # |Si t - pi/2| <= 1.1/t for t >= 100 bounds the dropped oscillatory part

@@ -1,4 +1,5 @@
 import math
+import random
 
 import numpy as np
 import pytest
@@ -124,6 +125,51 @@ def test_minor_arc_scan_deterministic():
     assert a == b
     c = circle.minor_arc_scan(20, 80, 300, 7)
     assert math.isfinite(c.max_abs_f) and c.ratio > 0
+
+
+def _scan_per_sample(X, Y, n_samples, seed):
+    """The minor-arc scan as a scalar loop: each sample walks the intervals in turn."""
+    diss = circle.dissect(X, Y)
+    intervals = diss.minor_intervals()
+    lengths = [b - a for a, b in intervals]
+    total = sum(lengths)
+    rng = random.Random(seed)
+    alphas = np.empty(n_samples)
+    for i in range(n_samples):
+        u = rng.random() * total
+        for (a, b), ln in zip(intervals, lengths):
+            if u <= ln:
+                alphas[i] = a + u
+                break
+            u -= ln
+    vals = np.abs(circle.kernel_sum(alphas, np.arange(1, math.floor(X) + 1), math.floor(Y), 1.0))
+    scale = (X * Y / diss.Q) * math.log(Y)
+    m = float(vals.max())
+    return circle.MinorArcScan(
+        X=X, Y=Y, n_samples=n_samples, seed=seed, max_abs_f=m, scale=scale, ratio=m / scale
+    )
+
+
+@pytest.mark.parametrize("X,Y,n,seed", [
+    (40, 40, 1000, report.RunConfig().seed), (40, 40, 1000, 7), (40, 40, 1000, 12345),
+    (40, 40, 1000, 2**31 - 5), (110, 100, 2000, 1),
+])
+def test_minor_arc_scan_matches_scalar_loop_bit_for_bit(X, Y, n, seed):
+    assert circle.minor_arc_scan(X, Y, n, seed) == _scan_per_sample(X, Y, n, seed)
+
+
+def test_minor_arc_scan_sample_past_every_interval(monkeypatch):
+    # at (40, 40) the largest draw's remainder outlives the 128 subtractions by
+    # rounding (~4e-16 left over); such a sample takes the last right end
+    class LargestDraw(random.Random):
+        def random(self):
+            return 1.0 - 2.0**-53
+
+    monkeypatch.setattr(circle.random, "Random", LargestDraw)
+    scan = circle.minor_arc_scan(40, 40, 5, 1)
+    end = circle.dissect(40, 40).minor_intervals()[-1][1]
+    assert math.isfinite(scan.max_abs_f)
+    assert scan.max_abs_f == abs(circle.f_eval(end, 40, 40))
 
 
 def test_minor_arc_scan_ratio(suite_rows):

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import sici
 
+from conecount import integrals
 from conecount.errors import ConvergenceError
 from conecount.integrals import (
     QuadratureConfig,
@@ -78,17 +79,33 @@ def test_triple_sine_symmetric(ws):
 
 
 def test_triple_sine_quad_matches_closed():
-    for ws in [(1, 1, 1), (2, 1, 1)]:
-        res = triple_sine_quad(*ws)
-        assert abs(res.value - triple_sine_closed(*ws)) < 1e-6
-
-
-def test_triple_sine_quad_random_suite():
+    # the 22 thm3 suite triples, one frequency far above the others (the
+    # benchmark's extreme split) and two near-equal ones
     rng = random.Random(20)
-    for _ in range(20):
-        ws = [rng.uniform(0.5, 3.0) for _ in range(3)]
-        res = triple_sine_quad(*ws)
-        assert abs(res.value - triple_sine_closed(*ws)) < 1e-6
+    cases = [(1, 1, 1), (2, 1, 1)] + [tuple(rng.uniform(0.5, 3.0) for _ in range(3)) for _ in range(20)]
+    cases += [(0.2, 0.2, 9.6), (9.6, 0.2, 0.2), (3.3, 3.3, 3.4)]
+    for ws in cases:
+        assert abs(triple_sine_quad(*ws).value - triple_sine_closed(*ws)) < 1e-10, ws
+
+
+@pytest.mark.parametrize("ws", [(1, 2, 7), (0.2, 0.2, 9.6)])
+def test_triple_sine_quad_evaluation_budget(monkeypatch, ws):
+    # every panel holds at most half a period of each sine, so a 6-point rule
+    # plus its bisection check (18 points) resolves nearly all of them
+    points, panels = [], []
+
+    def counting(f, breakpoints, *args, **kwargs):
+        panels.append(len(breakpoints) - 1)
+
+        def counted(x):
+            points.append(x.size)
+            return f(x)
+
+        return integrate_panels(counted, breakpoints, *args, **kwargs)
+
+    monkeypatch.setattr(integrals, "integrate_panels", counting)
+    triple_sine_quad(*ws)
+    assert sum(points) <= 20 * sum(panels)
 
 
 def test_si_cubed_integrand_limit():
