@@ -21,15 +21,18 @@ B^(7/8) log^2 B and B^(3/4) log^2 B respectively (log X enters as
 max(log X, 1) so the metric stays finite near X = e^0).
 
 Floating accumulations below run in ascending index order through
-math.fsum, which is exact for the partial sums it sees; given identical
-inputs the results are bit-reproducible.
+math.fsum, or through exact Fraction sums rounded once, which give the
+same correctly rounded value; given identical inputs the results are
+bit-reproducible.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import lru_cache
+from itertools import accumulate
 
 from .arith import arith_table
 from .closed_forms import F_closed
@@ -93,10 +96,24 @@ def singular_series_partial(Q: int) -> float:
     """sum_{q<=Q} phi(q)/q^3, ascending; converges to zeta(2)/zeta(3),
     with tail below 1/Q.  Q is capped by the shared sieve (SIEVE_MAX_LIMIT).
     """
+    return math.fsum(_singular_series_terms(Q))
+
+
+def singular_series_partials(Q: int) -> list[float]:
+    """singular_series_partial(q) for q = 1..Q in one pass.
+
+    The terms are added exactly and each prefix is rounded once, as
+    math.fsum rounds it, so every partial is bit-identical to its
+    singular_series_partial(q).
+    """
+    return [float(s) for s in accumulate(map(Fraction, _singular_series_terms(Q)))]
+
+
+def _singular_series_terms(Q: int) -> list[float]:
     if Q < 1:
         raise ValueError("Q must be >= 1")
     phi = arith_table(Q).phi
-    return math.fsum(int(phi[q]) / q**3 for q in range(1, Q + 1))
+    return [int(phi[q]) / q**3 for q in range(1, Q + 1)]
 
 
 def main_term_thm1(X: float, Y: float) -> float:

@@ -20,22 +20,24 @@ tail/residual bound; acceptance-style comparisons fold the bound into
 their tolerance.
 
 Quadrature is fixed-order Gauss-Legendre on panels cut at the integrand's
-sign-change breakpoints, with adaptive bisection of any panel whose
-halved-panel estimate moves by more than its share of the tolerance.  The
-order follows what one panel holds.  The triple-sine integrand is cut at
-every zero k pi / w_i and the cubed-Si integrand at every k pi, so each
-panel spans at most half a period of its fastest sine: order 6 (triple
-sine) and 8 (cubed Si) resolve such a panel, and the rare one that they
-do not is bisected.  The J(q) integrand v_q(gamma)^3
-(``circle.j_quadrature``) keeps order 16: its panels are cut only at the
-zeros j/(2 floor(Y) + 1) of the outer sine, and each holds up to
-floor(X/q) half-periods of the inner ones.  A
-panel's share is its length-proportional part of the tolerance, floored at
-the panel's own rounding level 50 eps (|left| + |right|) (eps the float64
-machine epsilon, left/right the two half-panel estimates), as in QUADPACK:
-no panel is asked to agree beyond what float64 can resolve, so whether a
-panel converges does not depend on how the platform rounds.  Panel results
-are added by math.fsum, correctly rounded and so independent of their order.
+sign-change breakpoints.  Each panel is integrated by the rules of order n
+and n + 1 from 2n + 1 integrand values (the embedded-rule idea of
+QUADPACK, Piessens et al. 1983); a panel keeps the order n + 1 value when
+the two differ by at most its share of the tolerance, and is bisected
+otherwise.  The order follows what one panel holds.  The
+triple-sine integrand is cut at every zero k pi / w_i and the cubed-Si
+integrand at every k pi, so each panel spans at most half a period of its
+fastest sine: n = 4 (triple sine) and n = 6 (cubed Si) resolve such a
+panel, and the rare one that they do not is bisected.  The J(q) integrand
+v_q(gamma)^3 (``circle.j_quadrature``) keeps n = 16: its panels are cut
+only at the zeros j/(2 floor(Y) + 1) of the outer sine, and each holds up
+to floor(X/q) half-periods of the inner ones.  A panel's share is its
+length-proportional part of the tolerance, floored at the panel's own
+rounding level 50 eps |G| (eps the float64 machine epsilon, G the panel's
+order n + 1 value), as in QUADPACK: no panel is asked to agree beyond what
+float64 can resolve, so whether a panel converges does not depend on how
+the platform rounds.  Panel results are added by math.fsum, correctly
+rounded and so independent of their order.
 
 The sine integral uses three regimes, each with truncation error below
 1e-13:  the Maclaurin series for t <= 2 (terms fall below 1e-17 by k = 13);
@@ -87,7 +89,7 @@ class QuadResult(NamedTuple):
     tail_bound: float
 
 
-@lru_cache(maxsize=8)
+@lru_cache(maxsize=16)
 def _gl_nodes(order: int):
     x, w = np.polynomial.legendre.leggauss(order)
     return x, w
@@ -102,54 +104,56 @@ def integrate_panels(
 ) -> float:
     """Integrate a vectorised integrand over consecutive panels.
 
-    Each panel gets a fixed-order Gauss-Legendre estimate; panels whose
-    bisected estimate differs by more than their share are split (up to
-    ``max_depth`` times).  A panel's share is ``tolerance * (b - a) /
-    total_len``, floored at ``50 eps (|left| + |right|)``, the rounding
-    level of its two half-panel estimates.  The surviving panel values are
-    added by ``math.fsum``, which rounds the exact sum once, so the result
-    does not depend on the order the panels converge in.
+    Each panel gets two Gauss-Legendre estimates, orders ``order`` and
+    ``order + 1``, from ``2 order + 1`` integrand values (the two rules
+    share no node).  A panel whose two estimates differ by at most its
+    share contributes the order ``order + 1`` value; any other panel is
+    bisected and both rules run on each half, over at most ``max_depth``
+    levels of panels (the given panels are the first).  A panel's share is ``tolerance *
+    (b - a) / total_len``, floored at ``50 eps |G|``, the rounding level of
+    its order ``order + 1`` value G.  The accepted panel values are added
+    by ``math.fsum``, which rounds the exact sum once, so the result does
+    not depend on the order the panels converge in.
 
-    Raises ConvergenceError when some panel still moves by more than its
-    share after ``max_depth`` bisections.  Because of the floor this means
-    the integrand is not resolved at this order and depth, never that the
-    tolerance lies below float64 resolution.
+    Raises ConvergenceError when some panel of the last level still misses
+    its share.  Because of the floor this means the integrand is not
+    resolved at this order and depth, never that the tolerance lies below
+    float64 resolution.
     """
     pts = np.asarray(breakpoints, dtype=float)
     if pts.size < 2:
         return 0.0
-    nodes, weights = _gl_nodes(order)
     total_len = float(pts[-1] - pts[0])
 
-    def gl(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    def gl(a: np.ndarray, b: np.ndarray, n: int) -> np.ndarray:
+        nodes, weights = _gl_nodes(n)
         half = (b - a) / 2.0
         mid = (a + b) / 2.0
         x = mid[:, None] + half[:, None] * nodes[None, :]
         vals = f(x.ravel()).reshape(x.shape)
         return half * (vals @ weights)
 
-    a = pts[:-1].copy()
-    b = pts[1:].copy()
-    coarse = gl(a, b)
-    finished: list[np.ndarray] = []  # the converged panel values of each depth
+    a = pts[:-1]
+    b = pts[1:]
+    finished: list[np.ndarray] = []  # the accepted panel values of each depth
     depth = 0
     while a.size:
         if depth >= max_depth:
             raise ConvergenceError("panel bisection budget exhausted")
-        mid = (a + b) / 2.0
-        left = gl(a, mid)
-        right = gl(mid, b)
-        fine = left + right
+        # two calls, not one of 2 order + 1 points: the integrand's
+        # temporaries, and so peak memory, stay at one rule's size
+        lo = gl(a, b, order)
+        hi = gl(a, b, order + 1)
         share = np.maximum(
             tolerance * np.maximum((b - a) / total_len, 1e-300),
-            _ROUNDING_FLOOR * (np.abs(left) + np.abs(right)),
+            _ROUNDING_FLOOR * np.abs(hi),
         )
-        done = np.abs(fine - coarse) <= share
-        finished.append(fine[done])
+        done = np.abs(hi - lo) <= share
+        finished.append(hi[done])
         keep = ~done
+        mid = (a + b) / 2.0
         a = np.concatenate([a[keep], mid[keep]])
         b = np.concatenate([mid[keep], b[keep]])
-        coarse = np.concatenate([left[keep], right[keep]])
         depth += 1
     return math.fsum(np.concatenate(finished))
 
@@ -296,7 +300,7 @@ def triple_sine_quad(
     def integrand(t: np.ndarray) -> np.ndarray:
         return np.sin(w1 * t) * np.sin(w2 * t) * np.sin(w3 * t) / t**3
 
-    body = integrate_panels(integrand, brk, QUAD_TOLERANCE, order=6)
+    body = integrate_panels(integrand, brk, QUAD_TOLERANCE, order=4)
     head = _triple_sine_small_t((w1, w2, w3), eps)
     tail_bound = 1.0 / (T * T)
     return QuadResult(value=2.0 * (head + body), tail_bound=tail_bound)
@@ -333,7 +337,7 @@ def si_cubed_quad(cfg: QuadratureConfig | None = None) -> QuadResult:
         s = si(t)
         return s * s * s / t**3
 
-    body = integrate_panels(integrand, brk, QUAD_TOLERANCE, order=8)
+    body = integrate_panels(integrand, brk, QUAD_TOLERANCE, order=6)
     head = eps - eps**3 / 18.0 + (77.0 / 27000.0) * eps**5
     tail = (_PI / 2.0) ** 3 / (2.0 * T * T)
     # |Si t - pi/2| <= 1.1/t for t >= 100 bounds the dropped oscillatory part

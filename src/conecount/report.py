@@ -338,8 +338,7 @@ def _suite_thm1(cfg: RunConfig) -> list[Check]:
 def _singular_series_monotone() -> bool:
     limit = asymptotics.constants().zeta2 / asymptotics.constants().zeta3
     prev = 0.0
-    for q in range(1, 2001):
-        cur = asymptotics.singular_series_partial(q)
+    for q, cur in enumerate(asymptotics.singular_series_partials(2000), start=1):
         if cur < prev or cur > limit + 1.0 / q:
             return False
         prev = cur

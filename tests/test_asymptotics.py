@@ -14,6 +14,7 @@ from conecount.asymptotics import (
     main_term_simple,
     main_term_thm1,
     singular_series_partial,
+    singular_series_partials,
     solve_log_linear,
     zeta3_value,
 )
@@ -62,6 +63,13 @@ def test_singular_series_monotone_bounded():
         cur = singular_series_partial(q)
         assert prev <= cur <= k.zeta2 / k.zeta3 + 1.0 / q
         prev = cur
+
+
+def test_singular_series_partials_match_fsum():
+    partials = singular_series_partials(2000)
+    assert len(partials) == 2000
+    for q in list(range(1, 60)) + list(range(60, 2001, 97)) + [2000]:
+        assert partials[q - 1] == singular_series_partial(q), q
 
 
 def test_main_term_examples():

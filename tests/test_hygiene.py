@@ -1,6 +1,8 @@
-"""Source hygiene: every name a module imports is read somewhere in it."""
+"""Source hygiene: every name a module imports is read somewhere in it,
+and every committed benchmark record names what the benchmark measures."""
 
 import ast
+import json
 from pathlib import Path
 
 import pytest
@@ -26,3 +28,26 @@ def _unused_imports(tree: ast.Module) -> list[str]:
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_every_import_is_read(path):
     assert _unused_imports(ast.parse(path.read_text(), filename=str(path))) == []
+
+
+ROOT = Path(__file__).resolve().parents[1]
+BENCH_RECORDS = sorted(ROOT.glob("BENCH_*.json"))
+
+
+@pytest.mark.parametrize("path", BENCH_RECORDS, ids=lambda p: p.name)
+def test_bench_record_names_benchmark_metrics(path):
+    bench = json.loads((ROOT / "BENCHMARK.json").read_text())
+    workloads = {w["name"] for w in bench["workloads"]}
+    end_to_end = {m["name"] for m in bench["end_to_end"]}
+    record = json.loads(path.read_text())
+    claim = record["claim"]
+    assert claim["workload"] in workloads
+    assert claim["metric"] in end_to_end
+    assert claim["metric"] in record["workloads"][claim["workload"]]["metrics"]
+    for name, entry in record["workloads"].items():
+        assert name in workloads
+        assert entry["metrics"], name
+        for metric, sides in entry["metrics"].items():
+            assert metric in end_to_end, (name, metric)
+            for side in ("parent", "change"):
+                assert isinstance(sides[side]["median"], (int, float)), (name, metric, side)

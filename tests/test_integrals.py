@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import sici
 
-from conecount import integrals
+from conecount import circle, integrals
 from conecount.errors import ConvergenceError
 from conecount.integrals import (
     QuadratureConfig,
@@ -94,24 +94,44 @@ def test_triple_sine_quad_random_suite():
         assert abs(triple_sine_quad(*ws).value - triple_sine_closed(*ws)) < 1e-10, ws
 
 
-@pytest.mark.parametrize("ws", [(1, 2, 7), (0.2, 0.2, 9.6)])
-def test_triple_sine_quad_evaluation_budget(monkeypatch, ws):
-    # every panel holds at most half a period of each sine, so a 6-point rule
-    # plus its bisection check (18 points) resolves nearly all of them
+def _points_per_panel(monkeypatch, module, quad, *args):
+    """Integrand points per breakpoint panel of one ``quad(*args)`` call."""
     points, panels = [], []
 
-    def counting(f, breakpoints, *args, **kwargs):
+    def counting(f, breakpoints, *rest, **kwargs):
         panels.append(len(breakpoints) - 1)
 
         def counted(x):
             points.append(x.size)
             return f(x)
 
-        return integrate_panels(counted, breakpoints, *args, **kwargs)
+        return integrate_panels(counted, breakpoints, *rest, **kwargs)
 
-    monkeypatch.setattr(integrals, "integrate_panels", counting)
-    triple_sine_quad(*ws)
-    assert sum(points) <= 20 * sum(panels)
+    monkeypatch.setattr(module, "integrate_panels", counting)
+    quad(*args)
+    return sum(points) / sum(panels)
+
+
+@pytest.mark.parametrize("ws", [(1, 2, 7), (0.2, 0.2, 9.6)])
+def test_triple_sine_quad_evaluation_budget(monkeypatch, ws):
+    # every panel holds at most half a period of each sine, so the 4- and
+    # 5-point rules (9 points) settle nearly every panel without bisection;
+    # measured 10.07 and 9.65
+    assert _points_per_panel(monkeypatch, integrals, triple_sine_quad, *ws) <= 11
+
+
+def test_si_cubed_quad_evaluation_budget(monkeypatch):
+    # the 6- and 7-point rules on half-period panels: measured 13.06
+    assert _points_per_panel(monkeypatch, integrals, si_cubed_quad) <= 14
+
+
+@pytest.mark.parametrize("q,X,Y,budget", [(1, 1, 10, 34), (3, 10, 10, 35), (2, 10, 10, 80),
+                                          (1, 10, 10, 135)])
+def test_j_quadrature_evaluation_budget(monkeypatch, q, X, Y, budget):
+    # a panel holds up to floor(X/q) half-periods of the inner sines, so the
+    # cost grows with floor(X/q); measured 33.0, 33.8, 74.3 and 130.2 points
+    # per panel
+    assert _points_per_panel(monkeypatch, circle, circle.j_quadrature, q, X, Y) <= budget
 
 
 def test_si_cubed_integrand_limit():
@@ -152,13 +172,29 @@ def test_integrate_panels_budget():
 
 
 def test_integrate_panels_tolerance_below_rounding():
-    # the 16-point rule is exact for a quadratic, so every panel's
-    # bisection difference is pure rounding; the absolute tolerance 1e-9
-    # split over 850 panels asks ~1e-12 of panels worth up to ~1.5e6,
-    # below one ulp of their value, and must not make convergence a matter
-    # of how the platform rounds
+    # the 16- and 17-point rules are exact for a quadratic, so every
+    # panel's difference between them is pure rounding; the absolute
+    # tolerance 1e-9 split over 850 panels asks ~1e-12 of panels worth up
+    # to ~1.5e6, below one ulp of their value, and must not make
+    # convergence a matter of how the platform rounds
     val = integrate_panels(lambda x: 1e4 * (1 + x * x), np.linspace(0, 50, 851), 1e-9)
     assert val == pytest.approx(1e4 * (50 + 50**3 / 3), rel=1e-14)
+
+
+def test_integrate_panels_bisects_a_narrow_bump():
+    # a peak of height 1e4 and width 1e-2 at 0.3: the 4- and 5-point rules
+    # disagree on every panel near it until bisection has shrunk the panel
+    # to the width of the peak
+    calls = []
+
+    def bump(x):
+        calls.append(x.size)
+        return 1.0 / (1e-4 + (x - 0.3) ** 2)
+
+    val = integrate_panels(bump, np.array([0.0, 1.0]), integrals.QUAD_TOLERANCE, order=4)
+    exact = 100.0 * (math.atan(70.0) + math.atan(30.0))
+    assert abs(val - exact) <= integrals.QUAD_TOLERANCE
+    assert len(calls) > 2 * 2  # one integrand call per rule and level
 
 
 def test_j_closed_values():
