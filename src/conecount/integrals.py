@@ -29,9 +29,10 @@ triple-sine integrand is cut at every zero k pi / w_i and the cubed-Si
 integrand at every k pi, so each panel spans at most half a period of its
 fastest sine: n = 4 (triple sine) and n = 6 (cubed Si) resolve such a
 panel, and the rare one that they do not is bisected.  The J(q) integrand
-v_q(gamma)^3 (``circle.j_quadrature``) keeps n = 16: its panels are cut
-only at the zeros j/(2 floor(Y) + 1) of the outer sine, and each holds up
-to floor(X/q) half-periods of the inner ones.  A panel's share is its
+v_q(gamma)^3 (``circle.j_quadrature``) has its panels cut only at the
+zeros j/(2 floor(Y) + 1) of the outer sine, and each holds up to
+3 floor(X/q)/2 periods of the cube, so its order grows with the
+oscillation: n = 6 + 3 floor(X/q).  A panel's share is its
 length-proportional part of the tolerance, floored at the panel's own
 rounding level 50 eps |G| (eps the float64 machine epsilon, G the panel's
 order n + 1 value), as in QUADPACK: no panel is asked to agree beyond what
@@ -89,7 +90,9 @@ class QuadResult(NamedTuple):
     tail_bound: float
 
 
-@lru_cache(maxsize=16)
+# J(q) integrates at order 6 + 3 floor(X/q), so one order per floor(X/q)
+# besides the fixed ones: a rule costs 0.1-0.5 ms to build up to order 37
+@lru_cache(maxsize=128)
 def _gl_nodes(order: int):
     x, w = np.polynomial.legendre.leggauss(order)
     return x, w
@@ -119,6 +122,19 @@ def integrate_panels(
     its share.  Because of the floor this means the integrand is not
     resolved at this order and depth, never that the tolerance lies below
     float64 resolution.
+
+    Precondition: the integrand is smooth on every given panel.  The two
+    rules see it only at their nodes, so a kink (or jump) that lies beyond
+    every node of both goes undetected: for |x - 0.123456789| on
+    [0, 0.125] at order 2 the 2- and 3-point values agree to 9e-19 while
+    the panel's true error is 2.4e-6.  The package's callers meet the
+    precondition through their breakpoints: ``triple_sine_quad`` starts at
+    t = 1e-3 and cuts at every zero k pi / w_i, ``si_cubed_quad`` starts at
+    1e-3 and cuts at every k pi (its Si changes regime at t = 2 and 40
+    inside panels, where it steps by 4e-16 and 7e-16, far below a panel's
+    share), and
+    ``circle.j_quadrature`` integrates v_q^3, analytic in gamma, on panels
+    cut at the zeros j/(2 floor(Y) + 1) of its outer sine.
     """
     pts = np.asarray(breakpoints, dtype=float)
     if pts.size < 2:

@@ -3,7 +3,7 @@ import math
 import pytest
 from scipy.special import zeta as scipy_zeta
 
-from conecount import arith, counts
+from conecount import arith, asymptotics, closed_forms, counts
 from conecount.asymptotics import (
     boundary_check,
     constants,
@@ -77,6 +77,29 @@ def test_main_term_examples():
     assert main_term_thm1(2, 2) == pytest.approx(552.0, abs=1e-9)
     with pytest.raises(ValueError):
         main_term_thm1(1.2, 10)
+
+
+# float.hex(main_term_thm1(X, X)) before the exact F was shared between
+# the q with equal floor(X/q): the sharing must not move a bit
+_MAIN_TERM_HEX = {
+    50: "0x1.60b0b903ed8c9p+28",
+    491: "0x1.a74b54c2e95d6p+41",
+    1500: "0x1.2252bc72881ebp+48",
+    2999: "0x1.2256b33911372p+52",
+}
+
+
+@pytest.mark.parametrize("X", sorted(_MAIN_TERM_HEX))
+def test_main_term_bit_for_bit_with_one_F_per_quotient(monkeypatch, X):
+    calls = []
+
+    def counted(n):
+        calls.append(n)
+        return closed_forms.F_closed(n)
+
+    monkeypatch.setattr(asymptotics, "F_closed", counted)
+    assert float.hex(main_term_thm1(X, X)) == _MAIN_TERM_HEX[X]
+    assert len(calls) == len(set(calls)) <= 2 * math.isqrt(X) + 1
 
 
 def test_main_term_simple():

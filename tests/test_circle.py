@@ -88,6 +88,26 @@ def test_w_v_at_zero_and_brute():
             assert circle.v_q_eval(g, q, X, Y) == pytest.approx(circle.v_q_naive(g, q, X, Y), abs=1e-9)
 
 
+@pytest.mark.parametrize("n", [1, 2, 10, 40, 200])
+def test_v_recurrence_matches_oracle(n):
+    # the recurrence is least stable where sin(theta) ~ 0, i.e. at the zeros
+    # j/(2m+1) of the outer sine; the oracle evaluates every sine itself
+    rng = random.Random(n)
+    for m in (0, 1, 3, 10):
+        k = 2 * m + 1
+        gammas = [1e-10] + [j / k + e for j in range(1, 2 * k + 1) for e in (-1e-9, 1e-9)]
+        gammas += [rng.uniform(0.0, 3.0) for _ in range(10)]
+        for g in gammas:
+            v = circle.v_q_eval(g, 1, n, m)
+            assert abs(v - circle.v_q_naive(g, 1, n, m)) <= 1e-10 * max(1.0, abs(v)), (n, m, g)
+
+
+def test_v_on_an_array_is_v_q_eval_bit_for_bit():
+    gammas = np.array([0.0, 1e-10, 1 / 7 + 1e-9, 0.3, 2.9])
+    for n in (0, 1, 2, 10):
+        assert circle._sinc_sum(gammas, n, 3).tolist() == [circle.v_q_eval(g, 1, n, 3) for g in gammas]
+
+
 def test_decomposition_restored_row():
     # f(a/q + b) - f*_q(b) - g_q(a/q + b) is exactly the restored y = 0 row,
     # at most 2 floor(X/q) + 1 <= 2X + 1 unit terms; the slack is diff - (2X + 1)

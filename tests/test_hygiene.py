@@ -1,8 +1,11 @@
 """Source hygiene: every name a module imports is read somewhere in it,
-and every committed benchmark record names what the benchmark measures."""
+every module imports only what a plain install provides, and every
+committed benchmark record names what the benchmark measures."""
 
 import ast
 import json
+import re
+import sys
 from pathlib import Path
 
 import pytest
@@ -31,6 +34,33 @@ def test_every_import_is_read(path):
 
 
 ROOT = Path(__file__).resolve().parents[1]
+
+
+def _imported_roots(tree: ast.Module) -> set[str]:
+    """Top-level names of the absolute imports (relative ones are the package)."""
+    roots = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            roots.update(alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            roots.add(node.module.split(".")[0])
+    return roots
+
+
+def test_imports_are_stdlib_or_declared_dependencies():
+    # the test extras (scipy, hypothesis) are installed wherever the tests
+    # run, so an import of one in the package passes every other test and
+    # fails only a plain install
+    tomllib = pytest.importorskip("tomllib")
+    deps = tomllib.loads((ROOT / "pyproject.toml").read_text())["project"]["dependencies"]
+    allowed = set(sys.stdlib_module_names) | {"conecount"}
+    allowed |= {re.match(r"[A-Za-z0-9_.-]+", dep).group().lower().replace("-", "_") for dep in deps}
+    stray = [f"{path.name}: {name}" for path in sorted(Path(conecount.__file__).parent.glob("*.py"))
+             for name in sorted(_imported_roots(ast.parse(path.read_text(), filename=str(path))))
+             if name not in allowed]
+    assert stray == []
+
+
 BENCH_RECORDS = sorted(ROOT.glob("BENCH_*.json"))
 
 

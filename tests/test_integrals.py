@@ -125,12 +125,16 @@ def test_si_cubed_quad_evaluation_budget(monkeypatch):
     assert _points_per_panel(monkeypatch, integrals, si_cubed_quad) <= 14
 
 
-@pytest.mark.parametrize("q,X,Y,budget", [(1, 1, 10, 34), (3, 10, 10, 35), (2, 10, 10, 80),
-                                          (1, 10, 10, 135)])
-def test_j_quadrature_evaluation_budget(monkeypatch, q, X, Y, budget):
-    # a panel holds up to floor(X/q) half-periods of the inner sines, so the
-    # cost grows with floor(X/q); measured 33.0, 33.8, 74.3 and 130.2 points
-    # per panel
+# a panel holds up to 3 floor(X/q)/2 periods of v_q^3, and the order
+# n = 6 + 3 floor(X/q) grows with them, so an unbisected panel costs
+# 2n + 1 = 13 + 6 floor(X/q) points; measured 20.09, 33.07, 44.72, 44.72
+# and 73.42 points per panel
+_J_POINTS_PER_PANEL = {(1, 1, 10): 21, (3, 10, 10): 34, (2, 10, 10): 46, (1, 5, 5): 46, (1, 10, 10): 77}
+
+
+@pytest.mark.parametrize("q,X,Y", list(_J_POINTS_PER_PANEL))
+def test_j_quadrature_evaluation_budget(monkeypatch, q, X, Y):
+    budget = _J_POINTS_PER_PANEL[q, X, Y]
     assert _points_per_panel(monkeypatch, circle, circle.j_quadrature, q, X, Y) <= budget
 
 
