@@ -46,7 +46,7 @@ import numpy as np
 from .arith import build_r_table
 from .calibration import Calibration
 from .errors import ResourceLimitError
-from .integrals import QUAD_TOLERANCE, QuadResult, integrate_panels
+from .integrals import QUAD_TOLERANCE, QuadResult, integrate_panels, panel_order
 
 _SIN_EPS = 1.0e-8
 
@@ -351,12 +351,13 @@ def j_quadrature(q: int, X: float, Y: float, T: float = 50.0) -> QuadResult:
     means the panels did not resolve v_q^3, not that the tolerance is finer
     than float64 can resolve.
 
-    The Gauss-Legendre order is 6 + 3 n, n = floor(X/q): v_q^3 has
-    frequencies up to 3 pi (2 floor(Y) + 1) n, so a panel of length
-    1/(2 floor(Y) + 1) holds up to 3n/2 of its periods.  Timed over
-    n = 1..10 and Y in {1, 3, 5, 8, 10}, the fastest even order for each n
-    lay within 4 of 6 + 3n (8-10 at n = 1, 36 at n = 10); the fixed order
-    16 took 1.5 times as long, bisecting most panels at n >= 5.
+    The Gauss-Legendre order is ``panel_order(3 n)`` = 6 + 3 n,
+    n = floor(X/q): v_q^3 has frequencies up to 3 pi (2 floor(Y) + 1) n,
+    so a panel of length 1/(2 floor(Y) + 1) holds up to 3n of its
+    half-periods.  Timed over n = 1..10 and Y in {1, 3, 5, 8, 10}, the
+    fastest even order for each n lay within 4 of 6 + 3n (8-10 at n = 1,
+    36 at n = 10); the fixed order 16 took 1.5 times as long, bisecting
+    most panels at n >= 5.
     """
     if q > X:
         return QuadResult(value=0.0, tail_bound=0.0)
@@ -365,7 +366,7 @@ def j_quadrature(q: int, X: float, Y: float, T: float = 50.0) -> QuadResult:
     k = 2 * m + 1
     brk = np.unique(np.concatenate([[0.0], np.arange(1, int(T * k) + 1) / k, [T]]))
     brk = brk[brk <= T]
-    body = integrate_panels(lambda g: _sinc_sum(g, n, m) ** 3, brk, QUAD_TOLERANCE, order=6 + 3 * n)
+    body = integrate_panels(lambda g: _sinc_sum(g, n, m) ** 3, brk, QUAD_TOLERANCE, order=panel_order(3 * n))
     c_log = Calibration.v_decay_constant * max(math.log(X), 1.0)
     tail = c_log**3 / (T * T)
     return QuadResult(value=2.0 * body, tail_bound=tail)

@@ -133,7 +133,9 @@ def xi_main_term(B: int) -> XiMainTerm:
     Both the direct evaluation and the split run over the same finite q
     range (terms with q > l^2 have F = 0, and in the split they cancel
     exactly between the two parts), so direct and split agree to rounding;
-    callers assert a 1e-9 relative gap.
+    callers assert a 1e-9 relative gap.  floor(l^2/q) repeats across the
+    (l, q) terms, so the exact F is evaluated once per distinct value; each
+    term and each fsum are as before.
     """
     L = quadratic_partition(B).L
     if L < 2:
@@ -143,12 +145,16 @@ def xi_main_term(B: int) -> XiMainTerm:
     direct_terms = []
     c_terms = []
     g_terms = []
+    F: dict[int, float] = {}
     for l in range(1, L):
         weight = 1.0 / l**4 - 1.0 / (l + 1.0) ** 4
         tele = 1.0 - (l / (l + 1.0)) ** 4
         for q in range(1, l * l + 1):
             phi_q = table.phi_of(q)
-            direct_terms.append(4.0 * B * (phi_q / q) * float(F_closed(l * l // q)) * weight)
+            n = l * l // q
+            if n not in F:
+                F[n] = float(F_closed(n))
+            direct_terms.append(4.0 * B * (phi_q / q) * F[n] * weight)
             c_terms.append(c * B * (phi_q / q**3) * tele)
             g_terms.append(4.0 * B * (phi_q / q) * G_value(l * l / q) * weight)
     return XiMainTerm(

@@ -19,26 +19,26 @@ analytic tail, and is reported as a QuadResult carrying the value and a
 tail/residual bound; acceptance-style comparisons fold the bound into
 their tolerance.
 
-Quadrature is fixed-order Gauss-Legendre on panels cut at the integrand's
-sign-change breakpoints.  Each panel is integrated by the rules of order n
-and n + 1 from 2n + 1 integrand values (the embedded-rule idea of
-QUADPACK, Piessens et al. 1983); a panel keeps the order n + 1 value when
-the two differ by at most its share of the tolerance, and is bisected
-otherwise.  The order follows what one panel holds.  The
-triple-sine integrand is cut at every zero k pi / w_i and the cubed-Si
-integrand at every k pi, so each panel spans at most half a period of its
-fastest sine: n = 4 (triple sine) and n = 6 (cubed Si) resolve such a
-panel, and the rare one that they do not is bisected.  The J(q) integrand
-v_q(gamma)^3 (``circle.j_quadrature``) has its panels cut only at the
-zeros j/(2 floor(Y) + 1) of the outer sine, and each holds up to
-3 floor(X/q)/2 periods of the cube, so its order grows with the
-oscillation: n = 6 + 3 floor(X/q).  A panel's share is its
-length-proportional part of the tolerance, floored at the panel's own
-rounding level 50 eps |G| (eps the float64 machine epsilon, G the panel's
-order n + 1 value), as in QUADPACK: no panel is asked to agree beyond what
-float64 can resolve, so whether a panel converges does not depend on how
-the platform rounds.  Panel results are added by math.fsum, correctly
-rounded and so independent of their order.
+Quadrature is fixed-order Gauss-Legendre on panels.  Each panel is
+integrated by the rules of order n and n + 1 from 2n + 1 integrand values
+(the embedded-rule idea of QUADPACK, Piessens et al. 1983); a panel keeps
+the order n + 1 value when the two differ by at most its share of the
+tolerance, and is bisected otherwise.  The order follows what one panel
+holds: a panel spanning H half-periods pi/Omega of its integrand's top
+frequency Omega is integrated at n = 6 + H (``panel_order``).  The
+triple-sine integrand (Omega = w1 + w2 + w3) and the cubed-Si integrand
+(Omega = 3) are entire, so [eps, T] is cut into equal panels of
+H = 16 half-periods each (``oscillatory_panels``), and the rare panel that
+n = 22 does not resolve is bisected.  The J(q) integrand v_q(gamma)^3
+(``circle.j_quadrature``) has its panels cut at the zeros
+j/(2 floor(Y) + 1) of the outer sine, and each holds up to
+H = 3 floor(X/q) half-periods of the cube: n = 6 + 3 floor(X/q).  A
+panel's share is its length-proportional part of the tolerance, floored
+at the panel's own rounding level 50 eps |G| (eps the float64 machine
+epsilon, G the panel's order n + 1 value), as in QUADPACK: no panel is
+asked to agree beyond what float64 can resolve, so whether a panel
+converges does not depend on how the platform rounds.  Panel results are
+added by math.fsum, correctly rounded and so independent of their order.
 
 The sine integral uses three regimes, each with truncation error below
 1e-13:  the Maclaurin series for t <= 2 (terms fall below 1e-17 by k = 13);
@@ -70,6 +70,11 @@ _PI = math.pi
 _ROUNDING_FLOOR = 50.0 * np.finfo(float).eps
 # absolute tolerance of every improper integral's panel quadrature
 QUAD_TOLERANCE = 1.0e-9
+# half-periods of the top frequency on one equal oscillatory panel: 12 to
+# 32 all run the triple-sine and cubed-Si integrals within 15% of the time
+# at 16, but from 20 up the cubed-Si value moves 1.6e-14 to 3e-14 off its
+# closed form (1.8e-15 at 16)
+_HALF_PERIODS = 16
 
 
 @dataclass(frozen=True)
@@ -96,6 +101,19 @@ class QuadResult(NamedTuple):
 def _gl_nodes(order: int):
     x, w = np.polynomial.legendre.leggauss(order)
     return x, w
+
+
+def panel_order(half_periods: int) -> int:
+    """The Gauss-Legendre order of a panel that holds ``half_periods``
+    half-periods of its integrand's top frequency: 6 + half_periods."""
+    return 6 + half_periods
+
+
+def oscillatory_panels(a: float, b: float, omega: float) -> tuple[np.ndarray, int]:
+    """Equal panels over [a, b] of at most ``_HALF_PERIODS`` half-periods
+    pi/omega each, and the order that resolves one of them."""
+    h = _HALF_PERIODS * _PI / omega
+    return np.linspace(a, b, math.ceil((b - a) / h) + 1), panel_order(_HALF_PERIODS)
 
 
 def integrate_panels(
@@ -128,13 +146,14 @@ def integrate_panels(
     every node of both goes undetected: for |x - 0.123456789| on
     [0, 0.125] at order 2 the 2- and 3-point values agree to 9e-19 while
     the panel's true error is 2.4e-6.  The package's callers meet the
-    precondition through their breakpoints: ``triple_sine_quad`` starts at
-    t = 1e-3 and cuts at every zero k pi / w_i, ``si_cubed_quad`` starts at
-    1e-3 and cuts at every k pi (its Si changes regime at t = 2 and 40
-    inside panels, where it steps by 4e-16 and 7e-16, far below a panel's
-    share), and
-    ``circle.j_quadrature`` integrates v_q^3, analytic in gamma, on panels
-    cut at the zeros j/(2 floor(Y) + 1) of its outer sine.
+    precondition with integrands that are entire, so any panel will do:
+    ``triple_sine_quad`` and ``si_cubed_quad`` integrate
+    sin(w1 t) sin(w2 t) sin(w3 t)/t^3 and (Si t)^3/t^3 over [1e-3, T] on
+    the equal panels of ``oscillatory_panels`` (the computed Si changes
+    regime at t = 2 and 40 inside panels, where it steps by 4e-16 and
+    7e-16, far below a panel's share), and ``circle.j_quadrature``
+    integrates v_q^3 on panels cut at the zeros j/(2 floor(Y) + 1) of its
+    outer sine.
     """
     pts = np.asarray(breakpoints, dtype=float)
     if pts.size < 2:
@@ -298,25 +317,22 @@ def triple_sine_quad(
 ) -> QuadResult:
     """The triple-sine integral by panel quadrature.
 
-    The integrand is even, so 2 * int_0^T is computed with panels cut at
-    every zero k pi / w_i; |t| < 1e-3 uses the even Maclaurin branch and
-    the tail beyond T is bounded by 2 int_T^inf t^-3 dt = 1/T^2.
+    The integrand is even, so 2 * int_0^T is computed on the equal panels
+    of ``oscillatory_panels`` for the top frequency w1 + w2 + w3; |t| < 1e-3
+    uses the even Maclaurin branch and the tail beyond T is bounded by
+    2 int_T^inf t^-3 dt = 1/T^2.
     """
     if w1 <= 0 or w2 <= 0 or w3 <= 0:
         raise ValueError("frequencies must be positive")
     cfg = cfg or QuadratureConfig()
     eps = 1.0e-3
     T = cfg.truncation
-    zeros = []
-    for w in (w1, w2, w3):
-        zeros.append(np.arange(1, int(w * T / _PI) + 1) * (_PI / w))
-    brk = np.unique(np.concatenate([np.array([eps, T])] + zeros))
-    brk = brk[(brk >= eps) & (brk <= T)]
+    brk, order = oscillatory_panels(eps, T, w1 + w2 + w3)
 
     def integrand(t: np.ndarray) -> np.ndarray:
         return np.sin(w1 * t) * np.sin(w2 * t) * np.sin(w3 * t) / t**3
 
-    body = integrate_panels(integrand, brk, QUAD_TOLERANCE, order=4)
+    body = integrate_panels(integrand, brk, QUAD_TOLERANCE, order=order)
     head = _triple_sine_small_t((w1, w2, w3), eps)
     tail_bound = 1.0 / (T * T)
     return QuadResult(value=2.0 * (head + body), tail_bound=tail_bound)
@@ -335,6 +351,9 @@ def si_cubed_closed() -> float:
 def si_cubed_quad(cfg: QuadratureConfig | None = None) -> QuadResult:
     """int_0^inf (Si t)^3 / t^3 dt by panel quadrature on [eps, T].
 
+    The panels are those of ``oscillatory_panels`` for the top frequency 3
+    of (Si t)^3 = (pi/2 - cos(t)/t - ...)^3.
+
     Near zero (Si t)^3/t^3 -> 1; the branch below eps = 1e-3 integrates the
     even series (1 - t^2/6 + (77/5400) t^4).  Beyond T the expansion
     Si t = pi/2 - cos(t)/t - sin(t)/t^2 + O(t^-3) gives the analytic tail
@@ -346,14 +365,13 @@ def si_cubed_quad(cfg: QuadratureConfig | None = None) -> QuadResult:
         raise ValueError("cubed-sine truncation below 100 cannot meet tolerance")
     eps = 1.0e-3
     T = cfg.truncation
-    brk = np.unique(np.concatenate([[eps], np.arange(1, int(T / _PI) + 1) * _PI, [T]]))
-    brk = brk[(brk >= eps) & (brk <= T)]
+    brk, order = oscillatory_panels(eps, T, 3.0)
 
     def integrand(t: np.ndarray) -> np.ndarray:
         s = si(t)
         return s * s * s / t**3
 
-    body = integrate_panels(integrand, brk, QUAD_TOLERANCE, order=6)
+    body = integrate_panels(integrand, brk, QUAD_TOLERANCE, order=order)
     head = eps - eps**3 / 18.0 + (77.0 / 27000.0) * eps**5
     tail = (_PI / 2.0) ** 3 / (2.0 * T * T)
     # |Si t - pi/2| <= 1.1/t for t >= 100 bounds the dropped oscillatory part

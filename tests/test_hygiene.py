@@ -1,6 +1,7 @@
 """Source hygiene: every name a module imports is read somewhere in it,
-every module imports only what a plain install provides, and every
-committed benchmark record names what the benchmark measures."""
+every module imports only what a plain install provides, no caller sets
+its own quadrature order, and every committed benchmark record names what
+the benchmark measures."""
 
 import ast
 import json
@@ -31,6 +32,37 @@ def _unused_imports(tree: ast.Module) -> list[str]:
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_every_import_is_read(path):
     assert _unused_imports(ast.parse(path.read_text(), filename=str(path))) == []
+
+
+def _literal_orders(tree: ast.Module) -> list[str]:
+    """Calls of integrate_panels whose order is written out in literals
+    (``order=4``, ``order=6 + 3 * n``) instead of taken from a function."""
+    found = []
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        name = node.func.attr if isinstance(node.func, ast.Attribute) else getattr(node.func, "id", None)
+        if name != "integrate_panels":
+            continue
+        orders = [kw.value for kw in node.keywords if kw.arg == "order"] + node.args[4:5]
+        for expr in orders:
+            parts = list(ast.walk(expr))
+            if any(isinstance(p, ast.Constant) for p in parts) and not any(isinstance(p, ast.Call) for p in parts):
+                found.append(f"line {node.lineno}: order={ast.unparse(expr)}")
+    return found
+
+
+def test_literal_order_is_detected():
+    src = "integrate_panels(f, brk, tol, order=4)\nintegrals.integrate_panels(f, brk, tol, 12, 6 + 3 * n)\n"
+    assert _literal_orders(ast.parse(src)) == ["line 1: order=4", "line 2: order=6 + 3 * n"]
+    assert _literal_orders(ast.parse("integrate_panels(f, brk, tol, order=panel_order(3 * n))")) == []
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_quadrature_order_comes_from_the_order_rule(path):
+    # integrals.panel_order is the one place that turns what a panel holds
+    # into a Gauss-Legendre order
+    assert _literal_orders(ast.parse(path.read_text(), filename=str(path))) == []
 
 
 ROOT = Path(__file__).resolve().parents[1]

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conecount import closed_forms, hyperbola
 from conecount.counts import m_fast, mprime
 from conecount.hyperbola import (
     quadratic_partition,
@@ -84,6 +85,31 @@ def test_xi_main_term_example():
     assert m.split == pytest.approx(360.0, abs=1e-9)
     z = xi_main_term(1)
     assert z.direct == 0.0
+
+
+# float.hex of (direct, c_part, g_part) before the exact F was shared
+# between the (l, q) with equal floor(l^2/q): the sharing must not move a bit
+_XI_MAIN_HEX = {
+    10**4: ("0x1.bbdddcd66ca92p+19", "0x1.3e26fd122e1e1p+20", "-0x1.80e03a9bdf261p+18"),
+    10**6: ("0x1.22767c73d26ffp+27", "0x1.7b52647b795f7p+27", "-0x1.636fa01e9bbe2p+25"),
+    10**8: ("0x1.6ff361f4e56fap+34", "0x1.bd5f68de3b639p+34", "-0x1.35b01ba557cfbp+32"),
+}
+
+
+@pytest.mark.parametrize("B", sorted(_XI_MAIN_HEX))
+def test_xi_main_term_bit_for_bit_with_one_F_per_quotient(monkeypatch, B):
+    calls = []
+
+    def counted(n):
+        calls.append(n)
+        return closed_forms.F_closed(n)
+
+    monkeypatch.setattr(hyperbola, "F_closed", counted)
+    m = xi_main_term(B)
+    assert tuple(map(float.hex, (m.direct, m.c_part, m.g_part))) == _XI_MAIN_HEX[B]
+    L = quadratic_partition(B).L
+    distinct = {l * l // q for l in range(1, L) for q in range(1, l * l + 1)}
+    assert len(calls) <= len(distinct)
 
 
 @pytest.mark.parametrize("B", [10**4, 10**6])

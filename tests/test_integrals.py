@@ -94,8 +94,8 @@ def test_triple_sine_quad_random_suite():
         assert abs(triple_sine_quad(*ws).value - triple_sine_closed(*ws)) < 1e-10, ws
 
 
-def _points_per_panel(monkeypatch, module, quad, *args):
-    """Integrand points per breakpoint panel of one ``quad(*args)`` call."""
+def _points(monkeypatch, module, quad, *args):
+    """(integrand points, breakpoint panels) of one ``quad(*args)`` call."""
     points, panels = [], []
 
     def counting(f, breakpoints, *rest, **kwargs):
@@ -109,20 +109,34 @@ def _points_per_panel(monkeypatch, module, quad, *args):
 
     monkeypatch.setattr(module, "integrate_panels", counting)
     quad(*args)
-    return sum(points) / sum(panels)
+    return sum(points), sum(panels)
 
 
 @pytest.mark.parametrize("ws", [(1, 2, 7), (0.2, 0.2, 9.6)])
 def test_triple_sine_quad_evaluation_budget(monkeypatch, ws):
-    # every panel holds at most half a period of each sine, so the 4- and
-    # 5-point rules (9 points) settle nearly every panel without bisection;
-    # measured 10.07 and 9.65
-    assert _points_per_panel(monkeypatch, integrals, triple_sine_quad, *ws) <= 11
+    # ~2,000 equal panels of 16 half-periods of the top frequency
+    # w1 + w2 + w3 = 10, at orders 22 and 23 (45 points) with few
+    # bisections: measured 90,090 and 90,180 points per call, against
+    # 256,437 and 297,225 on panels cut at every zero of each sine
+    assert _points(monkeypatch, integrals, triple_sine_quad, *ws)[0] <= 100_000
 
 
 def test_si_cubed_quad_evaluation_budget(monkeypatch):
-    # the 6- and 7-point rules on half-period panels: measured 13.06
-    assert _points_per_panel(monkeypatch, integrals, si_cubed_quad) <= 14
+    # 597 panels of 16 half-periods of the top frequency 3 at orders 22
+    # and 23, none bisected: measured 26,865 points per call, against
+    # 41,574 on panels cut at every k pi
+    assert _points(monkeypatch, integrals, si_cubed_quad)[0] <= 30_000
+
+
+@pytest.mark.parametrize(
+    "ws", [(0.05, 0.05, 0.05), (0.001, 1, 1), (0.01, 0.5, 0.5), (50, 0.5, 0.5), (20, 20, 20), (5, 5, 9.9)]
+)
+def test_triple_sine_quad_extremes(ws):
+    # a top frequency of 0.15 puts [eps, T] on 30 panels, the first ones
+    # longer than the whole region where the integrand is large; 60 puts
+    # it on ~12,000 short panels
+    res = triple_sine_quad(*ws)
+    assert abs(res.value - triple_sine_closed(*ws)) <= res.tail_bound + integrals.QUAD_TOLERANCE
 
 
 # a panel holds up to 3 floor(X/q)/2 periods of v_q^3, and the order
@@ -134,8 +148,8 @@ _J_POINTS_PER_PANEL = {(1, 1, 10): 21, (3, 10, 10): 34, (2, 10, 10): 46, (1, 5, 
 
 @pytest.mark.parametrize("q,X,Y", list(_J_POINTS_PER_PANEL))
 def test_j_quadrature_evaluation_budget(monkeypatch, q, X, Y):
-    budget = _J_POINTS_PER_PANEL[q, X, Y]
-    assert _points_per_panel(monkeypatch, circle, circle.j_quadrature, q, X, Y) <= budget
+    points, panels = _points(monkeypatch, circle, circle.j_quadrature, q, X, Y)
+    assert points / panels <= _J_POINTS_PER_PANEL[q, X, Y]
 
 
 def test_si_cubed_integrand_limit():
