@@ -19,10 +19,10 @@ All identities are checked in exact rational arithmetic
 floating point, which is enough to blur an exactness claim.  Only G(t),
 which mixes in pi^2, is evaluated in floating point.
 
-The brute-force sums are literal term-by-term summations.  They accumulate
-an integer numerator over the common denominator lcm(1..n)^3 (products of
-up to three harmonic weights), which keeps the cost at one big-int
-multiply-add per term instead of a Fraction reduction per term.
+The brute-force sums are literal term-by-term summations of the integer
+numerator over lcm(1..n)^d, done in int64 residues modulo fixed primes
+below 2^31 (one matmul per x1 block) and rebuilt once by the Chinese
+remainder theorem, behind guards that refuse any sum that could overflow.
 """
 
 from __future__ import annotations
@@ -35,7 +35,8 @@ import numpy as np
 
 from .errors import ResourceLimitError
 
-# Caps keeping the O(n^3) brute sums in interactive territory.
+# Caps keeping the brute sums interactive: s_parts(100) and s_brute_prefix(100)
+# take ~50 ms each and tu_sums(200) ~10 ms on one core of an x86-64 host.
 S_BRUTE_MAX_N = 100
 TU_BRUTE_MAX_N = 200
 # Cap on the exact harmonic tables: A(j) and B(j) take ~1.1 j bytes together,
@@ -133,55 +134,83 @@ def box_fn(v):
     return v * abs(v)
 
 
-def _harmonic_weights(n: int) -> tuple[int, list[int]]:
-    """Common denominator L = lcm(1..n) and the weights L//x for x = 0..n."""
-    L = math.lcm(*range(1, n + 1)) if n >= 1 else 1
-    return L, [0] + [L // x for x in range(1, n + 1)]
+# The 24 largest primes below 2^31, written out so that importing the module
+# searches for none.  A residue is below 2^31, so the product of two fits int64.
+_PRIMES = (
+    2147483647, 2147483629, 2147483587, 2147483579, 2147483563, 2147483549, 2147483543, 2147483497,
+    2147483489, 2147483477, 2147483423, 2147483399, 2147483353, 2147483323, 2147483269, 2147483249,
+    2147483237, 2147483179, 2147483171, 2147483137, 2147483123, 2147483077, 2147483069, 2147483059,
+)
+
+
+def _brute_sums(n: int, d: int, cmax: int, coeffs, combine=None) -> list[Fraction]:
+    """Literal sums  sum_{x in [1, n]^d} c(x) / (x_1 ... x_d) = N / L^d  (d = 2 or 3), exactly.
+
+    N = sum_x c(x) prod_i w(x_i), w(x) = L // x, L = lcm(1..n), is summed term
+    by term in int64 modulo a prefix of _PRIMES and rebuilt by the Chinese
+    remainder theorem in the symmetric range.  ``coeffs(x1, x2, x3)`` (x1 an
+    int, x2 a column, x3 a row over 1..n) or ``coeffs(x1, x2)`` (x1 a column,
+    x2 a row) gives the coefficients of m sums on one block; the caller
+    proves |c| <= cmax.  An int64 matmul against the residues of w sums the
+    last coordinate; each product of two residues is reduced before anything
+    sums it.  ``combine(R)``, given R[block, i, row, prime] (sum i with the
+    block's x1 and the row fixed), sums it into the residues to rebuild;
+    without it every block and row is summed.  Raises OverflowError, before
+    any int64 work, if a matmul sum or a sum of n^2 reduced residues could
+    pass 2^63, or if the primes cannot tell apart numerators within the
+    proven bound |N| <= n^d cmax L^d.
+    """
+    L = math.lcm(*range(1, n + 1))
+    bound, k, M = n**d * cmax * L**d, 0, 1
+    while M <= 2 * bound:
+        if k == len(_PRIMES):
+            raise OverflowError(f"{k} primes cannot rebuild numerators up to {bound.bit_length()} bits")
+        M, k = M * _PRIMES[k], k + 1
+    primes = _PRIMES[:k]
+    if max(cmax, 2 * n) * (max(primes) - 1) * n >= 2**63:
+        raise OverflowError(f"coefficients up to {cmax} overflow an int64 sum of {n} residues")
+    P = np.array(primes, dtype=np.int64)
+    W = np.array([[L // x % p for p in primes] for x in range(1, n + 1)], dtype=np.int64)
+    X = np.arange(1, n + 1, dtype=np.int64)
+    # one (x2, x3) block per x1, weighted by w(x1), or one (x1, x2) block when d = 2
+    blocks = [(W[x - 1], (x, X[:, None], X)) for x in range(1, n + 1)] if d == 3 else [(1, (X[:, None], X))]
+    R = []
+    for w1, grids in blocks:
+        C = np.stack(coeffs(*grids))
+        r = (C @ W % P) * W % P * w1 % P
+        R.append(r if combine else r.sum(axis=1))
+    R = np.stack(R)
+    residues = (combine(R) if combine else R.sum(axis=0)) % P
+    basis = [M // p * pow(M // p, -1, p) for p in primes]
+    N = [sum(map(int.__mul__, row, basis)) % M for row in residues.reshape(-1, k).tolist()]
+    return [Fraction(v - M if 2 * v > M else v, L**d) for v in N]
 
 
 def s_brute_prefix(n_max: int) -> list[Fraction]:
-    """[S(0), S(1), ..., S(n_max)] by summing shells max(x1,x2,x3) = k.
+    """[S(0), S(1), ..., S(n_max)], summed term by term over the cube once.
 
-    Each shell is enumerated term by term, so the total work for the whole
-    prefix equals one direct triple sum of size n_max^3.
+    For each x1 the (x2, x3) block is split by max(x2, x3) = j into the
+    row x2 = j (x3 <= j) and the column x3 = j (x2 < j); cumulative sums of
+    these shells over x1 and j give every S(k) = sum_{max x <= k}.
     """
     if n_max < 0:
         raise ValueError("n_max must be nonnegative")
     if n_max > S_BRUTE_MAX_N:
         raise ResourceLimitError(f"brute triple sum capped at n <= {S_BRUTE_MAX_N}")
-    L, w = _harmonic_weights(n_max)
-    D = L**3
-    total = 0
-    values = [Fraction(0)]
-    for k in range(1, n_max + 1):
-        total += _s_shell(k, w)
-        values.append(Fraction(total, D))
-    return values
+    if n_max == 0:
+        return [Fraction(0)]
 
+    def coeffs(x1, x2, x3):
+        c = (x1 + x2 + x3) ** 2 + 3 * box_fn(x1 - x2 - x3)
+        return (x3 <= x2) * c, ((x2 < x3) * c).T
 
-def _s_shell(k: int, w: list[int]) -> int:
-    """Numerator contribution of all triples with max(x1,x2,x3) = k."""
-    acc = 0
-    wk = w[k]
-    # x1 = k
-    for x2 in range(1, k + 1):
-        s = k + x2
-        d = k - x2
-        w2 = wk * w[x2]
-        for x3 in range(1, k + 1):
-            acc += ((s + x3) ** 2 + 3 * box_fn(d - x3)) * w2 * w[x3]
-    # x2 = k, x1 < k
-    for x1 in range(1, k):
-        s = x1 + k
-        d = x1 - k
-        w1 = w[x1] * wk
-        for x3 in range(1, k + 1):
-            acc += ((s + x3) ** 2 + 3 * box_fn(d - x3)) * w1 * w[x3]
-    # x3 = k, x1 < k, x2 < k
-    for x1 in range(1, k):
-        for x2 in range(1, k):
-            acc += ((x1 + x2 + k) ** 2 + 3 * box_fn(x1 - x2 - k)) * w[x1] * w[x2] * wk
-    return acc
+    def combine(R):
+        shells = R.sum(axis=1)  # [x1 - 1, max(x2, x3) - 1]: below 2p
+        k = np.arange(n_max)
+        return np.cumsum(np.cumsum(shells, axis=0), axis=1)[k, k]
+
+    # |c| <= (3n)^2 + 3 (2n)^2
+    return [Fraction(0)] + _brute_sums(n_max, 3, 21 * n_max**2, coeffs, combine)
 
 
 def S_brute(n: int) -> Fraction:
@@ -206,23 +235,11 @@ def _s_parts_closed(n: int) -> tuple[Fraction, Fraction, Fraction]:
 
 
 def _s_parts_brute(n: int) -> tuple[Fraction, Fraction, Fraction]:
-    L, w = _harmonic_weights(n)
-    D = L**3
-    acc1 = acc3 = 0
-    for x1 in range(1, n + 1):
-        for x2 in range(1, n + 1):
-            w12 = w[x1] * w[x2]
-            for x3 in range(1, n + 1):
-                w123 = w12 * w[x3]
-                acc1 += (x1 + x2 + x3) ** 2 * w123
-                acc3 += (x1 - x2 - x3) ** 2 * w123
-    acc2 = 0
-    for x1 in range(1, n + 1):
-        for x2 in range(1, x1):
-            w12 = w[x1] * w[x2]
-            for x3 in range(1, x1 - x2 + 1):
-                acc2 += (x1 - x2 - x3) ** 2 * w12 * w[x3]
-    return Fraction(acc1, D), Fraction(acc2, D), Fraction(acc3, D)
+    def coeffs(x1, x2, x3):
+        d = x1 - x2 - x3
+        return (x1 + x2 + x3) ** 2, (d >= 0) * d * d, d * d
+
+    return tuple(_brute_sums(n, 3, 9 * n * n, coeffs))
 
 
 def s_parts(n: int, mode: str) -> tuple[Fraction, Fraction, Fraction]:
@@ -261,29 +278,12 @@ def _tu_closed(n: int) -> tuple[Fraction, ...]:
 
 
 def _tu_brute(n: int) -> tuple[Fraction, ...]:
-    L, w = _harmonic_weights(n)
-    D = L * L
-    a_t1 = a_t2 = a_u0 = a_u1 = a_u2 = 0
-    for x1 in range(1, n + 1):
-        for x2 in range(1, x1 + 1):
-            ww = w[x1] * w[x2]
-            d = x1 - x2
-            a_t1 += d * ww
-            a_t2 += d * d * ww
-    for x in range(1, n + 1):
-        for y in range(1, n - x + 1):
-            ww = w[x] * w[y]
-            s = x + y
-            a_u0 += ww
-            a_u1 += s * ww
-            a_u2 += s * s * ww
-    return (
-        Fraction(a_t1, D),
-        Fraction(a_t2, D),
-        Fraction(a_u0, D),
-        Fraction(a_u1, D),
-        Fraction(a_u2, D),
-    )
+    def coeffs(x1, x2):
+        d, s = x1 - x2, x1 + x2
+        t, u = d >= 0, s <= n
+        return t * d, t * d * d, u * 1, u * s, u * s * s
+
+    return tuple(_brute_sums(n, 2, n * n, coeffs))
 
 
 def tu_sums(n: int, mode: str) -> tuple[Fraction, ...]:

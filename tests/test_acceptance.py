@@ -20,7 +20,11 @@ the four required pairs, so the bound of 3 is not attained; the test
 reports the honest numbers and fails.  M lies below the main term at all
 four pairs (signed -10.88, -3.24, -9.08, -8.07), and the exact prefactor
 (2 floor(Y)+1)^2 in place of 4Y^2 widens the gap (-17.13, -5.04, -13.42,
--11.66), so that replacement does not explain it; the cause is open.
+-11.66), so that replacement does not explain it.  The deviation splits
+exactly into counted parts, M - main = H - E1 - E0 + R (y = 0, y with one
+zero coordinate, half the boundary faces, and a remainder): the README
+("Calibration constants") and ROADMAP direction 1 define the parts and
+give their measured sizes.
 """
 
 import functools

@@ -1,4 +1,5 @@
 import importlib.util
+import itertools
 import math
 import sys
 from concurrent.futures import ThreadPoolExecutor
@@ -8,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conecount import closed_forms
 from conecount.closed_forms import (
     F_closed,
     F_float,
@@ -152,6 +154,65 @@ def test_tu_brute_equals_closed(n):
     assert tu_sums(n, "brute") == tu_sums(n, "closed")
 
 
+def _literal(n, d, c, keep=lambda *x: True):
+    """sum over x in [1, n]^d with keep(x) of c(x) / (x_1 ... x_d), one Fraction per term."""
+    return sum((Fraction(c(*x), math.prod(x)) for x in itertools.product(range(1, n + 1), repeat=d) if keep(*x)),
+               Fraction(0))
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_brute_sums_equal_term_by_term_fractions(n):
+    assert s_parts(n, "brute") == (
+        _literal(n, 3, lambda a, b, c: (a + b + c) ** 2),
+        _literal(n, 3, lambda a, b, c: (a - b - c) ** 2, lambda a, b, c: b + c <= a),
+        _literal(n, 3, lambda a, b, c: (a - b - c) ** 2),
+    )
+    assert tu_sums(n, "brute") == (
+        _literal(n, 2, lambda a, b: a - b, lambda a, b: b <= a),
+        _literal(n, 2, lambda a, b: (a - b) ** 2, lambda a, b: b <= a),
+        *(_literal(n, 2, lambda a, b, j=j: (a + b) ** j, lambda a, b: a + b <= n) for j in range(3)),
+    )
+    assert s_brute_prefix(n) == [
+        _literal(k, 3, lambda a, b, c: (a + b + c) ** 2 + 3 * (a - b - c) * abs(a - b - c)) for k in range(n + 1)
+    ]
+
+
+def test_brute_sums_at_their_caps():
+    assert s_parts(100, "brute") == s_parts(100, "closed")
+    assert s_brute_prefix(100) == [F_closed(n) for n in range(101)]
+    assert tu_sums(200, "brute") == tu_sums(200, "closed")
+
+
+def test_residue_primes_are_distinct_primes_below_2_31():
+    primes = closed_forms._PRIMES
+    assert len(set(primes)) == len(primes)
+    for p in primes:
+        assert 2 < p < 2**31
+        assert all(p % f for f in range(2, math.isqrt(p) + 1)), p
+
+
+def test_residue_primes_cover_both_caps():
+    # twice the bound n^d max|c| lcm(1..n)^d on a numerator, at each cap with
+    # the largest coefficient bound its callers use: (3n)^2 + 3 (2n)^2 for the
+    # triple sums, n^2 for the double sums
+    for n, d, cmax in ((100, 3, 21 * 100**2), (200, 2, 200**2)):
+        need = 2 * n**d * cmax * math.lcm(*range(1, n + 1)) ** d
+        assert math.prod(closed_forms._PRIMES) > need, (n, d)
+
+
+def _never_called(*grids):
+    raise AssertionError("a guard must refuse before any block is built")
+
+
+def test_residue_guards_refuse_before_any_work():
+    # lcm(1..200)^3 alone has 893 bits; the 24 primes give 744
+    with pytest.raises(OverflowError, match="primes"):
+        closed_forms._brute_sums(200, 3, 1, _never_called)
+    # a coefficient bound of 2^40 lets one matmul sum of residues pass 2^63
+    with pytest.raises(OverflowError, match="int64"):
+        closed_forms._brute_sums(2, 2, 2**40, _never_called)
+
+
 def test_mode_validation():
     with pytest.raises(ValueError):
         s_parts(3, "fast")
@@ -159,6 +220,8 @@ def test_mode_validation():
         tu_sums(3, "fast")
     with pytest.raises(ResourceLimitError):
         tu_sums(201, "brute")
+    with pytest.raises(ResourceLimitError):
+        s_parts(101, "brute")
 
 
 def test_g_bound_on_log_grid(suite_rows):
