@@ -122,14 +122,15 @@ def main_term_thm1(X: float, Y: float) -> float:
     For integer X, math.floor(X / q) equals X // q whenever X + q < 2^53,
     far beyond the sieve cap on X.  floor(X/q) takes fewer than 2 sqrt(X)
     distinct values, so the exact F is evaluated once per value, not once
-    per q; each term and the fsum over q are as before.
+    per q, in ascending order, so that each value's harmonic sums extend the
+    last ones by a short split; each term and the fsum over q are as before.
     """
     if X < 1.5:
         raise ValueError("the expansion needs X >= 3/2")
     top = math.floor(X)
     phi = arith_table(top).phi
     ns = [math.floor(X / q) for q in range(1, top + 1)]
-    F = {n: float(F_closed(n)) for n in set(ns)}
+    F = {n: float(F_closed(n)) for n in sorted(set(ns))}
     terms = [int(phi[q]) / q * F[n] for q, n in enumerate(ns, 1)]
     return 4.0 * Y * Y * math.fsum(terms)
 

@@ -27,6 +27,7 @@ remainder theorem, behind guards that refuse any sum that could overflow.
 
 from __future__ import annotations
 
+import bisect
 import math
 import threading
 from fractions import Fraction
@@ -39,20 +40,34 @@ from .errors import ResourceLimitError
 # take ~50 ms each and tu_sums(200) ~10 ms on one core of an x86-64 host.
 S_BRUTE_MAX_N = 100
 TU_BRUTE_MAX_N = 200
-# Cap on the exact harmonic tables: A(j) and B(j) take ~1.1 j bytes together,
-# so the table up to n holds ~0.54 n^2 bytes (54 MB at the cap).
+# Cap on the exact harmonic sums: A(n) and B(n) take ~1.1 n bytes together,
+# and a cold F_closed(10**4) splits (0, 10**4] in ~0.09 s with a traced
+# peak of 0.25 MB (2-core x86-64 host).
 HARMONIC_EXACT_MAX_N = 10**4
 
 #: Modes accepted by s_parts / tu_sums.
 MODES = ("brute", "closed")
 
 
-# Exact cumulative tables: _EXACT_A[n] = A(n), _EXACT_B[n] = B(n).  They are
-# extended iteratively (no recursion depth to run out of) under a lock, since
-# suites evaluate closed forms from several threads.
-_EXACT_A = [Fraction(0)]
-_EXACT_B = [Fraction(0)]
+# Exact harmonic sums at the n callers asked for: _EXACT[n] = (A(n), B(n)),
+# _EXACT_KEYS the sorted keys.  A new n extends the largest cached m <= n by
+# one binary split of (m, n] (Haible & Papanikolaou 1998), so no entry for
+# each j <= n is kept and the recursion is log2(n - m) frames deep.  Both are
+# read and extended under a lock, since suites evaluate closed forms from
+# several threads.
+_EXACT = {0: (Fraction(0), Fraction(0))}
+_EXACT_KEYS = [0]
 _EXACT_LOCK = threading.Lock()
+
+
+def _split(lo: int, hi: int, e: int) -> tuple[int, int]:
+    """sum_{lo < j <= hi} 1/j^e as an unreduced (numerator, denominator) pair."""
+    if hi - lo == 1:
+        return 1, hi**e
+    mid = (lo + hi) // 2
+    p1, q1 = _split(lo, mid, e)
+    p2, q2 = _split(mid, hi, e)
+    return p1 * q2 + p2 * q1, q1 * q2
 
 
 def _harmonic_exact(n: int) -> tuple[Fraction, Fraction]:
@@ -61,16 +76,20 @@ def _harmonic_exact(n: int) -> tuple[Fraction, Fraction]:
     if n > HARMONIC_EXACT_MAX_N:
         raise ResourceLimitError(f"exact harmonic sums capped at n <= {HARMONIC_EXACT_MAX_N}")
     with _EXACT_LOCK:
-        for j in range(len(_EXACT_A), n + 1):
-            _EXACT_A.append(_EXACT_A[-1] + Fraction(1, j))
-            _EXACT_B.append(_EXACT_B[-1] + Fraction(1, j * j))
-        return _EXACT_A[n], _EXACT_B[n]
+        if n not in _EXACT:
+            m = _EXACT_KEYS[bisect.bisect(_EXACT_KEYS, n) - 1]
+            A, B = _EXACT[m]
+            _EXACT[n] = (A + Fraction(*_split(m, n, 1)), B + Fraction(*_split(m, n, 2)))
+            bisect.insort(_EXACT_KEYS, n)
+        return _EXACT[n]
 
 
-def _clear_exact_tables() -> None:
-    """Drop the exact tables back to A(0), B(0), freeing their memory."""
+def _clear_exact_cache() -> None:
+    """Drop every cached sum but A(0), B(0), freeing their memory."""
     with _EXACT_LOCK:
-        del _EXACT_A[1:], _EXACT_B[1:]
+        _EXACT.clear()
+        _EXACT[0] = (Fraction(0), Fraction(0))
+        del _EXACT_KEYS[1:]
 
 
 def harmonic_A(n: int) -> Fraction:
@@ -83,9 +102,9 @@ def harmonic_B(n: int) -> Fraction:
     return _harmonic_exact(n)[1]
 
 
-# For callers that reset the tables between timed calls: both functions read
-# one table, so clearing either clears both.
-harmonic_A.cache_clear = harmonic_B.cache_clear = _clear_exact_tables
+# For callers that reset the cache between timed calls: both functions read
+# one cache, so clearing either clears both.
+harmonic_A.cache_clear = harmonic_B.cache_clear = _clear_exact_cache
 
 
 def F_closed(n: int) -> Fraction:
@@ -101,32 +120,43 @@ def F_closed(n: int) -> Fraction:
 _FLOAT_TABLE = np.zeros((2, 1))
 
 
-def _harmonic_float(n: int) -> tuple[float, float]:
-    """(A(n), B(n)) in floating point, from the cached cumulative-sum table."""
+def _float_table(top: int) -> np.ndarray:
+    """The cached cumulative-sum table, grown to hold column ``top``."""
     global _FLOAT_TABLE
     table = _FLOAT_TABLE
-    if n >= table.shape[1]:
-        j = np.arange(1, max(2 * table.shape[1], n + 1, 1024), dtype=float)
+    if top >= table.shape[1]:
+        j = np.arange(1, max(2 * table.shape[1], top + 1, 1024), dtype=float)
         table = np.zeros((2, j.size + 1))
         np.cumsum(1.0 / j, out=table[0, 1:])
         np.cumsum(1.0 / (j * j), out=table[1, 1:])
         _FLOAT_TABLE = table
-    return float(table[0, n]), float(table[1, n])
+    return table
 
 
-def F_float(n: int) -> float:
-    """F(n) in floating point (for large n, where exact rationals are overkill)."""
-    if n < 0:
+def F_float(n):
+    """F(n) in floating point (for large n, where exact rationals are overkill).
+
+    ``n`` is an int, or an int array evaluated elementwise by the same
+    operations in the same order, so each entry has the scalar call's bits.
+    """
+    array = isinstance(n, np.ndarray)
+    if (n.min(initial=0) if array else n) < 0:
         raise ValueError("n must be a nonnegative integer")
-    A, B = _harmonic_float(n)
+    AB = _float_table(int(n.max(initial=0)) if array else n)[:, n]
+    A, B = AB if array else AB.tolist()
     return (16.5 - 3.0 * B) * n * n - (10.5 + 3.0 * B) * n + 6.0 * A
 
 
-def G_value(t: float) -> float:
-    """G(t) = F(floor(t)) - (33 - pi^2)/2 * t^2 for t > 0 (floating point)."""
-    if t <= 0:
+def G_value(t):
+    """G(t) = F(floor(t)) - (33 - pi^2)/2 * t^2 for t > 0 (floating point).
+
+    ``t`` is a float, or a float array evaluated elementwise as ``F_float`` is.
+    """
+    array = isinstance(t, np.ndarray)
+    if (t.min(initial=1.0) if array else t) <= 0:
         raise ValueError("t must be positive")
-    return F_float(math.floor(t)) - (33.0 - math.pi**2) / 2.0 * t * t
+    n = np.floor(t).astype(np.int64) if array else math.floor(t)
+    return F_float(n) - (33.0 - math.pi**2) / 2.0 * t * t
 
 
 def box_fn(v):
@@ -143,15 +173,21 @@ _PRIMES = (
 )
 
 
+# Rows of x1 in one (x1, x2) block of a d = 2 brute sum.  tu_sums(200, "brute")
+# has a traced peak of 3.1 MB in one block of 200 rows, 0.81 MB at 32 rows
+# and 0.43 MB at 16, all in 5-6 ms (best of 9, 2-core x86-64 host).
+_ROWS_2D = 16
+
+
 def _brute_sums(n: int, d: int, cmax: int, coeffs, combine=None) -> list[Fraction]:
     """Literal sums  sum_{x in [1, n]^d} c(x) / (x_1 ... x_d) = N / L^d  (d = 2 or 3), exactly.
 
     N = sum_x c(x) prod_i w(x_i), w(x) = L // x, L = lcm(1..n), is summed term
     by term in int64 modulo a prefix of _PRIMES and rebuilt by the Chinese
     remainder theorem in the symmetric range.  ``coeffs(x1, x2, x3)`` (x1 an
-    int, x2 a column, x3 a row over 1..n) or ``coeffs(x1, x2)`` (x1 a column,
-    x2 a row) gives the coefficients of m sums on one block; the caller
-    proves |c| <= cmax.  An int64 matmul against the residues of w sums the
+    int, x2 a column, x3 a row over 1..n) or ``coeffs(x1, x2)`` (x1 a column
+    of up to _ROWS_2D values, x2 a row over 1..n) gives the coefficients of
+    m sums on one block; the caller proves |c| <= cmax.  An int64 matmul against the residues of w sums the
     last coordinate; each product of two residues is reduced before anything
     sums it.  ``combine(R)``, given R[block, i, row, prime] (sum i with the
     block's x1 and the row fixed), sums it into the residues to rebuild;
@@ -172,12 +208,16 @@ def _brute_sums(n: int, d: int, cmax: int, coeffs, combine=None) -> list[Fractio
     P = np.array(primes, dtype=np.int64)
     W = np.array([[L // x % p for p in primes] for x in range(1, n + 1)], dtype=np.int64)
     X = np.arange(1, n + 1, dtype=np.int64)
-    # one (x2, x3) block per x1, weighted by w(x1), or one (x1, x2) block when d = 2
-    blocks = [(W[x - 1], (x, X[:, None], X)) for x in range(1, n + 1)] if d == 3 else [(1, (X[:, None], X))]
+    # one (x2, x3) block per x1, weighted by w(x1) and w(x2), or, when d = 2,
+    # (x1, x2) blocks of _ROWS_2D rows of x1, weighted by w(x1)
+    if d == 3:
+        blocks = [(W[x - 1], W, (x, X[:, None], X)) for x in range(1, n + 1)]
+    else:
+        blocks = [(1, W[i:i + _ROWS_2D], (X[i:i + _ROWS_2D, None], X)) for i in range(0, n, _ROWS_2D)]
     R = []
-    for w1, grids in blocks:
+    for w1, w_rows, grids in blocks:
         C = np.stack(coeffs(*grids))
-        r = (C @ W % P) * W % P * w1 % P
+        r = (C @ W % P) * w_rows % P * w1 % P
         R.append(r if combine else r.sum(axis=1))
     R = np.stack(R)
     residues = (combine(R) if combine else R.sum(axis=0)) % P

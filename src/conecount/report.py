@@ -214,7 +214,7 @@ def _suite_identities(cfg: RunConfig) -> list[Check]:
             [np.logspace(-6, 4, 2000), np.arange(1, 10001) - 1e-9, np.arange(1, 10001) + 1e-9]
         )
         ts = ts[(ts > 0) & (ts <= 1e4)]
-        return max(abs(closed_forms.G_value(float(t))) / min(t, t * t) for t in ts)
+        return np.max(np.abs(closed_forms.G_value(ts)) / np.minimum(ts, ts * ts))
 
     checks.append(
         bound_check("g_bound/log_grid", "t in (0, 1e4]", g_ratio, cfg.calibration.g_bound_constant)

@@ -1,4 +1,5 @@
 import functools
+import tracemalloc
 
 import pytest
 
@@ -14,3 +15,19 @@ def suite_rows():
         return {r.check_id: r for r in run_suite(suite).records}
 
     return rows
+
+
+@pytest.fixture(scope="session")
+def traced_peak():
+    """fn -> the peak memory, in MB, that tracemalloc traces while fn() runs."""
+
+    def peak(fn) -> float:
+        tracemalloc.start()
+        tracemalloc.reset_peak()
+        try:
+            fn()
+            return tracemalloc.get_traced_memory()[1] / 2**20
+        finally:
+            tracemalloc.stop()
+
+    return peak

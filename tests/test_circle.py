@@ -192,6 +192,18 @@ def test_minor_arc_scan_sample_past_every_interval(monkeypatch):
     assert scan.max_abs_f == abs(circle.f_eval(end, 40, 40))
 
 
+def test_minor_arc_scan_traced_peak(traced_peak):
+    # 34.9 MB with the 2000 x 400 kernel grid in one block, 4.2 MB in blocks
+    # of 2^14 elements (most of it the dissection's 12,232 arcs and their intervals)
+    assert traced_peak(lambda: circle.minor_arc_scan(400, 400, 2000, report.RunConfig().seed)) < 10.0
+
+
+def test_j_quadrature_traced_peak(traced_peak):
+    # 10,050 panels at orders 36 and 37: 24.9 MB with a level in one
+    # integrand call, 2.6 MB (cold) in blocks of about 8,192 points
+    assert traced_peak(lambda: circle.j_quadrature(1, 10, 100)) < 8.0
+
+
 def test_minor_arc_scan_ratio(suite_rows):
     assert suite_rows("circle")["minor_arcs/ratio"].status == "pass"
 

@@ -1,10 +1,12 @@
 import importlib.util
 import itertools
 import math
+import random
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -53,17 +55,75 @@ def test_f_float_tracks_exact():
 
 
 def test_f_closed_cold_at_large_n():
-    # the exact harmonic tables fill iteratively, so a cold call far past the
-    # interpreter's recursion limit returns
+    # a cold call at the cap splits (0, 10**4] once and keeps only A and B
+    # at 10**4, ~11 kB of rationals
     harmonic_A.cache_clear()
     harmonic_B.cache_clear()
     try:
         exact = float(F_closed(10**4))
         assert abs(F_float(10**4) - exact) <= 1e-12 * abs(exact)
     finally:
-        harmonic_A.cache_clear()  # the exact table up to 1e4 holds ~50 MB of rationals
+        harmonic_A.cache_clear()
     with pytest.raises(ResourceLimitError):
         F_closed(10**4 + 1)
+
+
+def _frame_depth() -> int:
+    frame, depth = sys._getframe(), 0
+    while frame is not None:
+        frame, depth = frame.f_back, depth + 1
+    return depth
+
+
+def test_f_closed_cold_within_shallow_recursion():
+    # the binary split recurses log2(10**4) ~ 14 frames deep, so a cold call
+    # at the cap returns with 50 frames to spare (a sum recursing once per
+    # integer once raised RecursionError far below the cap)
+    harmonic_A.cache_clear()
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(_frame_depth() + 50)
+    try:
+        value = F_closed(10**4)
+    finally:
+        sys.setrecursionlimit(limit)
+        harmonic_A.cache_clear()
+    assert value == F_closed(10**4)
+
+
+def test_harmonic_sums_equal_sequential_fraction_sums():
+    # A and B summed term by term up to 10**4, kept for every n <= 300; the
+    # n <= 300 are asked for in random order, so each split starts from
+    # whichever smaller n happens to be cached
+    A = B = Fraction(0)
+    sums = [(A, B)]
+    for j in range(1, 10**4 + 1):
+        A, B = A + Fraction(1, j), B + Fraction(1, j * j)
+        if j <= 300:
+            sums.append((A, B))
+    order = list(range(301))
+    random.Random(15).shuffle(order)
+    harmonic_A.cache_clear()
+    try:
+        for n in order:
+            assert (harmonic_A(n), harmonic_B(n)) == sums[n], n
+        assert (harmonic_A(10**4), harmonic_B(10**4)) == (A, B)
+    finally:
+        harmonic_A.cache_clear()
+
+
+def test_f_closed_cold_traced_peak(traced_peak):
+    # 57.2 MB when a table kept A(j), B(j) for every j <= n; 0.25 MB with
+    # one binary split of (0, 10**4]
+    harmonic_A.cache_clear()
+    try:
+        assert traced_peak(lambda: F_closed(10**4)) < 4.0
+    finally:
+        harmonic_A.cache_clear()
+
+
+def test_tu_sums_brute_traced_peak(traced_peak):
+    # 3.1 MB in one (x1, x2) block of 200 rows, 0.43 MB in blocks of 16 rows
+    assert traced_peak(lambda: tu_sums(200, "brute")) < 1.5
 
 
 def test_exact_table_grows_correctly_under_concurrent_requests():
@@ -111,6 +171,17 @@ def test_g_values():
     assert G_value(1e-7) == pytest.approx(0.0, abs=1e-12)  # t -> 0+ limit
     with pytest.raises(ValueError):
         G_value(0.0)
+
+
+def test_float_forms_on_arrays_match_scalar_calls_bit_for_bit():
+    ts = np.concatenate([np.logspace(-6, 4, 500), np.arange(1, 3001) - 1e-9, np.arange(1, 3001) + 1e-9])
+    assert G_value(ts).tolist() == [G_value(float(t)) for t in ts]
+    ns = np.arange(0, 20000, 7)
+    assert F_float(ns).tolist() == [F_float(int(n)) for n in ns]
+    with pytest.raises(ValueError):
+        G_value(np.array([1.0, 0.0]))
+    with pytest.raises(ValueError):
+        F_float(np.array([3, -1]))
 
 
 def test_s_brute_small():

@@ -215,6 +215,29 @@ def test_integrate_panels_bisects_a_narrow_bump():
     assert len(calls) > 2 * 2  # one integrand call per rule and level
 
 
+def _panel_values(monkeypatch, block_points):
+    """The accepted panel values of a 600-panel triple-sine integral at
+    orders 8 and 9 (under 5,500 points a rule, so one BLAS thread either
+    way) with the integrand called on blocks of ``block_points``."""
+    accepted = []
+    fsum = math.fsum
+    monkeypatch.setattr(integrals, "_BLOCK_POINTS", block_points)
+    monkeypatch.setattr(math, "fsum", lambda v: accepted.append(list(v)) or fsum(v))
+    integrate_panels(lambda t: np.sin(1.3 * t) * np.sin(2.1 * t) * np.sin(0.7 * t) / t**3,
+                     np.linspace(1e-3, 400.0, 601), integrals.QUAD_TOLERANCE, order=integrals.panel_order(2))
+    monkeypatch.undo()
+    return accepted[0]
+
+
+@pytest.mark.parametrize("block_points", [1, 1100])
+def test_integrate_panels_blocks_keep_the_bits(monkeypatch, block_points):
+    # one block per level (10**6) and blocks of 64 panels (block_points 1)
+    # or of 128 and 64 (1100), the last block of a level taking the rest,
+    # give every panel the same bits; blocks of one panel, or of 137 and
+    # 122 panels, did not
+    assert _panel_values(monkeypatch, block_points) == _panel_values(monkeypatch, 10**6)
+
+
 def test_j_closed_values():
     assert j_closed(1, 2, 2) == 787.5
     assert j_closed(2, 2, 2) == 150.0
