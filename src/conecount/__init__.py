@@ -16,14 +16,12 @@ from .asymptotics import (
     deviation_thm1,
     fit_theorem2,
     height_zeta_truncated,
-    main_term_simple,
     main_term_thm1,
     singular_series_partial,
     zeta3_value,
 )
 from .calibration import Calibration, default_calibration, load_calibration
 from .circle import (
-    ArcDissection,
     dissect,
     f_eval,
     f_star_eval,

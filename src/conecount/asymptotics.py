@@ -135,12 +135,6 @@ def main_term_thm1(X: float, Y: float) -> float:
     return 4.0 * Y * Y * math.fsum(terms)
 
 
-def main_term_simple(X: float, Y: float) -> float:
-    """The smoothed leading term C0 (X Y)^2."""
-    k = constants()
-    return k.C0 * (X * Y) ** 2
-
-
 def _log_scale(x: float) -> float:
     return max(math.log(x), 1.0)
 

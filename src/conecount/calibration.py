@@ -3,8 +3,9 @@
 Every number here is an artifact constant obtained by measuring the
 implemented quantities at desk scale; none of them is a theoretical
 claim (the theory gives only O(.) statements for these error terms).
-They ship as ``data/calibration.json`` and can be overridden from a JSON
-file of the same shape (e.g. via the CLI ``--calibration`` flag).
+The defaults are the ``Calibration`` field defaults below; a JSON file
+with any subset of the fields overrides them (e.g. via the CLI
+``--calibration`` flag).
 """
 
 from __future__ import annotations
@@ -12,7 +13,6 @@ from __future__ import annotations
 import dataclasses
 import json
 from dataclasses import dataclass
-from importlib import resources
 
 
 @dataclass(frozen=True)
@@ -50,9 +50,8 @@ class Calibration:
 
 
 def default_calibration() -> Calibration:
-    """The packaged calibration block."""
-    with resources.files("conecount").joinpath("data/calibration.json").open() as fh:
-        return load_calibration_dict(json.load(fh))
+    """The packaged calibration block: the field defaults."""
+    return Calibration()
 
 
 def load_calibration(path: str) -> Calibration:

@@ -26,7 +26,9 @@ complex sum as written, whose imaginary part is rounding.
 The dissection places, for Q = sqrt(X Y)/2, an arc of half-width
 Q/(q X Y) around every fraction a/q with 1 <= a <= q <= Q, gcd(a, q) = 1,
 inside the window [Q/(XY), 1 + Q/(XY)]; the arcs are pairwise disjoint
-and the minor arcs are the complement.
+and the minor arcs are the complement.  ``dissect`` holds the arcs as
+arrays (q, a, centre, half-width) sorted by a/q, and ``minor_intervals``
+gives the complement as arrays of interval starts and ends.
 
 Near-integer arguments of the Dirichlet kernel switch to a second-order
 Taylor branch when |sin(pi theta)| < 1e-8, preventing catastrophic
@@ -38,7 +40,6 @@ from __future__ import annotations
 import cmath
 import math
 import random
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -153,60 +154,49 @@ def v_q_eval(gamma: float, q: int, X: float, Y: float) -> float:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Arc:
-    q: int
-    a: int
-    center: float
-    half_width: float
+class Dissection(NamedTuple):
+    """Major arcs around a/q for q <= Q = sqrt(XY)/2, sorted by centre: arc i
+    has centre a[i]/q[i] and half-width delta/q[i], delta = Q/(XY)."""
 
-
-@dataclass(frozen=True)
-class ArcDissection:
-    """Major arcs around a/q for q <= Q = sqrt(XY)/2, inside the unit window."""
-
-    X: float
-    Y: float
     Q: float
-    arcs: tuple[Arc, ...]
-    window: tuple[float, float]
-
-    def minor_intervals(self) -> list[tuple[float, float]]:
-        """The complement of the arcs inside the window, as sorted intervals."""
-        lo, hi = self.window
-        out = []
-        cur = lo
-        for arc in self.arcs:
-            a0 = arc.center - arc.half_width
-            a1 = arc.center + arc.half_width
-            if a0 > cur:
-                out.append((cur, a0))
-            cur = max(cur, a1)
-        if cur < hi:
-            out.append((cur, hi))
-        return out
+    delta: float
+    q: np.ndarray
+    a: np.ndarray
+    center: np.ndarray
+    half_width: np.ndarray
 
 
-def dissect(X: float, Y: float) -> ArcDissection:
-    """Build the complete arc list (sorted by center, verified disjoint)."""
+def dissect(X: float, Y: float) -> Dissection:
+    """Every coprime a/q, 1 <= a <= q <= Q, with its arc, as arrays sorted by
+    a/q, verified pairwise disjoint and inside the window [delta, 1 + delta]."""
     if X * Y < 4:
         raise ValueError("dissection needs X*Y >= 4 so that Q >= 1")
     Q = 0.5 * math.sqrt(X * Y)
     delta = Q / (X * Y)
-    arcs = []
-    for q in range(1, math.floor(Q) + 1):
-        for a in range(1, q + 1):
-            if math.gcd(a, q) == 1:
-                arcs.append(Arc(q=q, a=a, center=a / q, half_width=delta / q))
-    arcs.sort(key=lambda arc: arc.center)
-    for left, right in zip(arcs, arcs[1:]):
-        if left.center + left.half_width >= right.center - right.half_width:
-            raise AssertionError("major arcs overlap")
-    window = (delta, 1.0 + delta)
-    for arc in arcs:
-        if arc.center - arc.half_width < window[0] - 1e-15 or arc.center + arc.half_width > window[1] + 1e-15:
-            raise AssertionError("arc leaves the unit window")
-    return ArcDissection(X=X, Y=Y, Q=Q, arcs=tuple(arcs), window=window)
+    q, a = (i + 1 for i in np.tril_indices(math.floor(Q)))  # 1 <= a <= q <= Q, q-major
+    coprime = np.gcd(a, q) == 1
+    q, a = q[coprime], a[coprime]
+    center = a / q
+    order = np.argsort(center, kind="stable")
+    q, a, center = q[order], a[order], center[order]
+    half_width = delta / q
+    left, right = center - half_width, center + half_width
+    if np.any(right[:-1] >= left[1:]):
+        raise AssertionError("major arcs overlap")
+    if np.any(left < delta - 1e-15) or np.any(right > 1.0 + delta + 1e-15):
+        raise AssertionError("arc leaves the unit window")
+    return Dissection(Q=Q, delta=delta, q=q, a=a, center=center, half_width=half_width)
+
+
+def minor_intervals(d: Dissection) -> tuple[np.ndarray, np.ndarray]:
+    """The complement of the arcs inside the window, as (starts, ends) in
+    ascending order: each gap runs from one arc's right end (or the window's
+    left end) to the next arc's left end (or the window's right end), and
+    the empty gaps are dropped."""
+    starts = np.concatenate(([d.delta], d.center + d.half_width))
+    ends = np.concatenate((d.center - d.half_width, [1.0 + d.delta]))
+    keep = ends > starts
+    return starts[keep], ends[keep]
 
 
 # ---------------------------------------------------------------------------
@@ -303,9 +293,10 @@ class MinorArcScan(NamedTuple):
 
 
 # kernel elements (samples times floor(X)) in one block of the minor-arc
-# scan.  minor_arc_scan(400, 400, 2000, 1) has a traced peak of 34.9 MB in
-# one block, 6.1 MB at 2^16 and 4.1 MB at 2^14, most of it the 12,232 arcs
-# and their intervals.  At X = 30, 99 and 400, 2^14 was as fast as any size
+# scan.  minor_arc_scan(400, 400, 2000, 1) has a traced peak of 32.3 MB in
+# one block, 3.5 MB at 2^16 and 1.6 MB at 2^14; at 2^14 about half of it is
+# the 12,232 interval starts and lengths that the sample walk reads as
+# Python floats.  At X = 30, 99 and 400, 2^14 was as fast as any size
 # tried from 2^12 to one block (best of 4-30 CPU times, 2-core x86-64 host).
 _SCAN_BLOCK = 2**14
 
@@ -318,18 +309,22 @@ def minor_arc_scan(X: float, Y: float, n_samples: int, seed: int) -> MinorArcSca
     elements, keeping a running max of |f|, so memory stays at one block's
     temporaries whatever n_samples and X.
     """
+    if Y <= 1:
+        raise ValueError("the minor-arc scale (XY/Q) log Y needs Y > 1")
+    if n_samples < 1:
+        raise ValueError("the minor-arc scan needs n_samples >= 1")
     diss = dissect(X, Y)
-    intervals = diss.minor_intervals()
-    lengths = [b - a for a, b in intervals]
-    total = sum(lengths)
+    starts, ends = minor_intervals(diss)
+    lengths = (ends - starts).tolist()
+    total = sum(lengths)  # left to right, as the one-sample walk subtracts
     rng = random.Random(seed)
     u = np.array([rng.random() * total for _ in range(n_samples)])
     # all samples walk the intervals together, each through the same float
     # subtractions as a one-sample scan; a remainder that rounding carries
     # past every interval takes the last interval's right end
-    alphas = np.full(n_samples, intervals[-1][1])
+    alphas = np.full(n_samples, ends[-1])
     open_ = np.ones(n_samples, dtype=bool)
-    for (a, _), ln in zip(intervals, lengths):
+    for a, ln in zip(starts.tolist(), lengths):
         hit = open_ & (u <= ln)
         alphas[hit] = a + u[hit]
         open_ &= ~hit

@@ -414,8 +414,8 @@ def _suite_circle(cfg: RunConfig) -> list[Check]:
         bound_check("decomposition/restored_row", "major-arc samples, X,Y<=8",
                     _decomposition_slack, 0.0),
         exact_check("arcs/example_4x4", "X=Y=4", ((1, 0.125), (2, 0.0625)),
-                    lambda: tuple(sorted((a.q, a.half_width) for a in circle.dissect(4, 4).arcs))),
-        exact_check("arcs/count_10x10", "X=Y=10", 10, lambda: len(circle.dissect(10, 10).arcs)),
+                    lambda: tuple(sorted((q, half_width) for q, _, half_width in _major_arcs(4, 4)))),
+        exact_check("arcs/count_10x10", "X=Y=10", 10, lambda: len(circle.dissect(10, 10).q)),
         true_check("arcs/disjoint_30x30", "X=Y=30", lambda: circle.dissect(30, 30) is not None),
         exact_check("l2/example_1x1", "X=Y=1", 8, lambda: circle.l2_via_r(1, 1)),
         true_check("l2/naive_equal", "X,Y<=8",
@@ -474,10 +474,16 @@ def _kernel_worst(fast, oracle, alphas) -> float:
 def _decomposition_slack() -> float:
     """max of |f(a/q + b) - f*_q(b) - g_q(a/q + b)| - (2X + 1) over major-arc samples."""
     return max(
-        abs(circle.f_eval(arc.center + beta, X, Y) - circle.f_star_eval(beta, arc.q, X, Y)
-            - circle.g_q_eval(arc.center + beta, arc.q, X, Y)) - (2 * X + 1)
-        for (X, Y) in [(6, 8), (8, 8)] for arc in circle.dissect(X, Y).arcs
-        for beta in (t * arc.half_width for t in (-0.7, 0.0, 0.9)))
+        abs(circle.f_eval(center + beta, X, Y) - circle.f_star_eval(beta, q, X, Y)
+            - circle.g_q_eval(center + beta, q, X, Y)) - (2 * X + 1)
+        for (X, Y) in [(6, 8), (8, 8)] for q, center, half_width in _major_arcs(X, Y)
+        for beta in (t * half_width for t in (-0.7, 0.0, 0.9)))
+
+
+def _major_arcs(X: float, Y: float):
+    """(q, centre, half-width) of each major arc, in order, as Python numbers."""
+    d = circle.dissect(X, Y)
+    return zip(d.q.tolist(), d.center.tolist(), d.half_width.tolist())
 
 
 # (q, X, Y) of the sampled w_q / v_q sweeps; the decay bound, scaled by log X, leaves out X = 2

@@ -11,7 +11,6 @@ from conecount.asymptotics import (
     fit_theorem2,
     height_zeta_tail_bound,
     height_zeta_truncated,
-    main_term_simple,
     main_term_thm1,
     singular_series_partial,
     singular_series_partials,
@@ -100,13 +99,6 @@ def test_main_term_bit_for_bit_with_one_F_per_quotient(monkeypatch, X):
     monkeypatch.setattr(asymptotics, "F_closed", counted)
     assert float.hex(main_term_thm1(X, X)) == _MAIN_TERM_HEX[X]
     assert len(calls) == len(set(calls)) <= 2 * math.isqrt(X) + 1
-
-
-def test_main_term_simple():
-    k = constants()
-    assert main_term_simple(1, 1) == pytest.approx(k.C0, abs=1e-12)
-    assert main_term_simple(2, 7) == pytest.approx(4 * main_term_simple(1, 7), abs=1e-9)
-    assert main_term_simple(10, 10) == pytest.approx(k.C0 * 1e4, abs=1e-6)
 
 
 def test_deviation_records():

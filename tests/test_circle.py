@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from conecount import circle, report
+from conecount.arith import build_arith_tables
 from conecount.calibration import Calibration
 from conecount.counts import m_fast
 from conecount.integrals import j_closed
@@ -114,11 +115,46 @@ def test_decomposition_restored_row():
     assert report._decomposition_slack() <= 0.0
 
 
+def _dissect_oracle(X, Y):
+    """The dissection as a per-fraction loop: Python sort, pairwise check and
+    complement walk.  Returns Q, the (q, a, centre, half-width) of each arc in
+    order, and the minor intervals as (start, end) pairs."""
+    Q = 0.5 * math.sqrt(X * Y)
+    delta = Q / (X * Y)
+    arcs = [(q, a, a / q, delta / q)
+            for q in range(1, math.floor(Q) + 1) for a in range(1, q + 1) if math.gcd(a, q) == 1]
+    arcs.sort(key=lambda arc: arc[2])
+    for left, right in zip(arcs, arcs[1:]):
+        assert left[2] + left[3] < right[2] - right[3]
+    lo, hi = delta, 1.0 + delta
+    assert all(lo - 1e-15 <= c - h and c + h <= hi + 1e-15 for _, _, c, h in arcs)
+    intervals, cur = [], lo
+    for _, _, c, h in arcs:
+        if c - h > cur:
+            intervals.append((cur, c - h))
+        cur = max(cur, c + h)
+    if cur < hi:
+        intervals.append((cur, hi))
+    return Q, arcs, intervals
+
+
+@pytest.mark.parametrize("X,Y", [(4, 4), (10, 10), (30, 30), (20, 80), (31, 117), (110, 100), (2.5, 1.7), (400, 400)])
+def test_dissect_matches_per_fraction_oracle_bit_for_bit(X, Y):
+    Q, arcs, intervals = _dissect_oracle(X, Y)
+    d = circle.dissect(X, Y)
+    assert d.Q == Q
+    assert list(zip(d.q.tolist(), d.a.tolist(), d.center.tolist(), d.half_width.tolist())) == arcs
+    starts, ends = circle.minor_intervals(d)
+    assert list(zip(starts.tolist(), ends.tolist())) == intervals
+    # one arc per coprime a/q, so sum_{q <= Q} phi(q) of them
+    assert len(d.q) == int(build_arith_tables(math.floor(Q)).phi[1:].sum())
+
+
 def test_dissect_examples():
     d = circle.dissect(4, 4)
     assert d.Q == 2.0
-    assert sorted((a.q, a.a, a.half_width) for a in d.arcs) == [(1, 1, 0.125), (2, 1, 0.0625)]
-    assert len(circle.dissect(10, 10).arcs) == 10  # sum of phi(q), q <= 5
+    assert sorted(zip(d.q.tolist(), d.a.tolist(), d.half_width.tolist())) == [(1, 1, 0.125), (2, 1, 0.0625)]
+    assert len(circle.dissect(10, 10).q) == 10  # sum of phi(q), q <= 5
     circle.dissect(30, 30)  # disjointness asserted inside
     with pytest.raises(ValueError):
         circle.dissect(1, 2)
@@ -126,9 +162,8 @@ def test_dissect_examples():
 
 def test_minor_intervals_cover_complement():
     d = circle.dissect(10, 10)
-    arcs_len = sum(2 * a.half_width for a in d.arcs)
-    minor_len = sum(b - a for a, b in d.minor_intervals())
-    assert arcs_len + minor_len == pytest.approx(1.0, abs=1e-12)
+    starts, ends = circle.minor_intervals(d)
+    assert float(np.sum(2 * d.half_width) + np.sum(ends - starts)) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_l2(suite_rows):
@@ -149,8 +184,7 @@ def test_minor_arc_scan_deterministic():
 
 def _scan_per_sample(X, Y, n_samples, seed):
     """The minor-arc scan as a scalar loop: each sample walks the intervals in turn."""
-    diss = circle.dissect(X, Y)
-    intervals = diss.minor_intervals()
+    Q, _, intervals = _dissect_oracle(X, Y)
     lengths = [b - a for a, b in intervals]
     total = sum(lengths)
     rng = random.Random(seed)
@@ -163,7 +197,7 @@ def _scan_per_sample(X, Y, n_samples, seed):
                 break
             u -= ln
     vals = np.abs(circle.kernel_sum(alphas, np.arange(1, math.floor(X) + 1), math.floor(Y), 1.0))
-    scale = (X * Y / diss.Q) * math.log(Y)
+    scale = (X * Y / Q) * math.log(Y)
     m = float(vals.max())
     return circle.MinorArcScan(
         X=X, Y=Y, n_samples=n_samples, seed=seed, max_abs_f=m, scale=scale, ratio=m / scale
@@ -187,14 +221,30 @@ def test_minor_arc_scan_sample_past_every_interval(monkeypatch):
 
     monkeypatch.setattr(circle.random, "Random", LargestDraw)
     scan = circle.minor_arc_scan(40, 40, 5, 1)
-    end = circle.dissect(40, 40).minor_intervals()[-1][1]
+    end = circle.minor_intervals(circle.dissect(40, 40))[1][-1]
     assert math.isfinite(scan.max_abs_f)
     assert scan.max_abs_f == abs(circle.f_eval(end, 40, 40))
 
 
+@pytest.mark.parametrize("X,Y", [(4, 1), (40, 1), (40, 0.5)])
+def test_minor_arc_scan_rejects_y_at_most_one(X, Y, monkeypatch):
+    # log Y <= 0: the scale would divide by zero or flip the ratio's sign;
+    # the check comes before the dissection is built
+    monkeypatch.setattr(circle, "dissect", None)
+    with pytest.raises(ValueError, match="Y > 1"):
+        circle.minor_arc_scan(X, Y, 10, 1)
+
+
+@pytest.mark.parametrize("n", [0, -3])
+def test_minor_arc_scan_rejects_no_samples(n, monkeypatch):
+    monkeypatch.setattr(circle, "dissect", None)
+    with pytest.raises(ValueError, match="n_samples >= 1"):
+        circle.minor_arc_scan(40, 40, n, 1)
+
+
 def test_minor_arc_scan_traced_peak(traced_peak):
-    # 34.9 MB with the 2000 x 400 kernel grid in one block, 4.2 MB in blocks
-    # of 2^14 elements (most of it the dissection's 12,232 arcs and their intervals)
+    # 32.3 MB with the 2000 x 400 kernel grid in one block, 1.6 MB in blocks
+    # of 2^14 elements (about half of it the walk's 12,232 interval starts and lengths)
     assert traced_peak(lambda: circle.minor_arc_scan(400, 400, 2000, report.RunConfig().seed)) < 10.0
 
 

@@ -6,7 +6,7 @@ import sys
 
 import pytest
 
-from conecount.calibration import Calibration, default_calibration, load_calibration_dict
+from conecount.calibration import Calibration, load_calibration, load_calibration_dict
 from conecount.cli import main
 from conecount.report import (
     CSV_HEADER,
@@ -20,8 +20,9 @@ from conecount.report import (
 
 
 def test_calibration_roundtrip(tmp_path):
-    cal = default_calibration()
-    assert cal == Calibration()  # packaged defaults match the dataclass defaults
+    path = tmp_path / "cal.json"
+    path.write_text(json.dumps(Calibration(thm1_deviation_bound=4.5).as_dict()))
+    assert load_calibration(str(path)) == Calibration(thm1_deviation_bound=4.5)
     with pytest.raises(ValueError):
         load_calibration_dict({"not_a_knob": 1.0})
 
