@@ -38,7 +38,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="comma-separated grid override: XxY items for box-count suites, B values otherwise",
     )
     p.add_argument("--calibration", default=None, help="JSON file overriding the calibration block")
-    p.add_argument("--jobs", type=int, default=1, help="concurrent checks per suite")
     return p
 
 
@@ -50,10 +49,10 @@ def main(argv: list[str] | None = None) -> int:
         print(f"conecount: bad calibration file: {exc}", file=sys.stderr)
         return EXIT_USAGE
     grid = tuple(s.strip() for s in args.grid.split(",") if s.strip()) if args.grid else None
-    config = RunConfig(seed=args.seed, grid=grid, calibration=calibration, jobs=args.jobs)
+    config = RunConfig(seed=args.seed, grid=grid, calibration=calibration)
     try:
         report = run_suite(args.suite, config)
-    except ValueError as exc:  # a malformed --grid item, found before any check runs
+    except ValueError as exc:  # a --grid the suite cannot read, found before any check runs
         print(f"conecount: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -53,8 +53,8 @@ MODES = ("brute", "closed")
 # _EXACT_KEYS the sorted keys.  A new n extends the largest cached m <= n by
 # one binary split of (m, n] (Haible & Papanikolaou 1998), so no entry for
 # each j <= n is kept and the recursion is log2(n - m) frames deep.  Both are
-# read and extended under a lock, since suites evaluate closed forms from
-# several threads.
+# read and extended under a lock, since library callers that share the cache
+# may evaluate closed forms from several threads.
 _EXACT = {0: (Fraction(0), Fraction(0))}
 _EXACT_KEYS = [0]
 _EXACT_LOCK = threading.Lock()

@@ -475,7 +475,7 @@ def height_counts(B: int) -> HeightCounts:
 # ---------------------------------------------------------------------------
 
 PAIR_ORACLE_MAX_B = 10**6  # enumeration cost grows like isqrt(B)^3
-_PAIR_LOCK = threading.Lock()  # oracle checks run side by side at one B share one walk
+_PAIR_LOCK = threading.Lock()  # oracles called from several threads at one B share one walk
 
 
 def _pair_columns(ym: int, mertens: np.ndarray):

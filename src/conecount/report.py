@@ -19,12 +19,10 @@ import io
 import json
 import math
 import random
-import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import partial
+from functools import cache, partial
 from typing import Callable
 
 import numpy as np
@@ -52,7 +50,6 @@ class RunConfig:
     seed: int = 1
     grid: tuple[str, ...] | None = None  # raw --grid items, suite-interpreted
     calibration: Calibration = field(default_factory=Calibration)
-    jobs: int = 1
 
     def _read_grid(self, default: list, read: Callable[[str], object], form: str) -> list:
         """The grid items read one by one, or default; ValueError names a malformed item."""
@@ -62,7 +59,7 @@ class RunConfig:
         for item in self.grid:
             try:
                 out.append(read(item))
-            except (ValueError, OverflowError):
+            except (ValueError, ZeroDivisionError):
                 raise ValueError(f"bad --grid item {item!r}: expected {form}") from None
         return out
 
@@ -70,12 +67,25 @@ class RunConfig:
         return self._read_grid(default, _read_pair, "XxY")
 
     def b_grid(self, default: list[int]) -> list[int]:
-        return self._read_grid(default, lambda item: int(float(item)), "a number B")
+        return self._read_grid(default, _read_b, "an integer B")
 
 
 def _read_pair(item: str) -> tuple[int, int]:
     x, y = item.split("x")  # ValueError unless exactly one x
     return int(x), int(y)
+
+
+def _read_b(item: str) -> int:
+    """B read exactly: 1e5 and integers of any length pass; 16.9, inf and nan raise ValueError."""
+    mantissa, e, exponent = item.lower().partition("e")
+    # Fraction builds 10**exponent before it could fail, and a B of more than
+    # 4300 digits (Python's int-to-text limit) could not label its row anyway
+    if e and len(mantissa) + abs(int(exponent)) > 4300:
+        raise ValueError(item)
+    b = Fraction(item)  # ZeroDivisionError for "1/0"
+    if b.denominator != 1:
+        raise ValueError(item)
+    return b.numerator
 
 
 @dataclass(frozen=True)
@@ -168,25 +178,14 @@ def true_check(check_id: str, inp: str, predicate: Callable[[], bool]) -> Check:
 # ---------------------------------------------------------------------------
 
 
-def _once(fn: Callable[[], object]) -> Callable[[], object]:
-    """fn() computed on the first call and shared by later ones, also across threads."""
-    lock = threading.Lock()
-    value = []
-
-    def get():
-        with lock:
-            if not value:
-                value.append(fn())
-        return value[0]
-
-    return get
-
-
 def _suite_identities(cfg: RunConfig) -> list[Check]:
     checks: list[Check] = []
     # the brute prefix is summed once, by whichever check needs it first, so
-    # its cost lands in the checks' runtime_ms
-    prefix = _once(lambda: closed_forms.s_brute_prefix(60))
+    # its cost lands in that check's runtime_ms
+    @cache
+    def prefix():
+        return closed_forms.s_brute_prefix(60)
+
     for n in range(1, 61):
         checks.append(
             exact_check(f"triple_sum_closed_form/n={n:02d}", f"n={n}", lambda n=n: closed_forms.F_closed(n),
@@ -596,22 +595,25 @@ _SUITES: dict[str, Callable[[RunConfig], list[Check]]] = {
     "hyperbola": _suite_hyperbola,
     "boundary": _suite_boundary,
 }
+_GRID_SUITES = ("thm1", "thm2", "hyperbola")  # the builders that read cfg.grid
 
 
 def run_suite(suite: str, config: RunConfig | None = None) -> VerificationReport:
     """Run one suite (or ``all``); partial failures never abort the rest.
 
-    A malformed grid item raises ValueError before any check runs.
+    A grid item the suite cannot read, or a grid given to a suite that reads
+    none, raises ValueError before any check runs.
     """
     config = config or RunConfig()
     if suite not in SUITE_NAMES:
         raise ValueError(f"unknown suite {suite!r}; choose from {SUITE_NAMES}")
+    if config.grid and suite not in ("all", *_GRID_SUITES):
+        raise ValueError(f"suite {suite!r} reads no --grid, got {config.grid[0]!r}")
     names = [s for s in SUITE_NAMES if s != "all"] if suite == "all" else [suite]
-    jobs = max(1, config.jobs)
     plans = [(name, _SUITES[name](config)) for name in names]
     records: list[CheckRecord] = []
     for name, checks in plans:
-        def execute(check: Check, name=name) -> CheckRecord:
+        for check in checks:
             t0 = time.perf_counter()
             try:
                 expected, actual, tolerance, passed = check.run()
@@ -619,15 +621,9 @@ def run_suite(suite: str, config: RunConfig | None = None) -> VerificationReport
             except Exception as exc:  # one broken check must not sink the suite
                 expected, actual, tolerance, status = "", f"error: {type(exc).__name__}: {exc}", "", "fail"
             ms = (time.perf_counter() - t0) * 1000.0
-            return CheckRecord(suite=name, check_id=check.check_id, input=check.input,
-                               expected=_fmt(expected), actual=_fmt(actual),
-                               tolerance=_fmt(tolerance), status=status, runtime_ms=ms)
-
-        if jobs == 1:
-            records.extend(execute(c) for c in checks)
-        else:
-            with ThreadPoolExecutor(max_workers=jobs) as pool:
-                records.extend(pool.map(execute, checks))
+            records.append(CheckRecord(suite=name, check_id=check.check_id, input=check.input,
+                                       expected=_fmt(expected), actual=_fmt(actual),
+                                       tolerance=_fmt(tolerance), status=status, runtime_ms=ms))
     records.sort(key=lambda r: (r.suite, r.check_id))
     return VerificationReport(
         suite=suite,

@@ -7,14 +7,20 @@ from conecount.report import CheckRecord, run_suite
 
 
 @pytest.fixture(scope="session")
-def suite_rows():
-    """suite name -> {check_id: record} of one default run, computed once per session."""
+def suite_records():
+    """suite name -> the records of one default run, computed once per session."""
 
     @functools.cache
-    def rows(suite: str) -> dict[str, CheckRecord]:
-        return {r.check_id: r for r in run_suite(suite).records}
+    def records(suite: str) -> tuple[CheckRecord, ...]:
+        return run_suite(suite).records
 
-    return rows
+    return records
+
+
+@pytest.fixture(scope="session")
+def suite_rows(suite_records):
+    """suite name -> {check_id: record} of the session's one run of that suite."""
+    return lambda suite: {r.check_id: r for r in suite_records(suite)}
 
 
 @pytest.fixture(scope="session")

@@ -254,8 +254,8 @@ def test_pair_table_matches_literal_loop():
 
 
 def test_pair_oracles_walk_the_shells_once(monkeypatch):
-    # run side by side, as the suites run them at --jobs 2, the three oracles
-    # still share one walk over the shells
+    # run side by side, as library callers sharing the cache may run them, the
+    # three oracles still share one walk over the shells
     B = 1500
     walked = []
     shell = counts._shell

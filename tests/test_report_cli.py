@@ -6,6 +6,7 @@ import sys
 
 import pytest
 
+from conecount import report
 from conecount.calibration import Calibration, load_calibration, load_calibration_dict
 from conecount.cli import main
 from conecount.report import (
@@ -68,14 +69,6 @@ def test_csv_roundtrip_and_determinism():
     assert "\r" not in txt1
 
 
-def test_jobs_stable_order():
-    cfg1 = RunConfig(seed=5, jobs=1)
-    cfg4 = RunConfig(seed=5, jobs=4)
-    ids1 = [r.check_id for r in run_suite("identities", cfg1).records]
-    ids4 = [r.check_id for r in run_suite("identities", cfg4).records]
-    assert ids1 == ids4
-
-
 def test_json_structure():
     rep = run_suite("thm3")
     data = json.loads(to_json_text(rep))
@@ -113,6 +106,14 @@ def test_cli_pair_grid_override():
     ("hyperbola", "abc", "'abc'"),   # hyperbola reads B values
     ("all", "16,10000", "'16'"),     # thm1 and hyperbola read the grid differently
     ("all", "20x100", "'20x100'"),
+    ("counts", "garbage", "'garbage'"),  # counts and identities read no grid at all
+    ("identities", "16,20x20", "'16'"),
+    ("hyperbola", "16,16.9", "'16.9'"),  # B values are read exactly, never through a float
+    ("thm2", "inf", "'inf'"),
+    ("hyperbola", "nan", "'nan'"),
+    ("hyperbola", "1e999999999", "'1e999999999'"),  # refused before 10**999999999 is built
+    ("hyperbola", "12345e4299", "'12345e4299'"),  # too many digits to label its row
+    ("hyperbola", "1/0", "'1/0'"),
 ])
 def test_cli_bad_grid_is_usage_error(tmp_path, capsys, suite, grid, item):
     out = tmp_path / "r.csv"
@@ -120,6 +121,28 @@ def test_cli_bad_grid_is_usage_error(tmp_path, capsys, suite, grid, item):
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and item in err[0]
     assert not out.exists()
+
+
+def test_grid_suites_match_builders():
+    # exactly the builders that read the grid reject a malformed one, so the
+    # list run_suite checks a grid against cannot drift from them
+    bad = RunConfig(grid=("garbage",))
+    raising = set()
+    for name, build in report._SUITES.items():
+        try:
+            build(bad)
+        except ValueError:
+            raising.add(name)
+    assert raising == set(report._GRID_SUITES) == {"thm1", "thm2", "hyperbola"}
+
+
+def test_b_grid_is_read_exactly():
+    assert RunConfig(grid=("1e5", "16", "90071992547409931")).b_grid([]) == [10**5, 16, 90071992547409931]
+    # a 17-digit B above 2**53 keeps every digit in its row (run_suite copies
+    # check_id and input from the check unchanged)
+    checks = report._suite_hyperbola(RunConfig(grid=("90071992547409931",)))
+    row = next(c for c in checks if c.check_id.startswith("sandwich/"))
+    assert (row.check_id, row.input) == ("sandwich/B=90071992547409931", "B=90071992547409931")
 
 
 def test_cli_exit_codes(tmp_path):
@@ -137,6 +160,10 @@ def test_cli_exit_codes(tmp_path):
     # every check runs: there is no work cap to set
     with pytest.raises(SystemExit) as exc:
         main(["--budget", "1e8"])
+    assert exc.value.code == 2
+    # checks run one after another: there is no job count to set
+    with pytest.raises(SystemExit) as exc:
+        main(["--jobs", "2"])
     assert exc.value.code == 2
 
 
