@@ -19,7 +19,11 @@ Quantities (all exact integers):
                  rounding bound after Percival (Math. Comp. 72, 2003),
                  checked before rounding, proves every rounded value
                  exact, and the final int64 dot is checked against
-                 overflow before it runs.
+                 overflow before it runs.  Boxes are counted in batches:
+                 the r-tables of several boxes, zero-padded to one width,
+                 are squared by one 2-D rfft along the rows, under the
+                 rounding bound of the largest row norm (computed exactly
+                 in integers) and one overflow check per row.
   * P(X)      -- all integer solutions with |coordinates| <= X, zeros
                  allowed.
   * M'(B)     -- nonzero-coordinate pairs with |x|^2 |y|^2 <= B, via the
@@ -27,9 +31,11 @@ Quantities (all exact integers):
                  Z = isqrt(B).  The k sharing q = Z//k form one block
                  lo..hi whose shells telescope to M(hi, q) - M(lo-1, q)
                  (the floor-division block trick of Deleglise-Rivat,
-                 Exp. Math. 5, 1996): about 4 sqrt(Z) box counts.
+                 Exp. Math. 5, 1996): about 4 sqrt(Z) box counts, the
+                 uncached ones counted in batches before the sum is read.
   * 4*N0(B)   -- primitive nonzero-coordinate pairs, by Moebius inversion
-                 4 N0(B) = sum_{nm <= sqrt(B)} mu(n) mu(m) M'(B/(nm)^2).
+                 4 N0(B) = sum_{nm <= sqrt(B)} mu(n) mu(m) M'(B/(nm)^2)
+                         = sum_{c <= Z} (mu*mu)(c) M'(Z // c).
   * W1..W4    -- primitive pairs on coordinate hyperplanes with exactly j
                  of the six coordinates zero, via their structural
                  parametrizations in coprime-pair counts (cross-checked
@@ -39,11 +45,14 @@ Quantities (all exact integers):
 
 Every floor-division sum goes through one block walk, ``_blocks``: the runs
 of d on which every n // d is constant.  The shell sums of M' telescope
-over it, and one Moebius sum, ``_moebius(f, *ns) = sum_d mu(d) f(n // d,
-...)``, weighs one f-value per run by a difference of the Mertens sums
-the shared sieve carries.  It serves 4N0 (nested once: (z // n) // m =
-z // (nm)), the coprime-pair counts of W1..W3 and the primitive row of
-the pair oracle.
+over it, and one block sum, ``_block_sum(f, prefix, *ns) = sum_d g(d)
+f(n // d, ...)``, weighs one f-value per run by a difference of the prefix
+sums of g.  With g = mu and the Mertens sums the shared sieve carries it
+is the Moebius sum ``_moebius``, behind the coprime-pair counts of W1..W3;
+the primitive row of the pair oracle walks the same Mertens blocks.  With
+g = mu*mu, whose prefix sums ``_mu_square_prefix`` fills from the sieve's
+mu on first use, it is 4N0: one walk over c, since (z // n) // m =
+z // (nm).
 
 Every fast path has a naive enumeration oracle in this module.  The
 oracles share one kernel that uses no r(n): x runs shell by shell, up to
@@ -55,8 +64,9 @@ are returned as Python ints and verified nonnegative and < 2^63 (an
 OverflowError is raised rather than wrapping).  A failed rounding bound
 raises FloatingPointError; there is no fallback path.
 
-Counting functions are pure; the module-level caches are append-only and
-safe for concurrent readers.
+Counting functions are pure; the module-level caches only grow, except
+the box cache, which is emptied when a batch would take it past
+``_BOXES_MAX`` boxes.
 """
 
 from __future__ import annotations
@@ -253,66 +263,115 @@ def _fft_error_bound(norm2: float, length: int) -> float:
     return norm2 * math.expm1(log_growth)
 
 
-def _square_exact(v: np.ndarray) -> np.ndarray:
-    """The linear self-convolution v*v of an integer vector, exactly, as int64.
+def _max_norm2(rows: np.ndarray) -> int:
+    """max_i ||rows[i]||^2 of an integer array, exactly: one int64 einsum
+    when no row's sum of squares can wrap, Python integers otherwise."""
+    peak = int(np.abs(rows).max(initial=0))
+    if peak * peak * rows.shape[1] < _INT63:
+        return int(np.einsum("ij,ij->i", rows, rows, dtype=np.int64).max(initial=0))
+    return max(sum(x * x for x in row) for row in rows.tolist())
 
-    One float64 rfft of the smallest smooth length >= 2 len(v) - 1, squared
-    in place and inverted, then rounded by np.rint.  Rounding is exact when
-    the error bound is below 1/2; otherwise FloatingPointError is raised
-    before any value is rounded.
+
+def _squares_exact(rows: np.ndarray) -> np.ndarray:
+    """The first n coefficients of the linear self-convolution of each row
+    of an integer (k, n) array, exactly, as an int64 (k, n) array.
+
+    One float64 rfft along the rows at the smallest smooth length
+    >= 2n - 1, squared in place and inverted, then rounded by np.rint.  The
+    rounding bound is taken at the largest exact row norm, which bounds
+    every row; at or above 1/2, FloatingPointError is raised before any
+    value is rounded.
     """
-    size = 2 * v.size - 1
-    length = _smooth_length(size)
-    buf = np.zeros(length)
-    buf[: v.size] = v
-    # Integer squares summed in float64 are exact below 2^53; at or above
-    # it the bound is far beyond 1/2 whatever the rounding of norm2.
-    bound = _fft_error_bound(float(np.dot(buf, buf)), length)
+    n = rows.shape[1]
+    length = _smooth_length(2 * n - 1)
+    bound = _fft_error_bound(_max_norm2(rows), length)
     if bound >= 0.5:
         raise FloatingPointError(f"FFT rounding bound {bound:.3g} >= 1/2: the square would not be exact")
-    spectrum = np.fft.rfft(buf)
-    del buf
+    spectrum = np.fft.rfft(rows, length, axis=1)
     spectrum *= spectrum
-    square = np.fft.irfft(spectrum, length)[:size]
+    square = np.fft.irfft(spectrum, length, axis=1)[:, :n]
     del spectrum
     np.rint(square, out=square)
     return square.astype(np.int64)
 
 
-def _triple_sum(pos: np.ndarray) -> int:
-    """sum_{a, b >= 1, a+b <= N} r(a) r(b) r(a+b) for pos = r(1..N).
+def _triple_sums(rows: np.ndarray, sizes) -> list[int]:
+    """sum_{a, b >= 1, a+b <= N} r(a) r(b) r(a+b) for each row r(1..N) of
+    ``rows``, N = sizes[i], zero-padded to the width of the array.
 
-    Raises OverflowError when the int64 dot could wrap, before running it.
+    Raises OverflowError when the int64 dot of any row could wrap, before
+    any dot runs.
     """
-    conv = _square_exact(pos)[: pos.size - 1]  # conv[i] = sum_{a+b=i+2} r(a) r(b)
-    tail = pos[1:]  # r(c), c = 2..N
-    if conv.size and int(conv.max()) * int(tail.sum()) >= _INT63:
+    n = rows.shape[1]
+    conv = _squares_exact(rows)[:, : n - 1]  # conv[i, j] = sum_{a+b=j+2} r(a) r(b)
+    conv[np.arange(n - 1) >= np.subtract(sizes, 1)[:, None]] = 0  # a + b <= N of the row
+    tails = rows[:, 1:]  # r(c), c = 2..N
+    peaks, totals = conv.max(axis=1, initial=0).tolist(), tails.sum(axis=1).tolist()
+    if any(p * t >= _INT63 for p, t in zip(peaks, totals)):
         raise OverflowError("r-table triple sum could exceed the int64 range")
-    return int(np.dot(conv, tail))
+    return np.einsum("ij,ij->i", conv, tails).tolist()
 
 
-@lru_cache(maxsize=200_000)
-def _m_fast_cached(X: int, Y: int) -> int:
-    r = build_r_table(X, Y).r  # index 0..N, r[0] = 0
-    return _checked(6 * _triple_sum(r[1:]))
+# A batch squares its boxes' r-tables together while its rows times the
+# largest square's size 2XY stay within this many points; a larger box is
+# a batch of one.
+_BATCH_POINTS = 1 << 15
+# M(X, Y) for X <= Y, emptied when a batch would take it past the cap.
+_BOXES: dict[tuple[int, int], int] = {}
+_BOXES_MAX = 200_000
+
+
+def _batches(boxes):
+    """Runs of consecutive boxes, sorted by XY, within _BATCH_POINTS."""
+    batch = []
+    for X, Y in boxes:
+        if batch and (len(batch) + 1) * 2 * X * Y > _BATCH_POINTS:
+            yield batch
+            batch = []
+        batch.append((X, Y))
+    if batch:
+        yield batch
+
+
+def _count_boxes(boxes) -> None:
+    """Count every box (X, Y) of ``boxes`` not cached yet into the cache.
+
+    Boxes with a zero side count nothing and are skipped.  The rest are
+    counted smallest first, in batches whose r-tables are zero-padded rows
+    of one exact square; a batch is cached only when all its counts are
+    known.  A box with XY > M_FAST_MAX_XY is refused before any work.
+    """
+    todo = sorted({(min(b), max(b)) for b in boxes if min(b) > 0}.difference(_BOXES),
+                  key=lambda b: (b[0] * b[1], b))
+    if todo and todo[-1][0] * todo[-1][1] > M_FAST_MAX_XY:
+        raise ResourceLimitError(f"m_fast FFT square capped at X*Y <= {M_FAST_MAX_XY}")
+    for batch in _batches(todo):
+        sizes = [X * Y for X, Y in batch]
+        rows = np.zeros((len(batch), max(sizes)), dtype=np.int32)  # r(n) <= 2 min(X, Y)
+        for row, (X, Y), size in zip(rows, batch, sizes):
+            row[:size] = build_r_table(X, Y).r[1:]
+        counted = [_checked(6 * s) for s in _triple_sums(rows, sizes)]
+        if len(_BOXES) + len(batch) > _BOXES_MAX:
+            _BOXES.clear()
+        _BOXES.update(zip(batch, counted))
 
 
 def m_fast(X, Y) -> int:
     """M(X, Y) via the coefficient identity (one exact FFT square of r).
 
     Real-valued bounds are floored: a box count only sees integer points.
-    Results are memoised; X, Y enter symmetrically.
+    Results are memoised; X, Y enter symmetrically.  A box not yet cached
+    is counted as a batch of one.
     """
     X, Y = math.floor(X), math.floor(Y)
     if X < 0 or Y < 0:
         raise ValueError("box bounds must be nonnegative")
     if X == 0 or Y == 0:
         return 0
-    if X * Y > M_FAST_MAX_XY:
-        raise ResourceLimitError(f"m_fast FFT square capped at X*Y <= {M_FAST_MAX_XY}")
-    if X > Y:
-        X, Y = Y, X  # M is symmetric; normalise the cache key
-    return _m_fast_cached(X, Y)
+    box = (min(X, Y), max(X, Y))  # M is symmetric; normalise the cache key
+    if box not in _BOXES:
+        _count_boxes([box])
+    return _BOXES[box]
 
 
 def box_count(X: int, Y: int) -> BoxCount:
@@ -374,26 +433,60 @@ def _blocks(*ns):
         lo = hi + 1
 
 
-def _moebius(f, *ns) -> int:
-    """sum_{d <= min(ns)} mu(d) f(n1 // d, n2 // d, ...), one term per block.
+def _block_sum(f, prefix: np.ndarray, *ns) -> int:
+    """sum_{d <= min(ns)} g(d) f(n1 // d, n2 // d, ...), one term per block,
+    for the g with prefix sums prefix[m] = g(1) + ... + g(m).
 
     The d of a block share the arguments of f, so the block weighs f by the
-    Mertens difference sum_{lo <= d <= hi} mu(d); blocks of weight 0 skip f.
+    difference prefix[hi] - prefix[lo - 1]; blocks of weight 0 skip f.
     """
-    mertens = arith_table(max(ns)).mertens
     total = 0
     for lo, hi in _blocks(*ns):
-        weight = int(mertens[hi] - mertens[lo - 1])
+        weight = int(prefix[hi] - prefix[lo - 1])
         if weight:
             total += weight * f(*(n // lo for n in ns))
     return total
 
 
+def _moebius(f, *ns) -> int:
+    """sum_{d <= min(ns)} mu(d) f(n1 // d, n2 // d, ...), weighted by the
+    Mertens sums of the shared sieve."""
+    return _block_sum(f, arith_table(max(ns)).mertens, *ns)
+
+
+_mu_square = np.zeros(1, dtype=np.int64)
+
+
+def _mu_square_prefix(n: int) -> np.ndarray:
+    """Prefix sums of the Dirichlet square (mu*mu)(c) = sum_{ab=c} mu(a) mu(b),
+    covering 0..n; grown, like the shared sieve, to a power of two.
+
+    Each c = ab with a < b gets 2 mu(a) mu(b) and c = a^2 gets mu(a)^2,
+    so one slice-add over mu per squarefree a <= sqrt(limit) fills it.
+    """
+    global _mu_square
+    if _mu_square.size <= n:
+        mu = arith_table(n).mu  # covers the power of two at or above n
+        limit = 1 << max(10, (n - 1).bit_length())
+        g = np.zeros(limit + 1, dtype=np.int64)
+        for a in range(1, math.isqrt(limit) + 1):
+            if mu[a]:
+                g[a * a] += 1
+                g[a * (a + 1) :: a] += 2 * mu[a] * mu[a + 1 : limit // a + 1]
+        prefix = np.cumsum(g)
+        prefix.setflags(write=False)
+        _mu_square = prefix
+    return _mu_square
+
+
 @lru_cache(maxsize=None)
 def _mprime_z(z: int) -> int:
     """M'(B) for any B with isqrt(B) = z: shell sums over |x| = k exactly,
-    in blocks of k sharing q = z // k, each telescoped to two box counts."""
-    return _checked(sum(m_fast(hi, z // lo) - m_fast(lo - 1, z // lo) for lo, hi in _blocks(z)))
+    in blocks of k sharing q = z // k, each telescoped to two box counts.
+    The boxes not yet cached are counted together first."""
+    runs = [(lo, hi, z // lo) for lo, hi in _blocks(z)]
+    _count_boxes(box for lo, hi, q in runs for box in ((hi, q), (lo - 1, q)))
+    return _checked(sum(m_fast(hi, q) - m_fast(lo - 1, q) for lo, hi, q in runs))
 
 
 def mprime(B: int) -> int:
@@ -410,14 +503,17 @@ def mprime(B: int) -> int:
 def n0_times4(B: int) -> int:
     """4*N0(B) by Moebius inversion over both primitivity conditions:
 
-        4 N0(B) = sum_{n, m} mu(n) mu(m) M'(B / (nm)^2),
+        4 N0(B) = sum_{n, m} mu(n) mu(m) M'(B / (nm)^2)
+                = sum_{c <= z} (mu*mu)(c) M'(z // c),
 
-    with M' a function of z = isqrt(B) alone and (z // n) // m = z // (nm),
-    so the sum over m is a Moebius block sum at z // n.  Exact integer identity.
+    with M' a function of z = isqrt(B) alone and (z // n) // m = z // (nm).
+    One block walk over c weighs each M'(z // c) by a difference of prefix
+    sums of the Dirichlet square mu*mu.  Exact integer identity.
     """
     if B < 1:
         raise ValueError("B must be >= 1")
-    return _checked(_moebius(lambda y: _moebius(_mprime_z, y), math.isqrt(B)))
+    z = math.isqrt(B)
+    return _checked(_block_sum(_mprime_z, _mu_square_prefix(z), z))
 
 
 def w_counts(B: int) -> tuple[int, int, int, int]:

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conecount import counts
+from conecount import arith, counts
 from conecount.arith import build_arith_tables, build_r_table
 from conecount.errors import ResourceLimitError
 
@@ -84,12 +84,82 @@ def test_m_fast_matches_literal_convolution(box):
 def test_square_guards_raise_instead_of_rounding():
     # ||v||^2 = 1e17: the rounding bound is far above 1/2
     with pytest.raises(FloatingPointError):
-        counts._square_exact(np.full(1000, 10**7, dtype=np.int64))
+        counts._squares_exact(np.full((1, 1000), 10**7, dtype=np.int64))
     # ||v||^2 = 1e13 squares exactly, but max(v*v) * sum(v[1:]) ~ 1e21 >= 2^63
     v = np.full(1000, 10**5, dtype=np.int64)
-    assert np.array_equal(counts._square_exact(v), np.convolve(v, v))
+    assert np.array_equal(counts._squares_exact(v[None])[0], np.convolve(v, v)[: v.size])
     with pytest.raises(OverflowError):
-        counts._triple_sum(v)
+        counts._triple_sums(v[None], [v.size])
+    # norms stay exact where int64 squares would wrap
+    assert counts._max_norm2(np.array([[2**40, 1], [3, 4]])) == 2**80 + 1
+    assert counts._max_norm2(np.array([[3, 4], [1, 2]], dtype=np.int32)) == 25
+
+
+@st.composite
+def box_lists(draw):
+    """Boxes with XY <= 6000, mixed in size and orientation, plus one with
+    XY > _BATCH_POINTS / 4, which fills a batch alone."""
+    areas = draw(st.lists(st.integers(1, 6000), min_size=2, max_size=12)) + [draw(st.integers(8200, 9000))]
+    out = []
+    for area in areas:
+        X = draw(st.integers(1, math.isqrt(area)))
+        out.append((X, area // X) if draw(st.booleans()) else (area // X, X))
+    return out
+
+
+@given(box_lists())
+@settings(max_examples=20, deadline=None)
+def test_batched_boxes_match_literal(boxes):
+    batches = []
+    batched = counts._batches
+
+    def recorded(todo):
+        for batch in batched(todo):
+            batches.append(batch)
+            yield batch
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(counts, "_BOXES", {})
+        mp.setattr(counts, "_batches", recorded)
+        counts._count_boxes(boxes)
+        cached = dict(counts._BOXES)
+    assert len(batches) >= 2
+    assert sorted(cached) == sorted(box for batch in batches for box in batch)
+    for X, Y in boxes:
+        assert cached[min(X, Y), max(X, Y)] == m_literal(X, Y)
+    for batch in batches:
+        assert len(batch) == 1 or len(batch) * 2 * max(X * Y for X, Y in batch) <= counts._BATCH_POINTS
+
+
+def test_batch_with_an_over_norm_row_caches_nothing(monkeypatch):
+    # one r-table scaled by 10^7 (its entries stay below 2^31) puts its
+    # row's norm, so the batch's, far past the bound
+    build = counts.build_r_table
+
+    def scaled(X, Y):
+        table = build(X, Y)
+        return table if (X, Y) != (5, 7) else arith.RTable(X, Y, table.r * 10**7)
+
+    boxes = [(3, 4), (5, 7), (6, 6)]
+    monkeypatch.setattr(counts, "_BOXES", {})
+    monkeypatch.setattr(counts, "build_r_table", scaled)
+    with pytest.raises(FloatingPointError):
+        counts._count_boxes(boxes)
+    assert counts._BOXES == {}
+    monkeypatch.setattr(counts, "build_r_table", build)
+    counts._count_boxes(boxes)
+    assert counts._BOXES == {box: m_literal(*box) for box in boxes}
+
+
+def test_near_overflow_row_raises():
+    # next to an r-table row, a row whose triple sum could pass 2^63 stops the batch before any dot
+    r = build_r_table(30, 40).r[1:]
+    rows = np.zeros((2, 1200), dtype=np.int64)
+    rows[0] = r
+    rows[1, :1000] = 10**5
+    with pytest.raises(OverflowError):
+        counts._triple_sums(rows, [1200, 1000])
+    assert counts._triple_sums(rows[:1], [1200]) == [m_literal(30, 40) // 6]
 
 
 def test_m_budgets():
@@ -145,16 +215,21 @@ def test_mprime_blocks_match_shell_loop():
 
 @pytest.mark.parametrize("z", [1, 2, 3, 10, 99, 400, 12345, 10**5])
 def test_mprime_block_sums_call_count(z, monkeypatch):
-    # only the number of box counts asked for matters here, not their values
-    calls = []
-
-    def counted(X, Y):
-        calls.append((X, Y))
-        return 0
-
-    monkeypatch.setattr(counts, "m_fast", counted)
+    # only the boxes asked for matter here, not their values: nothing is counted
+    requested, calls = [], []
+    monkeypatch.setattr(counts, "_count_boxes", requested.extend)
+    monkeypatch.setattr(counts, "m_fast", lambda X, Y: calls.append((X, Y)) or 0)
     counts._mprime_z.__wrapped__(z)
-    assert len(calls) <= 4 * math.isqrt(z) + 2
+    assert len(requested) <= 4 * math.isqrt(z) + 2
+    assert sorted(calls) == sorted(requested)  # every box read is one the batch was asked for
+
+
+def test_mprime_traced_peak(traced_peak, monkeypatch):
+    # cold box cache, numpy.fft already imported: counting one FFT square
+    # per box peaked at 0.80 MB, and batching must add no memory cliff
+    counts._squares_exact(np.ones((1, 4), dtype=np.int64))  # imports numpy.fft outside the trace
+    monkeypatch.setattr(counts, "_BOXES", {})
+    assert traced_peak(lambda: counts._mprime_z.__wrapped__(math.isqrt(4 * 10**8))) < 0.81
 
 
 def test_blocks_match_literal_loop():
@@ -181,6 +256,27 @@ def test_height_counts_pinned_at_1e8():
     h = counts.height_counts(10**8)
     assert (h.mprime, h.n0_times4, h.W1, h.W2, h.W3) == (80939740032, 35121743520, 10071838368, 146088, 2918158608)
     assert counts.w_counts(10**10) == (1011620526432, 1459368, 291806472336, 24)
+
+
+def test_height_counts_pinned_at_1e9():
+    h = counts.height_counts(10**9)
+    assert (h.mprime, h.n0_times4, h.n_times4) == (952271852352, 404606655264, 534788179632)
+
+
+def test_mu_square_prefix_matches_dirichlet_loop():
+    mu = build_arith_tables(5000).mu
+    g = [0] * 5001
+    for a in range(1, 5001):
+        for b in range(1, 5000 // a + 1):
+            g[a * b] += int(mu[a]) * int(mu[b])
+    assert counts._mu_square_prefix(5000)[:5001].tolist() == list(itertools.accumulate(g))
+
+
+def test_n0_times4_matches_nested_moebius():
+    # sum_n mu(n) sum_m mu(m) M'(z // (nm)): a Moebius block sum over m at each z // n
+    for z in range(1, 2001):
+        nested = counts._moebius(lambda y: counts._moebius(counts._mprime_z, y), z)
+        assert counts.n0_times4(z * z) == nested, z
 
 
 def test_mprime_nondecreasing():
