@@ -7,7 +7,7 @@ counts, and ships verification suites that compare the two sides at desk
 scale.  Every fast path has an independent brute-force oracle.
 """
 
-from .arith import ArithTable, RTable, build_arith_tables, build_r_table, r_direct
+from .arith import ArithTable, build_arith_tables, build_r_table, r_direct
 from .asymptotics import (
     ConstantSet,
     DeviationRecord,
@@ -49,7 +49,6 @@ from .counts import (
 )
 from .errors import ConvergenceError, ResourceLimitError
 from .hyperbola import (
-    QuadraticPartition,
     quadratic_partition,
     sandwich,
     telescope_constant,

@@ -1,20 +1,24 @@
 """Sieved arithmetic functions and the divisor-pair coefficient table.
 
-Two small data objects drive the fast counting engine:
+Two read-only tables drive the fast counting engine:
 
   * ArithTable -- Euler totient phi(n), Moebius mu(n) and the Mertens
     sums M(n) = mu(1) + ... + mu(n) for n <= limit, filled by a single
     linear sieve pass.  The Mertens sums weigh each floor-division block
-    of a Moebius sum by one difference M(hi) - M(lo - 1).
+    of a Moebius sum by one difference M(hi) - M(lo - 1); the prefix sums
+    ``mu_square`` of the Dirichlet square mu*mu, filled from mu on first
+    read, weigh the blocks of 4N0 the same way.
     ``arith_table`` is the one shared cache every module reads:
     it keeps one table and regrows it to the next power of two (at least
     1024) when a request outgrows it.
-  * RTable     -- r(n) = #{(x, y) : xy = n, 1 <= |x| <= X, 1 <= |y| <= Y}
-    for 1 <= n <= X*Y.  For n >= 1 the two factors share a sign, so
-    r(n) = 2 * #{d | n : d <= X, n/d <= Y}; r(-n) = r(n) is resolved at
-    call sites and r(0) is never defined.
+  * r          -- the int64 array ``build_r_table(X, Y)``, whose entry n is
+    #{(x, y) : xy = n, 1 <= |x| <= X, 1 <= |y| <= Y} for 1 <= n <= X*Y.
+    For n >= 1 the two factors share a sign, so
+    r(n) = 2 * #{d | n : d <= X, n/d <= Y}; entry 0 holds 0, since r(0)
+    is never used.
 
-Both tables are built once, single threaded, and are immutable afterwards;
+Both tables are built once, single threaded, and are immutable afterwards
+(``mu_square`` is filled on first read, from mu alone, so every fill agrees);
 concurrent readers are safe, and a lock makes growing the shared sieve a
 single build however many threads ask for it at once.
 """
@@ -25,12 +29,13 @@ import math
 import threading
 from array import array
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
 from .errors import ResourceLimitError
 
-# Largest X*Y an RTable will allocate (int64 entries; ~160 MB at the cap).
+# Largest X*Y an r-table will allocate (int64 entries; ~160 MB at the cap).
 R_TABLE_MAX_ENTRIES = 20_000_000
 # Largest limit the shared sieve will cover.
 SIEVE_MAX_LIMIT = 10**7
@@ -38,34 +43,30 @@ SIEVE_MAX_LIMIT = 10**7
 
 @dataclass(frozen=True)
 class ArithTable:
-    """Totient, Moebius and Mertens values for 0..limit (index 0 holds 0)."""
+    """Totient, Moebius, Mertens and mu*mu prefix values for 0..limit (index 0 holds 0)."""
 
     limit: int
     phi: np.ndarray = field(repr=False)
     mu: np.ndarray = field(repr=False)
     mertens: np.ndarray = field(repr=False)  # mertens[n] = mu[1] + ... + mu[n]
 
-    def phi_of(self, n: int) -> int:
-        return int(self.phi[n])
+    @cached_property
+    def mu_square(self) -> np.ndarray:
+        """Prefix sums of the Dirichlet square (mu*mu)(c) = sum_{ab=c} mu(a) mu(b)
+        for c = 0..limit.
 
-    def mu_of(self, n: int) -> int:
-        return int(self.mu[n])
-
-
-@dataclass(frozen=True)
-class RTable:
-    """Divisor-pair counts r(n) for the box |x| <= X, |y| <= Y."""
-
-    X: int
-    Y: int
-    r: np.ndarray = field(repr=False)  # r[n] for n = 0..X*Y, r[0] = 0
-
-    def r_of(self, n: int) -> int:
-        """r(n) with the evenness convention r(-n) = r(n); 0 outside the support."""
-        n = abs(n)
-        if n == 0 or n > self.X * self.Y:
-            return 0
-        return int(self.r[n])
+        Each c = ab with a < b gets 2 mu(a) mu(b) and c = a^2 gets mu(a)^2,
+        so one slice-add over mu per squarefree a <= sqrt(limit) fills it.
+        """
+        mu, limit = self.mu, self.limit
+        g = np.zeros(limit + 1, dtype=np.int64)
+        for a in range(1, math.isqrt(limit) + 1):
+            if mu[a]:
+                g[a * a] += 1
+                g[a * (a + 1) :: a] += 2 * mu[a] * mu[a + 1 : limit // a + 1]
+        prefix = np.cumsum(g)
+        prefix.setflags(write=False)
+        return prefix
 
 
 def build_arith_tables(limit: int) -> ArithTable:
@@ -141,8 +142,8 @@ def r_direct(n: int, X: int, Y: int) -> int:
     return 2 * count
 
 
-def build_r_table(X: int, Y: int) -> RTable:
-    """Tabulate r(n) for 1 <= n <= X*Y.
+def build_r_table(X: int, Y: int) -> np.ndarray:
+    """The read-only int64 array r[0..X*Y] of r(n), with r[0] = 0.
 
     Fast fill: for each d <= X add 2 to every multiple d*m with m <= Y.
     Entries are 64-bit; the whole table is refused (never truncated) when
@@ -159,4 +160,4 @@ def build_r_table(X: int, Y: int) -> RTable:
     for d in range(1, X + 1):
         r[d : d * Y + 1 : d] += 2
     r.setflags(write=False)
-    return RTable(X=X, Y=Y, r=r)
+    return r

@@ -206,7 +206,7 @@ def minor_intervals(d: Dissection) -> tuple[np.ndarray, np.ndarray]:
 
 def l2_via_r(X: int, Y: int) -> int:
     """int_0^1 |f|^2 = #{xy = uv in the box} = 2 sum_{n>=1} r(n)^2, exactly."""
-    r = build_r_table(X, Y).r
+    r = build_r_table(X, Y)
     return int(2 * np.dot(r[1:], r[1:]))
 
 

@@ -137,14 +137,15 @@ def F_float(n):
     """F(n) in floating point (for large n, where exact rationals are overkill).
 
     ``n`` is an int, or an int array evaluated elementwise by the same
-    operations in the same order, so each entry has the scalar call's bits.
+    operations in the same order, so each entry has the scalar call's bits;
+    an int gives a Python float.
     """
-    array = isinstance(n, np.ndarray)
-    if (n.min(initial=0) if array else n) < 0:
+    m = np.asarray(n)
+    if m.min(initial=0) < 0:
         raise ValueError("n must be a nonnegative integer")
-    AB = _float_table(int(n.max(initial=0)) if array else n)[:, n]
-    A, B = AB if array else AB.tolist()
-    return (16.5 - 3.0 * B) * n * n - (10.5 + 3.0 * B) * n + 6.0 * A
+    A, B = _float_table(int(m.max(initial=0)))[:, m]
+    value = (16.5 - 3.0 * B) * m * m - (10.5 + 3.0 * B) * m + 6.0 * A
+    return value if m.ndim else float(value)
 
 
 def G_value(t):
@@ -152,11 +153,11 @@ def G_value(t):
 
     ``t`` is a float, or a float array evaluated elementwise as ``F_float`` is.
     """
-    array = isinstance(t, np.ndarray)
-    if (t.min(initial=1.0) if array else t) <= 0:
+    u = np.asarray(t, dtype=float)
+    if u.min(initial=1.0) <= 0:
         raise ValueError("t must be positive")
-    n = np.floor(t).astype(np.int64) if array else math.floor(t)
-    return F_float(n) - (33.0 - math.pi**2) / 2.0 * t * t
+    value = F_float(np.floor(u).astype(np.int64)) - (33.0 - math.pi**2) / 2.0 * u * u
+    return value if u.ndim else float(value)
 
 
 def box_fn(v):

@@ -50,9 +50,8 @@ f(n // d, ...)``, weighs one f-value per run by a difference of the prefix
 sums of g.  With g = mu and the Mertens sums the shared sieve carries it
 is the Moebius sum ``_moebius``, behind the coprime-pair counts of W1..W3;
 the primitive row of the pair oracle walks the same Mertens blocks.  With
-g = mu*mu, whose prefix sums ``_mu_square_prefix`` fills from the sieve's
-mu on first use, it is 4N0: one walk over c, since (z // n) // m =
-z // (nm).
+g = mu*mu, whose prefix sums the shared sieve also carries (``mu_square``),
+it is 4N0: one walk over c, since (z // n) // m = z // (nm).
 
 Every fast path has a naive enumeration oracle in this module.  The
 oracles share one kernel that uses no r(n): x runs shell by shell, up to
@@ -349,7 +348,7 @@ def _count_boxes(boxes) -> None:
         sizes = [X * Y for X, Y in batch]
         rows = np.zeros((len(batch), max(sizes)), dtype=np.int32)  # r(n) <= 2 min(X, Y)
         for row, (X, Y), size in zip(rows, batch, sizes):
-            row[:size] = build_r_table(X, Y).r[1:]
+            row[:size] = build_r_table(X, Y)[1:]
         counted = [_checked(6 * s) for s in _triple_sums(rows, sizes)]
         if len(_BOXES) + len(batch) > _BOXES_MAX:
             _BOXES.clear()
@@ -454,31 +453,6 @@ def _moebius(f, *ns) -> int:
     return _block_sum(f, arith_table(max(ns)).mertens, *ns)
 
 
-_mu_square = np.zeros(1, dtype=np.int64)
-
-
-def _mu_square_prefix(n: int) -> np.ndarray:
-    """Prefix sums of the Dirichlet square (mu*mu)(c) = sum_{ab=c} mu(a) mu(b),
-    covering 0..n; grown, like the shared sieve, to a power of two.
-
-    Each c = ab with a < b gets 2 mu(a) mu(b) and c = a^2 gets mu(a)^2,
-    so one slice-add over mu per squarefree a <= sqrt(limit) fills it.
-    """
-    global _mu_square
-    if _mu_square.size <= n:
-        mu = arith_table(n).mu  # covers the power of two at or above n
-        limit = 1 << max(10, (n - 1).bit_length())
-        g = np.zeros(limit + 1, dtype=np.int64)
-        for a in range(1, math.isqrt(limit) + 1):
-            if mu[a]:
-                g[a * a] += 1
-                g[a * (a + 1) :: a] += 2 * mu[a] * mu[a + 1 : limit // a + 1]
-        prefix = np.cumsum(g)
-        prefix.setflags(write=False)
-        _mu_square = prefix
-    return _mu_square
-
-
 @lru_cache(maxsize=None)
 def _mprime_z(z: int) -> int:
     """M'(B) for any B with isqrt(B) = z: shell sums over |x| = k exactly,
@@ -513,7 +487,7 @@ def n0_times4(B: int) -> int:
     if B < 1:
         raise ValueError("B must be >= 1")
     z = math.isqrt(B)
-    return _checked(_block_sum(_mprime_z, _mu_square_prefix(z), z))
+    return _checked(_block_sum(_mprime_z, arith_table(z).mu_square, z))
 
 
 def w_counts(B: int) -> tuple[int, int, int, int]:
@@ -545,25 +519,28 @@ def w_counts(B: int) -> tuple[int, int, int, int]:
     return _checked(96 * (c2 + 2 * w1_plus)), _checked(24 * C2(R, R)), _checked(48 * c2), 24
 
 
-def n_times4(B: int) -> int:
-    """4*N(B): all primitive pairs of height <= B, assembled from the
-    interior count and the hyperplane counts."""
-    return _checked(n0_times4(B) + sum(w_counts(B)))
-
-
 def height_counts(B: int) -> HeightCounts:
+    """M', 4N0, the hyperplane counts W1..W4 and 4N = 4N0 + W1 + W2 + W3 + W4.
+
+    The 4N0 walk starts at c = 1, so M'(B) is cached by the time it is read.
+    """
     w1, w2, w3, w4 = w_counts(B)
     n0 = n0_times4(B)
     return HeightCounts(
         B=B,
         mprime=mprime(B),
         n0_times4=n0,
-        n_times4=n0 + w1 + w2 + w3 + w4,
+        n_times4=_checked(n0 + w1 + w2 + w3 + w4),
         W1=w1,
         W2=w2,
         W3=w3,
         W4=w4,
     )
+
+
+def n_times4(B: int) -> int:
+    """4*N(B): all primitive pairs of height <= B."""
+    return height_counts(B).n_times4
 
 
 # ---------------------------------------------------------------------------

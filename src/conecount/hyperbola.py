@@ -40,28 +40,18 @@ which pins down the B log B coefficient of M'(B).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import NamedTuple
+
+import numpy as np
 
 from .arith import arith_table
 from .closed_forms import F_closed, G_value
 from .counts import m_fast, mprime
 
 
-@dataclass(frozen=True)
-class QuadraticPartition:
-    """Sample points l^2, l = 1..L, with (L-1)^8 < B <= L^8."""
-
-    B: int
-    L: int
-
-    @property
-    def samples(self) -> list[int]:
-        return [l * l for l in range(1, self.L + 1)]
-
-
-def quadratic_partition(B: int) -> QuadraticPartition:
-    """Smallest L with L^8 >= B, in pure integer arithmetic.
+def quadratic_partition(B: int) -> int:
+    """The number L of sample points l^2: the smallest L with L^8 >= B,
+    in pure integer arithmetic.
 
     The eighth root is taken by three nested integer square roots plus a
     correction, so perfect powers land exactly.
@@ -71,12 +61,12 @@ def quadratic_partition(B: int) -> QuadraticPartition:
     r = math.isqrt(math.isqrt(math.isqrt(B)))
     L = r if r**8 >= B else r + 1
     assert (L - 1) ** 8 < B <= L**8
-    return QuadraticPartition(B=B, L=L)
+    return L
 
 
 def xi_sum(B: int) -> int:
     """Xi = sum_{l=1}^{L-1} [M(l^2, Z//l^2) - M(l^2, Z//(l+1)^2)], exactly."""
-    L = quadratic_partition(B).L
+    L = quadratic_partition(B)
     Z = math.isqrt(B)
     total = 0
     for l in range(1, L):
@@ -92,8 +82,7 @@ class Sandwich(NamedTuple):
 
 def sandwich(B: int) -> Sandwich:
     """Quadratic-sample lower and upper bounds around the exact M'(B)."""
-    part = quadratic_partition(B)
-    L = part.L
+    L = quadratic_partition(B)
     Z = math.isqrt(B)
     b0 = Z // (L * L)
     lower = m_fast(b0, b0) + 2 * xi_sum(B)
@@ -134,10 +123,11 @@ def xi_main_term(B: int) -> XiMainTerm:
     range (terms with q > l^2 have F = 0, and in the split they cancel
     exactly between the two parts), so direct and split agree to rounding;
     callers assert a 1e-9 relative gap.  floor(l^2/q) repeats across the
-    (l, q) terms, so the exact F is evaluated once per distinct value; each
-    term and each fsum are as before.
+    (l, q) terms, so the exact F is evaluated once per distinct value.
+    G(l^2/q) is evaluated on one array per l, by the scalar call's
+    operations, so every term has the bits of a term-by-term loop.
     """
-    L = quadratic_partition(B).L
+    L = quadratic_partition(B)
     if L < 2:
         return XiMainTerm(direct=0.0, c_part=0.0, g_part=0.0)
     table = arith_table((L - 1) ** 2)
@@ -149,14 +139,15 @@ def xi_main_term(B: int) -> XiMainTerm:
     for l in range(1, L):
         weight = 1.0 / l**4 - 1.0 / (l + 1.0) ** 4
         tele = 1.0 - (l / (l + 1.0)) ** 4
+        G = G_value(l * l / np.arange(1, l * l + 1)).tolist()  # G(l^2 / q) for q = 1..l^2
         for q in range(1, l * l + 1):
-            phi_q = table.phi_of(q)
+            phi_q = int(table.phi[q])
             n = l * l // q
             if n not in F:
                 F[n] = float(F_closed(n))
             direct_terms.append(4.0 * B * (phi_q / q) * F[n] * weight)
             c_terms.append(c * B * (phi_q / q**3) * tele)
-            g_terms.append(4.0 * B * (phi_q / q) * G_value(l * l / q) * weight)
+            g_terms.append(4.0 * B * (phi_q / q) * G[q - 1] * weight)
     return XiMainTerm(
         direct=math.fsum(direct_terms),
         c_part=math.fsum(c_terms),

@@ -138,7 +138,8 @@ def integrate_panels(
     breakpoints: np.ndarray,
     tolerance: float,
     max_depth: int = 12,
-    order: int = 16,
+    *,
+    order: int,
 ) -> float:
     """Integrate a vectorised integrand over consecutive panels.
 
@@ -337,21 +338,19 @@ def _triple_sine_small_t(w: tuple[float, float, float], eps: float) -> float:
     return w1 * w2 * w3 * (eps - sq * eps**3 / 18.0 + c4 * eps**5 / 5.0)
 
 
-def triple_sine_quad(
-    w1: float, w2: float, w3: float, cfg: QuadratureConfig | None = None
-) -> QuadResult:
+def triple_sine_quad(w1: float, w2: float, w3: float) -> QuadResult:
     """The triple-sine integral by panel quadrature.
 
-    The integrand is even, so 2 * int_0^T is computed on the equal panels
-    of ``oscillatory_panels`` for the top frequency w1 + w2 + w3; |t| < 1e-3
+    The integrand is even, so 2 * int_0^T is computed, T the default
+    ``QuadratureConfig`` truncation, on the equal panels of
+    ``oscillatory_panels`` for the top frequency w1 + w2 + w3; |t| < 1e-3
     uses the even Maclaurin branch and the tail beyond T is bounded by
     2 int_T^inf t^-3 dt = 1/T^2.
     """
     if w1 <= 0 or w2 <= 0 or w3 <= 0:
         raise ValueError("frequencies must be positive")
-    cfg = cfg or QuadratureConfig()
     eps = 1.0e-3
-    T = cfg.truncation
+    T = QuadratureConfig().truncation
     brk, order = oscillatory_panels(eps, T, w1 + w2 + w3)
 
     def integrand(t: np.ndarray) -> np.ndarray:

@@ -20,7 +20,7 @@ import json
 import math
 import random
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, astuple, dataclass, field, fields
 from fractions import Fraction
 from functools import cache, partial
 from typing import Callable
@@ -29,21 +29,6 @@ import numpy as np
 
 from . import asymptotics, circle, closed_forms, counts, hyperbola, integrals
 from .calibration import Calibration
-
-CSV_HEADER = ["suite", "check_id", "input", "expected", "actual", "tolerance", "status", "runtime_ms"]
-
-SUITE_NAMES = (
-    "identities",
-    "counts",
-    "thm1",
-    "thm2",
-    "thm3",
-    "circle",
-    "hyperbola",
-    "boundary",
-    "all",
-)
-
 
 @dataclass(frozen=True)
 class RunConfig:
@@ -98,6 +83,9 @@ class CheckRecord:
     tolerance: str
     status: str
     runtime_ms: float
+
+
+CSV_HEADER = [f.name for f in fields(CheckRecord)]
 
 
 @dataclass(frozen=True)
@@ -494,10 +482,10 @@ def _suite_hyperbola(cfg: RunConfig) -> list[Check]:
     cal = cfg.calibration
     checks = [
         exact_check("partition/examples", "B=1e8,16,1", (10, 2, 1),
-                    lambda: tuple(hyperbola.quadratic_partition(b).L for b in (10**8, 16, 1))),
+                    lambda: tuple(hyperbola.quadratic_partition(b) for b in (10**8, 16, 1))),
         true_check("partition/eighth_powers", "B sampled",
                    lambda: all(
-                       (hyperbola.quadratic_partition(b).L - 1) ** 8 < b <= hyperbola.quadratic_partition(b).L ** 8
+                       (hyperbola.quadratic_partition(b) - 1) ** 8 < b <= hyperbola.quadratic_partition(b) ** 8
                        for b in list(range(1, 300)) + [255, 256, 257, 6560, 6561, 6562, 10**6]
                    )),
         exact_check("xi/example_16", "B=16", lambda: counts.m_fast(1, 4) - counts.m_fast(1, 1),
@@ -528,7 +516,7 @@ def _suite_hyperbola(cfg: RunConfig) -> list[Check]:
 
 def _xi_resummation() -> bool:
     for b in (10**4, 5 * 10**4):
-        L = hyperbola.quadratic_partition(b).L
+        L = hyperbola.quadratic_partition(b)
         Z = math.isqrt(b)
         first = sum(counts.m_fast(l * l, Z // (l * l)) for l in range(1, L))
         second = sum(counts.m_fast(l * l, Z // ((l + 1) * (l + 1))) for l in range(1, L))
@@ -595,6 +583,7 @@ _SUITES: dict[str, Callable[[RunConfig], list[Check]]] = {
     "hyperbola": _suite_hyperbola,
     "boundary": _suite_boundary,
 }
+SUITE_NAMES = (*_SUITES, "all")
 _GRID_SUITES = ("thm1", "thm2", "hyperbola")  # the builders that read cfg.grid
 
 
@@ -607,9 +596,9 @@ def run_suite(suite: str, config: RunConfig | None = None) -> VerificationReport
     config = config or RunConfig()
     if suite not in SUITE_NAMES:
         raise ValueError(f"unknown suite {suite!r}; choose from {SUITE_NAMES}")
-    if config.grid and suite not in ("all", *_GRID_SUITES):
+    if config.grid and suite not in _GRID_SUITES:
         raise ValueError(f"suite {suite!r} reads no --grid, got {config.grid[0]!r}")
-    names = [s for s in SUITE_NAMES if s != "all"] if suite == "all" else [suite]
+    names = list(_SUITES) if suite == "all" else [suite]
     plans = [(name, _SUITES[name](config)) for name in names]
     records: list[CheckRecord] = []
     for name, checks in plans:
@@ -640,11 +629,9 @@ def run_suite(suite: str, config: RunConfig | None = None) -> VerificationReport
 
 def to_csv_text(report: VerificationReport) -> str:
     buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
+    writer = csv.writer(buf, lineterminator="\n")  # writes floats by repr
     writer.writerow(CSV_HEADER)
-    for r in report.records:
-        writer.writerow([r.suite, r.check_id, r.input, r.expected, r.actual,
-                         r.tolerance, r.status, repr(r.runtime_ms)])
+    writer.writerows(astuple(r) for r in report.records)
     return buf.getvalue()
 
 
@@ -652,24 +639,13 @@ def parse_csv_text(text: str) -> list[CheckRecord]:
     rows = list(csv.reader(io.StringIO(text)))
     if rows[0] != CSV_HEADER:
         raise ValueError("unexpected CSV header")
-    return [
-        CheckRecord(suite=a, check_id=b, input=c, expected=d, actual=e,
-                    tolerance=f, status=g, runtime_ms=float(h))
-        for a, b, c, d, e, f, g, h in rows[1:]
-    ]
+    return [CheckRecord(*row[:7], float(row[7])) for row in rows[1:]]
 
 
 def to_json_text(report: VerificationReport) -> str:
     payload = {
         "suite": report.suite,
-        "records": [
-            {
-                "suite": r.suite, "check_id": r.check_id, "input": r.input,
-                "expected": r.expected, "actual": r.actual, "tolerance": r.tolerance,
-                "status": r.status, "runtime_ms": r.runtime_ms,
-            }
-            for r in report.records
-        ],
+        "records": [asdict(r) for r in report.records],
         "calibration": report.calibration,
         "seeds": report.seeds,
     }

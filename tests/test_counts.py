@@ -64,7 +64,7 @@ def test_m_fast_structure(X, Y):
 
 def m_literal(X, Y):
     """M(X, Y) from the coefficient identity with the literal integer convolution."""
-    pos = build_r_table(X, Y).r[1:]
+    pos = build_r_table(X, Y)[1:]
     return 6 * int(np.dot(np.convolve(pos, pos)[: X * Y - 1], pos[1:]))
 
 
@@ -138,7 +138,7 @@ def test_batch_with_an_over_norm_row_caches_nothing(monkeypatch):
 
     def scaled(X, Y):
         table = build(X, Y)
-        return table if (X, Y) != (5, 7) else arith.RTable(X, Y, table.r * 10**7)
+        return table if (X, Y) != (5, 7) else table * 10**7
 
     boxes = [(3, 4), (5, 7), (6, 6)]
     monkeypatch.setattr(counts, "_BOXES", {})
@@ -153,7 +153,7 @@ def test_batch_with_an_over_norm_row_caches_nothing(monkeypatch):
 
 def test_near_overflow_row_raises():
     # next to an r-table row, a row whose triple sum could pass 2^63 stops the batch before any dot
-    r = build_r_table(30, 40).r[1:]
+    r = build_r_table(30, 40)[1:]
     rows = np.zeros((2, 1200), dtype=np.int64)
     rows[0] = r
     rows[1, :1000] = 10**5
@@ -269,7 +269,7 @@ def test_mu_square_prefix_matches_dirichlet_loop():
     for a in range(1, 5001):
         for b in range(1, 5000 // a + 1):
             g[a * b] += int(mu[a]) * int(mu[b])
-    assert counts._mu_square_prefix(5000)[:5001].tolist() == list(itertools.accumulate(g))
+    assert arith.arith_table(5000).mu_square[:5001].tolist() == list(itertools.accumulate(g))
 
 
 def test_n0_times4_matches_nested_moebius():

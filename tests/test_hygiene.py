@@ -1,9 +1,10 @@
 """Source hygiene: every name a module imports is read somewhere in it,
 every module imports only what a plain install provides, no caller sets
-its own quadrature order, and every committed benchmark record names what
-the benchmark measures."""
+its own quadrature order, every committed benchmark record names what
+the benchmark measures, and every layer the benchmark traces exists."""
 
 import ast
+import importlib
 import json
 import re
 import sys
@@ -113,3 +114,25 @@ def test_bench_record_names_benchmark_metrics(path):
             assert metric in end_to_end, (name, metric)
             for side in ("parent", "change"):
                 assert isinstance(sides[side]["median"], (int, float)), (name, metric, side)
+
+
+def _traced_names() -> list[str]:
+    """The ``TRACED`` tuple of perfbench/tracing.py, read without importing it."""
+    tree = ast.parse((ROOT / "perfbench" / "tracing.py").read_text())
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "TRACED" for t in node.targets):
+            return list(ast.literal_eval(node.value))
+    raise AssertionError("perfbench/tracing.py defines no TRACED")
+
+
+def test_traced_layers_exist():
+    # the tracer looks up every traced name when it installs, so a renamed
+    # layer would break a traced benchmark run and no other test
+    names = _traced_names()
+    assert "arith.build_r_table" in names
+    missing = []
+    for name in names:
+        module, attr = name.split(".")
+        if not callable(getattr(importlib.import_module(f"conecount.{module}"), attr, None)):
+            missing.append(name)
+    assert missing == []

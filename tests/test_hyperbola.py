@@ -16,16 +16,15 @@ from conecount.hyperbola import (
 
 
 def test_partition_examples():
-    assert quadratic_partition(10**8).L == 10
-    assert quadratic_partition(16).L == 2
-    assert quadratic_partition(1).L == 1
-    assert quadratic_partition(16).samples == [1, 4]
+    assert quadratic_partition(10**8) == 10
+    assert quadratic_partition(16) == 2
+    assert quadratic_partition(1) == 1
 
 
 @given(st.integers(1, 10**12))
 @settings(max_examples=200, deadline=None)
 def test_partition_eighth_power_bracketing(B):
-    L = quadratic_partition(B).L
+    L = quadratic_partition(B)
     assert (L - 1) ** 8 < B <= L**8
 
 
@@ -36,7 +35,7 @@ def test_xi_examples():
 
 def test_xi_resummation():
     for B in (10**4, 5 * 10**4):
-        L = quadratic_partition(B).L
+        L = quadratic_partition(B)
         Z = math.isqrt(B)
         first = sum(m_fast(l * l, Z // (l * l)) for l in range(1, L))
         second = sum(m_fast(l * l, Z // ((l + 1) * (l + 1))) for l in range(1, L))
@@ -107,7 +106,7 @@ def test_xi_main_term_bit_for_bit_with_one_F_per_quotient(monkeypatch, B):
     monkeypatch.setattr(hyperbola, "F_closed", counted)
     m = xi_main_term(B)
     assert tuple(map(float.hex, (m.direct, m.c_part, m.g_part))) == _XI_MAIN_HEX[B]
-    L = quadratic_partition(B).L
+    L = quadratic_partition(B)
     distinct = {l * l // q for l in range(1, L) for q in range(1, l * l + 1)}
     assert len(calls) <= len(distinct)
 

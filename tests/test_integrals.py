@@ -195,7 +195,7 @@ def test_integrate_panels_tolerance_below_rounding():
     # tolerance 1e-9 split over 850 panels asks ~1e-12 of panels worth up
     # to ~1.5e6, below one ulp of their value, and must not make
     # convergence a matter of how the platform rounds
-    val = integrate_panels(lambda x: 1e4 * (1 + x * x), np.linspace(0, 50, 851), 1e-9)
+    val = integrate_panels(lambda x: 1e4 * (1 + x * x), np.linspace(0, 50, 851), 1e-9, order=16)
     assert val == pytest.approx(1e4 * (50 + 50**3 / 3), rel=1e-14)
 
 

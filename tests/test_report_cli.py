@@ -120,6 +120,8 @@ def test_cli_bad_grid_is_usage_error(tmp_path, capsys, suite, grid, item):
     assert main(["--suite", suite, "--grid", grid, "--out", str(out)]) == 2
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and item in err[0]
+    if suite not in report._GRID_SUITES:
+        assert f"suite {suite!r} reads no --grid" in err[0]
     assert not out.exists()
 
 
