@@ -15,7 +15,9 @@ Two read-only tables drive the fast counting engine:
     #{(x, y) : xy = n, 1 <= |x| <= X, 1 <= |y| <= Y} for 1 <= n <= X*Y.
     For n >= 1 the two factors share a sign, so
     r(n) = 2 * #{d | n : d <= X, n/d <= Y}; entry 0 holds 0, since r(0)
-    is never used.
+    is never used.  Given a row ``out``, ``build_r_table(X, Y, out=out)``
+    adds r(1..XY) into it in place instead: the batched box counts fill
+    their int32 rows that way, with no table per box.
 
 Both tables are built once, single threaded, and are immutable afterwards
 (``mu_square`` is filled on first read, from mu alone, so every fill agrees);
@@ -142,22 +144,33 @@ def r_direct(n: int, X: int, Y: int) -> int:
     return 2 * count
 
 
-def build_r_table(X: int, Y: int) -> np.ndarray:
-    """The read-only int64 array r[0..X*Y] of r(n), with r[0] = 0.
+def build_r_table(X: int, Y: int, out: np.ndarray | None = None) -> np.ndarray:
+    """The read-only int64 array r[0..X*Y] of r(n), with r[0] = 0; or, given
+    a row ``out``, r(n) added into out[n - 1] for 1 <= n <= X*Y, in place.
 
-    Fast fill: for each d <= X add 2 to every multiple d*m with m <= Y.
-    Entries are 64-bit; the whole table is refused (never truncated) when
-    X*Y exceeds the memory budget.
+    Fast fill: for each d <= min(X, Y) one slice-add puts 2 at every
+    multiple d*m with m <= max(X, Y) (r is symmetric in X, Y).  ``out`` must
+    be zero on 0..XY-1, of an integer dtype wide enough for 2 min(X, Y); it
+    is returned.  Without ``out`` the entries are 64-bit, and the whole
+    table is refused (never truncated) when X*Y exceeds the memory budget.
     """
     if X < 1 or Y < 1:
         raise ValueError("box bounds must be positive integers")
-    total = X * Y
-    if total > R_TABLE_MAX_ENTRIES:
-        raise ResourceLimitError(
-            f"r-table with X*Y = {total} entries exceeds the budget of {R_TABLE_MAX_ENTRIES}"
-        )
-    r = np.zeros(total + 1, dtype=np.int64)
+    row = out
+    if out is None:
+        total = X * Y
+        if total > R_TABLE_MAX_ENTRIES:
+            raise ResourceLimitError(
+                f"r-table with X*Y = {total} entries exceeds the budget of {R_TABLE_MAX_ENTRIES}"
+            )
+        table = np.zeros(total + 1, dtype=np.int64)
+        row = table[1:]
+    X, Y = min(X, Y), max(X, Y)
+    two = row.dtype.type(2)  # a scalar of the row's own dtype adds faster than a Python int
     for d in range(1, X + 1):
-        r[d : d * Y + 1 : d] += 2
-    r.setflags(write=False)
-    return r
+        multiples = row[d - 1 : d * Y : d]
+        multiples += two
+    if out is not None:
+        return out
+    table.setflags(write=False)
+    return table

@@ -26,13 +26,18 @@ Quantities (all exact integers):
                  in integers) and one overflow check per row.
   * P(X)      -- all integer solutions with |coordinates| <= X, zeros
                  allowed.
-  * M'(B)     -- nonzero-coordinate pairs with |x|^2 |y|^2 <= B, via the
-                 shell sums M'(B) = sum_k [M(k, Z//k) - M(k-1, Z//k)],
-                 Z = isqrt(B).  The k sharing q = Z//k form one block
-                 lo..hi whose shells telescope to M(hi, q) - M(lo-1, q)
-                 (the floor-division block trick of Deleglise-Rivat,
-                 Exp. Math. 5, 1996): about 4 sqrt(Z) box counts, the
-                 uncached ones counted in batches before the sum is read.
+  * M'(B)     -- nonzero-coordinate pairs with |x|^2 |y|^2 <= B, i.e.
+                 |x| |y| <= Z = isqrt(B).  Split at s = isqrt(Z) by the
+                 hyperbola method, and since M is symmetric in X, Y:
+
+                     M'(B) = 2 sum_{k <= s} [M(k, Z//k) - M(k-1, Z//k)]
+                             - M(s, s),
+
+                 2s + 1 box reads (the shell sum over all k <= Z needs
+                 the same boxes, as its blocks of k > s telescope to
+                 M(Z//q, q) - M(Z//(q+1), q)).  The uncached boxes are
+                 counted in batches, and the sum reads the counts the
+                 batch routine returns.
   * 4*N0(B)   -- primitive nonzero-coordinate pairs, by Moebius inversion
                  4 N0(B) = sum_{nm <= sqrt(B)} mu(n) mu(m) M'(B/(nm)^2)
                          = sum_{c <= Z} (mu*mu)(c) M'(Z // c).
@@ -43,15 +48,17 @@ Quantities (all exact integers):
   * 4*N(B)    -- all primitive pairs of height <= B:
                  4N = 4N0 + W1 + W2 + W3 + W4.
 
-Every floor-division sum goes through one block walk, ``_blocks``: the runs
-of d on which every n // d is constant.  The shell sums of M' telescope
-over it, and one block sum, ``_block_sum(f, prefix, *ns) = sum_d g(d)
-f(n // d, ...)``, weighs one f-value per run by a difference of the prefix
-sums of g.  With g = mu and the Mertens sums the shared sieve carries it
-is the Moebius sum ``_moebius``, behind the coprime-pair counts of W1..W3;
-the primitive row of the pair oracle walks the same Mertens blocks.  With
-g = mu*mu, whose prefix sums the shared sieve also carries (``mu_square``),
-it is 4N0: one walk over c, since (z // n) // m = z // (nm).
+Every floor-division sum goes through one block walk, ``_blocks``: the lists
+of the starts and ends of the runs of d on which every n // d is constant,
+built once with no per-step generator.  One block
+sum, ``_block_sum(f, prefix, *ns) = sum_d g(d) f(n // d, ...)``, weighs one
+f-value per run by a difference of the prefix sums of g.  With g = mu and
+the Mertens sums the shared sieve carries it is the Moebius sum
+``_moebius``, behind the coprime-pair counts of W1..W3 (cached by
+isqrt(B), as M' is); the primitive row of the pair oracle walks the same
+Mertens blocks.  With g = mu*mu, whose prefix sums the shared sieve also
+carries (``mu_square``), it is 4N0: one walk over c, since
+(z // n) // m = z // (nm).
 
 Every fast path has a naive enumeration oracle in this module.  The
 oracles share one kernel that uses no r(n): x runs shell by shell, up to
@@ -332,27 +339,32 @@ def _batches(boxes):
         yield batch
 
 
-def _count_boxes(boxes) -> None:
-    """Count every box (X, Y) of ``boxes`` not cached yet into the cache.
+def _count_boxes(boxes) -> list[int]:
+    """M(X, Y) for each box (X, Y) of ``boxes``, in order.
 
-    Boxes with a zero side count nothing and are skipped.  The rest are
-    counted smallest first, in batches whose r-tables are zero-padded rows
-    of one exact square; a batch is cached only when all its counts are
-    known.  A box with XY > M_FAST_MAX_XY is refused before any work.
+    Boxes with a zero side count 0.  Cached boxes are read first; the rest
+    are counted smallest first, in batches whose r(1..XY) rows, filled in
+    place by ``build_r_table``, are zero-padded rows of one exact square, and
+    a batch is cached only when all its counts are known.  The counts
+    returned do not depend on the cache keeping them, which a later batch
+    may empty.  A box with XY > M_FAST_MAX_XY is refused before any work.
     """
-    todo = sorted({(min(b), max(b)) for b in boxes if min(b) > 0}.difference(_BOXES),
-                  key=lambda b: (b[0] * b[1], b))
+    keys = [(X, Y) if X <= Y else (Y, X) for X, Y in boxes]
+    known = {box: 0 if box[0] == 0 else _BOXES.get(box) for box in keys}
+    todo = sorted((box for box, count in known.items() if count is None), key=lambda b: (b[0] * b[1], b))
     if todo and todo[-1][0] * todo[-1][1] > M_FAST_MAX_XY:
         raise ResourceLimitError(f"m_fast FFT square capped at X*Y <= {M_FAST_MAX_XY}")
     for batch in _batches(todo):
         sizes = [X * Y for X, Y in batch]
         rows = np.zeros((len(batch), max(sizes)), dtype=np.int32)  # r(n) <= 2 min(X, Y)
-        for row, (X, Y), size in zip(rows, batch, sizes):
-            row[:size] = build_r_table(X, Y)[1:]
+        for row, (X, Y) in zip(rows, batch):
+            build_r_table(X, Y, out=row)
         counted = [_checked(6 * s) for s in _triple_sums(rows, sizes)]
         if len(_BOXES) + len(batch) > _BOXES_MAX:
             _BOXES.clear()
         _BOXES.update(zip(batch, counted))
+        known.update(zip(batch, counted))
+    return [known[box] for box in keys]
 
 
 def m_fast(X, Y) -> int:
@@ -365,12 +377,7 @@ def m_fast(X, Y) -> int:
     X, Y = math.floor(X), math.floor(Y)
     if X < 0 or Y < 0:
         raise ValueError("box bounds must be nonnegative")
-    if X == 0 or Y == 0:
-        return 0
-    box = (min(X, Y), max(X, Y))  # M is symmetric; normalise the cache key
-    if box not in _BOXES:
-        _count_boxes([box])
-    return _BOXES[box]
+    return _count_boxes([(X, Y)])[0]
 
 
 def box_count(X: int, Y: int) -> BoxCount:
@@ -419,32 +426,44 @@ def p_count_tiny(X: int) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _blocks(*ns):
-    """The runs lo..hi of 1 <= d <= min(ns) on which every n // d is constant.
+def _run_ends(n: int, top: int) -> list[int]:
+    """The last d <= top of each run of 1 <= d <= n with n // d constant, ascending.
+
+    With s = isqrt(n), every d <= s ends its own run: n / d - n / (d+1) >= 1
+    for d < s, as d (d+1) < s^2 <= n, and n // s >= s > n // (s+1).  The
+    runs past s end at n // q for the quotients q = n // (s+1), ..., 1;
+    n // q <= top once q > n // (top+1).
+    """
+    s = math.isqrt(n)
+    return [*range(1, min(s, top) + 1), *(n // q for q in range(n // (s + 1), n // (top + 1), -1))]
+
+
+def _blocks(*ns) -> tuple[list[int], list[int]]:
+    """The runs lo..hi of 1 <= d <= min(ns) on which every n // d is
+    constant, as the ascending lists of their starts and of their ends.
 
     Each n // d takes at most 2 sqrt(n) values, so there are at most
-    2 sum sqrt(n) runs (the floor-division blocks of Deleglise-Rivat).
+    2 sum sqrt(n) runs (the floor-division blocks of Deleglise-Rivat,
+    Exp. Math. 5, 1996).  A run of several n ends where any of them does.
     """
-    lo, top = 1, min(ns)
-    while lo <= top:
-        hi = min(n // (n // lo) for n in ns)
-        yield lo, hi
-        lo = hi + 1
+    top = min(ns)
+    his = _run_ends(top, top) if len(ns) == 1 else sorted(set().union(*(_run_ends(n, top) for n in ns)))
+    return [1, *(hi + 1 for hi in his[:-1])], his
 
 
 def _block_sum(f, prefix: np.ndarray, *ns) -> int:
     """sum_{d <= min(ns)} g(d) f(n1 // d, n2 // d, ...), one term per block,
-    for the g with prefix sums prefix[m] = g(1) + ... + g(m).
+    for the g with prefix sums prefix[m] = g(1) + ... + g(m), prefix[0] = 0.
 
-    The d of a block share the arguments of f, so the block weighs f by the
-    difference prefix[hi] - prefix[lo - 1]; blocks of weight 0 skip f.
+    The d of a block lo..hi share the arguments of f, so the block weighs f
+    by prefix[hi] - prefix[lo - 1], all read at once; blocks of weight 0
+    skip f.
     """
-    total = 0
-    for lo, hi in _blocks(*ns):
-        weight = int(prefix[hi] - prefix[lo - 1])
-        if weight:
-            total += weight * f(*(n // lo for n in ns))
-    return total
+    los, his = _blocks(*ns)
+    at_ends = prefix[[0, *his]]
+    weights = (at_ends[1:] - at_ends[:-1]).tolist()
+    args = ([n // lo for lo in los] for n in ns)
+    return sum(w * f(*a) for w, *a in zip(weights, *args) if w)
 
 
 def _moebius(f, *ns) -> int:
@@ -455,12 +474,17 @@ def _moebius(f, *ns) -> int:
 
 @lru_cache(maxsize=None)
 def _mprime_z(z: int) -> int:
-    """M'(B) for any B with isqrt(B) = z: shell sums over |x| = k exactly,
-    in blocks of k sharing q = z // k, each telescoped to two box counts.
-    The boxes not yet cached are counted together first."""
-    runs = [(lo, hi, z // lo) for lo, hi in _blocks(z)]
-    _count_boxes(box for lo, hi, q in runs for box in ((hi, q), (lo - 1, q)))
-    return _checked(sum(m_fast(hi, q) - m_fast(lo - 1, q) for lo, hi, q in runs))
+    """M'(B) for any B with isqrt(B) = z, by the hyperbola identity
+
+        M'(z) = 2 sum_{k <= s} [M(k, z//k) - M(k-1, z//k)] - M(s, s),
+
+    s = isqrt(z): the pairs with |x| <= s, those with |y| <= s (as many,
+    M being symmetric), less those with both.  Its 2s + 1 boxes are
+    counted in one call, which also counts the uncached ones."""
+    s = math.isqrt(z)
+    q = [z // k for k in range(1, s + 1)]
+    got = _count_boxes([*zip(range(1, s + 1), q), *zip(range(s), q), (s, s)])
+    return _checked(2 * (sum(got[:s]) - sum(got[s : 2 * s])) - got[-1])
 
 
 def mprime(B: int) -> int:
@@ -493,6 +517,8 @@ def n0_times4(B: int) -> int:
 def w_counts(B: int) -> tuple[int, int, int, int]:
     """(W1, W2, W3, W4): primitive pairs with exactly j zero coordinates.
 
+    Like M', a function of Z = isqrt(B) alone, cached by Z.
+
     Structural parametrizations (Z = isqrt(B), R = isqrt(Z) = floor(B^(1/4))):
 
       * W4: x = +-e_i, y = +-e_j with i != j -- always 24.
@@ -510,7 +536,11 @@ def w_counts(B: int) -> tuple[int, int, int, int]:
     """
     if B < 1:
         raise ValueError("B must be >= 1")
-    Z = math.isqrt(B)
+    return _w_counts_z(math.isqrt(B))
+
+
+@lru_cache(maxsize=None)
+def _w_counts_z(Z: int) -> tuple[int, int, int, int]:
     R = math.isqrt(Z)
     C2 = partial(_moebius, operator.mul)  # C2(a, b) = sum_d mu(d) (a // d) (b // d)
     c2 = C2(Z, Z)  # first: a Z above the sieve cap is refused before any sieve is built
@@ -560,7 +590,7 @@ def _pair_columns(ym: int, mertens: np.ndarray):
     box q = ym // lo, weighted by a difference of Mertens sums.
     """
     parts = []
-    for lo, hi in _blocks(ym):
+    for lo, hi in zip(*_blocks(ym)):
         coeff = int(mertens[hi] - mertens[lo - 1])
         if coeff:
             q = ym // lo

@@ -100,6 +100,15 @@ def test_r_table_matches_direct(X, Y, data):
     assert build_r_table(X, Y)[n] == r_direct(n, X, Y)
 
 
+@pytest.mark.parametrize("X, Y", [(1, 1), (3, 7), (7, 3), (12, 12), (5, 40)])
+def test_r_row_filled_in_place(X, Y):
+    # the batched box counts fill int32 rows wider than XY; the padding stays zero
+    row = np.zeros(X * Y + 5, dtype=np.int32)
+    assert build_r_table(X, Y, out=row) is row
+    assert row[: X * Y].tolist() == [r_direct(n, X, Y) for n in range(1, X * Y + 1)]
+    assert not row[X * Y :].any()
+
+
 @given(st.integers(1, 40), st.integers(1, 40))
 @settings(max_examples=40, deadline=None)
 def test_r_table_total_mass(X, Y):

@@ -1,3 +1,4 @@
+import functools
 import itertools
 import math
 from concurrent.futures import ThreadPoolExecutor
@@ -97,13 +98,14 @@ def test_square_guards_raise_instead_of_rounding():
 
 @st.composite
 def box_lists(draw):
-    """Boxes with XY <= 6000, mixed in size and orientation, plus one with
+    """Boxes with XY < 6100, mixed in size and orientation, plus one with
     XY > _BATCH_POINTS / 4, which fills a batch alone."""
     areas = draw(st.lists(st.integers(1, 6000), min_size=2, max_size=12)) + [draw(st.integers(8200, 9000))]
     out = []
     for area in areas:
         X = draw(st.integers(1, math.isqrt(area)))
-        out.append((X, area // X) if draw(st.booleans()) else (area // X, X))
+        Y = -(-area // X)  # rounded up: XY >= area, so the last box keeps XY >= 8200
+        out.append((X, Y) if draw(st.booleans()) else (Y, X))
     return out
 
 
@@ -132,13 +134,12 @@ def test_batched_boxes_match_literal(boxes):
 
 
 def test_batch_with_an_over_norm_row_caches_nothing(monkeypatch):
-    # one r-table scaled by 10^7 (its entries stay below 2^31) puts its
-    # row's norm, so the batch's, far past the bound
-    build = counts.build_r_table
-
-    def scaled(X, Y):
-        table = build(X, Y)
-        return table if (X, Y) != (5, 7) else table * 10**7
+    # one r row scaled by 10^7 (its entries stay below 2^31) puts its
+    # norm, so the batch's, far past the bound
+    def scaled(X, Y, out):
+        build_r_table(X, Y, out=out)
+        if (X, Y) == (5, 7):
+            out *= 10**7
 
     boxes = [(3, 4), (5, 7), (6, 6)]
     monkeypatch.setattr(counts, "_BOXES", {})
@@ -146,9 +147,25 @@ def test_batch_with_an_over_norm_row_caches_nothing(monkeypatch):
     with pytest.raises(FloatingPointError):
         counts._count_boxes(boxes)
     assert counts._BOXES == {}
-    monkeypatch.setattr(counts, "build_r_table", build)
-    counts._count_boxes(boxes)
+    monkeypatch.setattr(counts, "build_r_table", build_r_table)
+    assert counts._count_boxes(boxes) == [m_literal(*box) for box in boxes]
     assert counts._BOXES == {box: m_literal(*box) for box in boxes}
+
+
+def test_count_boxes_returns_counts_in_order():
+    # zero sides count 0, either orientation reads one cache entry, repeats repeat
+    boxes = [(7, 3), (0, 9), (3, 7), (4, 0), (2, 5), (7, 3)]
+    assert counts._count_boxes(boxes) == [m_literal(3, 7), 0, m_literal(3, 7), 0, m_literal(2, 5), m_literal(3, 7)]
+
+
+def test_box_cache_eviction_keeps_counts_exact(monkeypatch):
+    # a batch that empties the cache must not lose the counts of the boxes
+    # read before it or counted in earlier batches of the same call
+    monkeypatch.setattr(counts, "_BOXES", {})
+    monkeypatch.setattr(counts, "_BOXES_MAX", 10)
+    monkeypatch.setattr(counts, "_mprime_z", functools.lru_cache(maxsize=None)(counts._mprime_z.__wrapped__))
+    assert counts.mprime(10**6) == 529846752
+    assert counts.n0_times4(10**6) == 245390400
 
 
 def test_near_overflow_row_raises():
@@ -216,12 +233,20 @@ def test_mprime_blocks_match_shell_loop():
 @pytest.mark.parametrize("z", [1, 2, 3, 10, 99, 400, 12345, 10**5])
 def test_mprime_block_sums_call_count(z, monkeypatch):
     # only the boxes asked for matter here, not their values: nothing is counted
-    requested, calls = [], []
-    monkeypatch.setattr(counts, "_count_boxes", requested.extend)
-    monkeypatch.setattr(counts, "m_fast", lambda X, Y: calls.append((X, Y)) or 0)
+    requested, reads = [], []
+
+    def count_boxes(boxes):
+        requested.append(list(boxes))
+        return [reads.append(box) or 0 for box in requested[-1]]
+
+    monkeypatch.setattr(counts, "_count_boxes", count_boxes)
+    monkeypatch.setattr(counts, "m_fast", lambda X, Y: pytest.fail("M' reads a box outside its batch"))
     counts._mprime_z.__wrapped__(z)
-    assert len(requested) <= 4 * math.isqrt(z) + 2
-    assert sorted(calls) == sorted(requested)  # every box read is one the batch was asked for
+    s = math.isqrt(z)
+    hyperbola = [(k, z // k) for k in range(1, s + 1)] + [(k - 1, z // k) for k in range(1, s + 1)] + [(s, s)]
+    assert len(requested) == 1  # one batch call, every count read from its result
+    assert sorted(requested[0]) == sorted(reads) == sorted(hyperbola)
+    assert len(reads) == 2 * s + 1
 
 
 def test_mprime_traced_peak(traced_peak, monkeypatch):
@@ -234,7 +259,7 @@ def test_mprime_traced_peak(traced_peak, monkeypatch):
 
 def test_blocks_match_literal_loop():
     for ns in [(n,) for n in range(1, 301)] + [(a, b) for a in range(1, 301, 7) for b in range(1, 301, 11)]:
-        runs = list(counts._blocks(*ns))
+        runs = list(zip(*counts._blocks(*ns)))
         assert [d for lo, hi in runs for d in range(lo, hi + 1)] == list(range(1, min(ns) + 1)), ns
         for lo, hi in runs:
             assert all(n // d == n // lo for n in ns for d in range(lo, hi + 1)), ns
