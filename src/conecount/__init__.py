@@ -20,7 +20,7 @@ from .asymptotics import (
     singular_series_partial,
     zeta3_value,
 )
-from .calibration import Calibration, default_calibration, load_calibration
+from .calibration import Calibration, default_calibration
 from .circle import (
     dissect,
     f_eval,

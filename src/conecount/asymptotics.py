@@ -141,6 +141,8 @@ def _log_scale(x: float) -> float:
 
 def deviation_thm1(X: int, Y: int) -> DeviationRecord:
     """|M(X,Y) - main term| over (XY)^(3/2) max(log X, 1) log Y."""
+    if Y <= 1:
+        raise ValueError("the deviation scale (XY)^(3/2) max(log X, 1) log Y needs Y > 1")
     exact = m_fast(X, Y)
     main = main_term_thm1(X, Y)
     scale = (X * Y) ** 1.5 * _log_scale(X) * math.log(Y)
@@ -189,6 +191,8 @@ def solve_log_linear(B_grid: list[int], values: list[float]) -> tuple[float, flo
 
 def fit_residual_trend(B_grid: list[int]) -> list[DeviationRecord]:
     """Residuals of the two-parameter fit on the B^(7/8) log^2 B scale."""
+    if min(B_grid, default=2) <= 1:
+        raise ValueError("the residual scale B^(7/8) log^2 B needs B > 1")
     kappa_hat, c_hat = fit_theorem2(B_grid)
     out = []
     for B in B_grid:

@@ -3,15 +3,14 @@
 Every number here is an artifact constant obtained by measuring the
 implemented quantities at desk scale; none of them is a theoretical
 claim (the theory gives only O(.) statements for these error terms).
-The defaults are the ``Calibration`` field defaults below; a JSON file
-with any subset of the fields overrides them (e.g. via the CLI
-``--calibration`` flag).
+They are the ``Calibration`` field defaults below.  No flag, file or
+environment variable sets them: every suite and report reads one block
+of the defaults, so a bound that fails stays failing until the program
+is fixed.
 """
 
 from __future__ import annotations
 
-import dataclasses
-import json
 from dataclasses import dataclass
 
 
@@ -45,23 +44,8 @@ class Calibration:
     triple_sine_tol: float = 1.0e-6
     singular_series_tol: float = 2.0e-4
 
-    def as_dict(self) -> dict:
-        return dataclasses.asdict(self)
-
 
 def default_calibration() -> Calibration:
-    """The packaged calibration block: the field defaults."""
+    """The calibration block the suites read: the field defaults."""
     return Calibration()
 
-
-def load_calibration(path: str) -> Calibration:
-    with open(path) as fh:
-        return load_calibration_dict(json.load(fh))
-
-
-def load_calibration_dict(data: dict) -> Calibration:
-    known = {f.name for f in dataclasses.fields(Calibration)}
-    unknown = set(data) - known
-    if unknown:
-        raise ValueError(f"unknown calibration keys: {sorted(unknown)}")
-    return Calibration(**data)

@@ -347,8 +347,11 @@ def minor_arc_scan(X: float, Y: float, n_samples: int, seed: int) -> MinorArcSca
 # ---------------------------------------------------------------------------
 
 
-def j_quadrature(q: int, X: float, Y: float, T: float = 50.0) -> QuadResult:
-    """int_{-T}^{T} v_q(gamma)^3 dgamma plus a tail bound.
+_J_TRUNCATION = 50.0  # the truncation point T of j_quadrature
+
+
+def j_quadrature(q: int, X: float, Y: float) -> QuadResult:
+    """int_{-T}^{T} v_q(gamma)^3 dgamma, T = ``_J_TRUNCATION``, plus a tail bound.
 
     v_q is even, so 2 int_0^T is computed on panels cut at the zeros
     gamma = j/(2 floor(Y) + 1); the tail uses |v_q| <= C log X / gamma
@@ -375,6 +378,7 @@ def j_quadrature(q: int, X: float, Y: float, T: float = 50.0) -> QuadResult:
     n = math.floor(X / q)
     m = math.floor(Y)
     k = 2 * m + 1
+    T = _J_TRUNCATION
     brk = np.unique(np.concatenate([[0.0], np.arange(1, int(T * k) + 1) / k, [T]]))
     brk = brk[brk <= T]
     body = integrate_panels(lambda g: _sinc_sum(g, n, m) ** 3, brk, QUAD_TOLERANCE, order=panel_order(3 * n))

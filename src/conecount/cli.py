@@ -4,8 +4,9 @@
 
 Exit codes: 0 all checks pass, 1 at least one failure, 2 usage error
 (including a malformed ``--grid`` item), 3 I/O failure while writing the
-report.  Environment variables are never consulted; the seed, grid and
-calibration file fully determine the run (runtime_ms columns aside).
+report.  Environment variables are never consulted; the seed and grid
+fully determine the run (runtime_ms columns aside).  No flag sets the
+calibration constants: the suites read the ``Calibration`` defaults.
 """
 
 from __future__ import annotations
@@ -13,7 +14,6 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .calibration import default_calibration, load_calibration
 from .report import SUITE_NAMES, RunConfig, emit, run_suite
 
 EXIT_PASS = 0
@@ -37,19 +37,13 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="comma-separated grid override: XxY items for box-count suites, B values otherwise",
     )
-    p.add_argument("--calibration", default=None, help="JSON file overriding the calibration block")
     return p
 
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    try:
-        calibration = load_calibration(args.calibration) if args.calibration else default_calibration()
-    except (OSError, ValueError) as exc:
-        print(f"conecount: bad calibration file: {exc}", file=sys.stderr)
-        return EXIT_USAGE
     grid = tuple(s.strip() for s in args.grid.split(",") if s.strip()) if args.grid else None
-    config = RunConfig(seed=args.seed, grid=grid, calibration=calibration)
+    config = RunConfig(seed=args.seed, grid=grid)
     try:
         report = run_suite(args.suite, config)
     except ValueError as exc:  # a --grid the suite cannot read, found before any check runs

@@ -70,6 +70,8 @@ _PI = math.pi
 _ROUNDING_FLOOR = 50.0 * np.finfo(float).eps
 # absolute tolerance of every improper integral's panel quadrature
 QUAD_TOLERANCE = 1.0e-9
+# levels of panels integrate_panels may use, the given panels being the first
+_MAX_DEPTH = 12
 # half-periods of the top frequency on one equal oscillatory panel: 12 to
 # 32 all run the triple-sine and cubed-Si integrals within 15% of the time
 # at 16, but from 20 up the cubed-Si value moves 1.6e-14 to 3e-14 off its
@@ -137,7 +139,6 @@ def integrate_panels(
     f: Callable[[np.ndarray], np.ndarray],
     breakpoints: np.ndarray,
     tolerance: float,
-    max_depth: int = 12,
     *,
     order: int,
 ) -> float:
@@ -147,7 +148,7 @@ def integrate_panels(
     ``order + 1``, from ``2 order + 1`` integrand values (the two rules
     share no node).  A panel whose two estimates differ by at most its
     share contributes the order ``order + 1`` value; any other panel is
-    bisected and both rules run on each half, over at most ``max_depth``
+    bisected and both rules run on each half, over at most ``_MAX_DEPTH``
     levels of panels (the given panels are the first).  A panel's share is ``tolerance *
     (b - a) / total_len``, floored at ``50 eps |G|``, the rounding level of
     its order ``order + 1`` value G.  The accepted panel values are added
@@ -201,7 +202,7 @@ def integrate_panels(
     finished: list[np.ndarray] = []  # the accepted panel values of each depth
     depth = 0
     while a.size:
-        if depth >= max_depth:
+        if depth >= _MAX_DEPTH:
             raise ConvergenceError("panel bisection budget exhausted")
         lo = gl(a, b, order)
         hi = gl(a, b, order + 1)

@@ -5,8 +5,10 @@ the expected and actual values, the tolerance used, pass or fail, and
 its runtime.  Reports serialise to CSV (columns exactly
 ``suite,check_id,input,expected,actual,tolerance,status,runtime_ms``)
 and to JSON carrying the same records plus the calibration and seed
-blocks.  Apart from runtime_ms, two runs with the same configuration
-produce identical bytes.
+blocks.  Every suite reads the one calibration block ``CAL``, the
+``Calibration`` defaults; a run's only inputs are its seed and grid, and
+apart from runtime_ms two runs with the same seed and grid produce
+identical bytes.
 
 Every check runs; the size guards sit in the engine, whose
 ``ResourceLimitError`` caps turn an oversized input into a ``fail`` row.
@@ -20,7 +22,7 @@ import json
 import math
 import random
 import time
-from dataclasses import asdict, astuple, dataclass, field, fields
+from dataclasses import asdict, astuple, dataclass, fields
 from fractions import Fraction
 from functools import cache, partial
 from typing import Callable
@@ -30,11 +32,13 @@ import numpy as np
 from . import asymptotics, circle, closed_forms, counts, hyperbola, integrals
 from .calibration import Calibration
 
+CAL = Calibration()  # the calibration block of every suite and report
+
+
 @dataclass(frozen=True)
 class RunConfig:
     seed: int = 1
     grid: tuple[str, ...] | None = None  # raw --grid items, suite-interpreted
-    calibration: Calibration = field(default_factory=Calibration)
 
     def _read_grid(self, default: list, read: Callable[[str], object], form: str) -> list:
         """The grid items read one by one, or default; ValueError names a malformed item."""
@@ -99,7 +103,6 @@ class Check:
 class VerificationReport:
     suite: str
     records: tuple[CheckRecord, ...]
-    calibration: dict
     seeds: dict
 
     @property
@@ -204,7 +207,7 @@ def _suite_identities(cfg: RunConfig) -> list[Check]:
         return np.max(np.abs(closed_forms.G_value(ts)) / np.minimum(ts, ts * ts))
 
     checks.append(
-        bound_check("g_bound/log_grid", "t in (0, 1e4]", g_ratio, cfg.calibration.g_bound_constant)
+        bound_check("g_bound/log_grid", "t in (0, 1e4]", g_ratio, CAL.g_bound_constant)
     )
     checks.append(
         exact_check("f_values/small", "n=0,1,2", (Fraction(0), Fraction(6), Fraction(63, 2)),
@@ -213,11 +216,14 @@ def _suite_identities(cfg: RunConfig) -> list[Check]:
     return checks
 
 
-def _random_m_pairs(seed: int, count: int = 10) -> list[tuple[int, int]]:
+_RANDOM_PAIRS = 10  # seeded pairs in the counts suite's m/oracle_random rows
+
+
+def _random_m_pairs(seed: int) -> list[tuple[int, int]]:
     """Seeded rectangular pairs with XY <= 5000, enumeration-friendly cost."""
     rng = random.Random(seed)
     pairs = []
-    while len(pairs) < count:
+    while len(pairs) < _RANDOM_PAIRS:
         x = rng.randint(1, 18)
         y_cap = min(5000 // x, int(math.sqrt(2e8 / x**3)))
         if y_cap < 1:
@@ -293,7 +299,6 @@ def _suite_counts(cfg: RunConfig) -> list[Check]:
 
 
 def _suite_thm1(cfg: RunConfig) -> list[Check]:
-    cal = cfg.calibration
     checks = [
         tol_check("main_term/example_a", "X=1.6,Y=10", 2400.0,
                   lambda: asymptotics.main_term_thm1(1.6, 10), 1e-9),
@@ -302,7 +307,7 @@ def _suite_thm1(cfg: RunConfig) -> list[Check]:
         tol_check("singular_series/partial_1e4", "Q=1e4",
                   lambda: asymptotics.constants().zeta2 / asymptotics.constants().zeta3,
                   lambda: asymptotics.singular_series_partial(10**4),
-                  cal.singular_series_tol),
+                  CAL.singular_series_tol),
         true_check("singular_series/monotone_bounded", "Q<=2000",
                    _singular_series_monotone),
     ]
@@ -311,7 +316,7 @@ def _suite_thm1(cfg: RunConfig) -> list[Check]:
         checks.append(
             bound_check(f"deviation/X={x},Y={y}", f"X={x},Y={y}",
                         lambda x=x, y=y: asymptotics.deviation_thm1(x, y).deviation,
-                        cal.thm1_deviation_bound)
+                        CAL.thm1_deviation_bound)
         )
 
     def trend():
@@ -333,7 +338,6 @@ def _singular_series_monotone() -> bool:
 
 
 def _suite_thm2(cfg: RunConfig) -> list[Check]:
-    cal = cfg.calibration
     grid = cfg.b_grid([i * 10**5 for i in range(1, 11)])
     k = asymptotics.constants  # evaluated inside the checks, so their runtime_ms sees it
     checks = [
@@ -342,10 +346,10 @@ def _suite_thm2(cfg: RunConfig) -> list[Check]:
         true_check("constants/zeta3_bracket", "1.2020 < zeta3 < 1.2021",
                    lambda: 1.2020 < k().zeta3 < 1.2021),
         tol_check("fit/kappa_hat", f"grid={grid[0]}..{grid[-1]}", lambda: k().kappa2,
-                  lambda: asymptotics.fit_theorem2(grid)[0], lambda: cal.thm2_kappa_rel_tol * k().kappa2),
+                  lambda: asymptotics.fit_theorem2(grid)[0], lambda: CAL.thm2_kappa_rel_tol * k().kappa2),
         bound_check("fit/residual_trend", f"grid={grid[0]}..{grid[-1]}",
                     lambda: max(r.deviation for r in asymptotics.fit_residual_trend(grid)),
-                    cal.thm2_residual_bound),
+                    CAL.thm2_residual_bound),
         true_check("fit/synthetic_recovery", "kappa=5.8,C=-3.2", _fit_synthetic),
         true_check("fit/two_point_interpolation", "B={1e4,1e6-ish}", _fit_two_point),
     ]
@@ -369,11 +373,10 @@ def _fit_two_point() -> bool:
 
 
 def _suite_thm3(cfg: RunConfig) -> list[Check]:
-    cal = cfg.calibration
     checks = [
         tol_check("si_cubed/quad_vs_closed", "default config (T=1e4)",
                   integrals.si_cubed_closed, lambda: integrals.si_cubed_quad().value,
-                  cal.si_cubed_tol),
+                  CAL.si_cubed_tol),
     ]
     rng = random.Random(20)
     cases = [("w=1,1,1", (1, 1, 1), 3 * math.pi / 4), ("w=2,1,1", (2, 1, 1), math.pi)]
@@ -383,18 +386,16 @@ def _suite_thm3(cfg: RunConfig) -> list[Check]:
     for name, ws, expected in cases:
         checks.append(
             tol_check(f"triple_sine/{name}", "w=" + ",".join(_fmt(w) for w in ws), expected,
-                      lambda ws=ws: integrals.triple_sine_quad(*ws).value, cal.triple_sine_tol)
+                      lambda ws=ws: integrals.triple_sine_quad(*ws).value, CAL.triple_sine_tol)
         )
     return checks
 
 
 def _suite_circle(cfg: RunConfig) -> list[Check]:
-    cal = cfg.calibration
-    tol = cal.kernel_oracle_tol
     alphas = [0.0, 0.5, 1.0 / 3.0, 0.123456, 0.987, -0.377, 2.345]
     checks = [
         bound_check(f"kernels/{name}_vs_brute", "X,Y<=8",
-                    lambda fast=fast, oracle=oracle: _kernel_worst(fast, oracle, alphas), tol)
+                    lambda fast=fast, oracle=oracle: _kernel_worst(fast, oracle, alphas), CAL.kernel_oracle_tol)
         for name, fast, oracle in _KERNEL_PAIRS
     ] + [
         true_check("kernels/g1_zero", "q=1", lambda: all(circle.g_q_eval(a, 1, 6, 6) == 0.0 for a in alphas)),
@@ -409,24 +410,24 @@ def _suite_circle(cfg: RunConfig) -> list[Check]:
                    lambda: all(circle.l2_via_r(x, y) == circle.l2_naive(x, y)
                                for x in (1, 2, 3, 5) for y in (1, 2, 4, 8))),
         true_check("l2/bound_40", "X<=Y<=100",
-                   lambda: all(circle.l2_via_r(x, y) <= cal.l2_bound_constant * x * y * max(math.log(x), 1.0)
+                   lambda: all(circle.l2_via_r(x, y) <= CAL.l2_bound_constant * x * y * max(math.log(x), 1.0)
                                for x in (1, 2, 5, 10, 30, 60, 100) for y in (x, 100))),
         bound_check("wv/proximity", "|gamma| <= 1/(2X) sampled",
                     lambda: max(abs(circle.w_q_eval(g, q, X, Y) - circle.v_q_eval(g, q, X, Y))
-                                / (cal.wv_proximity_constant * g * X * X / (q * q))
+                                / (CAL.wv_proximity_constant * g * X * X / (q * q))
                                 for (q, X, Y) in _SWEEP_BOXES for g in np.linspace(1e-9, 1 / (2 * X), 120)),
                     1.0),
         bound_check("v/sup_bound", "gamma sampled",
-                    lambda: max(abs(circle.v_q_eval(g, q, X, Y)) / (cal.v_sup_constant * X * Y / q)
+                    lambda: max(abs(circle.v_q_eval(g, q, X, Y)) / (CAL.v_sup_constant * X * Y / q)
                                 for (q, X, Y) in _SWEEP_BOXES for g in np.linspace(1e-7, 0.5, 150)),
                     1.0),
         bound_check("v/decay_bound", "gamma sampled",
-                    lambda: max(abs(circle.v_q_eval(g, q, X, Y)) * g / (cal.v_decay_constant * math.log(X))
+                    lambda: max(abs(circle.v_q_eval(g, q, X, Y)) * g / (CAL.v_decay_constant * math.log(X))
                                 for (q, X, Y) in _DECAY_BOXES for g in np.logspace(-6, -0.31, 150)),
                     1.0),
         bound_check("minor_arcs/ratio", f"X=Y=40, n=1000, seed={cfg.seed}",
                     lambda: circle.minor_arc_scan(40, 40, 1000, cfg.seed).ratio,
-                    cal.minor_arc_ratio_bound),
+                    CAL.minor_arc_ratio_bound),
         true_check("minor_arcs/deterministic", f"seed={cfg.seed}",
                    lambda: circle.minor_arc_scan(40, 40, 200, cfg.seed)
                    == circle.minor_arc_scan(40, 40, 200, cfg.seed)),
@@ -438,7 +439,7 @@ def _suite_circle(cfg: RunConfig) -> list[Check]:
             return abs(quad - closed) / closed
 
         checks.append(bound_check(f"j_bridge/q={q},X={x},Y={y}", f"q={q},X={x},Y={y}",
-                                  rel, cal.j_bridge_rel_tol))
+                                  rel, CAL.j_bridge_rel_tol))
     return checks
 
 
@@ -479,7 +480,6 @@ _DECAY_BOXES = ((1, 8, 8), (2, 8, 6), (3, 7, 9), (1, 20, 30), (5, 17, 23))
 
 
 def _suite_hyperbola(cfg: RunConfig) -> list[Check]:
-    cal = cfg.calibration
     checks = [
         exact_check("partition/examples", "B=1e8,16,1", (10, 2, 1),
                     lambda: tuple(hyperbola.quadratic_partition(b) for b in (10**8, 16, 1))),
@@ -496,7 +496,7 @@ def _suite_hyperbola(cfg: RunConfig) -> list[Check]:
         bound_check("telescope/cauchy", "L=1e3 vs 1e4",
                     lambda: abs(hyperbola.telescope_constant(1000) - hyperbola.telescope_constant(10**4))
                     / (1.0 / 1000 - 1.0 / 10**4),
-                    cal.telescope_cauchy_coefficient),
+                    CAL.telescope_cauchy_coefficient),
         tol_check("xi_main/example_16", "B=16", 360.0, lambda: hyperbola.xi_main_term(16).direct, 1e-9),
     ]
     for b in cfg.b_grid([16, 10**4, 10**5, 10**6]):
@@ -508,9 +508,9 @@ def _suite_hyperbola(cfg: RunConfig) -> list[Check]:
         checks.append(Check(check_id=f"sandwich/B={b}", input=f"B={b}", run=run_sandwich))
     for b in (10**4, 10**6):
         checks.append(bound_check(f"xi_main/split_gap_B={b}", f"B={b}",
-                                  lambda b=b: _xi_split_gap(b), cal.xi_split_rel_tol))
+                                  lambda b=b: _xi_split_gap(b), CAL.xi_split_rel_tol))
         checks.append(bound_check(f"xi_main/vs_xi_B={b}", f"B={b}",
-                                  lambda b=b: _xi_vs_main(b), cal.xi_main_deviation_bound))
+                                  lambda b=b: _xi_vs_main(b), CAL.xi_main_deviation_bound))
     return checks
 
 
@@ -537,7 +537,6 @@ def _xi_vs_main(b: int) -> float:
 
 
 def _suite_boundary(cfg: RunConfig) -> list[Check]:
-    cal = cfg.calibration
     k = asymptotics.constants  # evaluated inside the checks, so their runtime_ms sees it
 
     def rel_boundary():
@@ -545,10 +544,10 @@ def _suite_boundary(cfg: RunConfig) -> list[Check]:
         return abs(rec.exact / 10**6 - k().boundary) / k().boundary
 
     checks = [
-        bound_check("boundary/leading_1e6", "B=1e6", rel_boundary, cal.boundary_rel_tol),
+        bound_check("boundary/leading_1e6", "B=1e6", rel_boundary, CAL.boundary_rel_tol),
         bound_check("w3/leading_Z=1e3", "B=1e6",
                     lambda: abs(counts.w_counts(10**6)[2] / (10**3) ** 2 - 48.0 / k().zeta2) / (48.0 / k().zeta2),
-                    cal.w3_rel_tol),
+                    CAL.w3_rel_tol),
         exact_check("boundary/identity_B=1", "B=1", True,
                     lambda: asymptotics.boundary_check(1).exact == sum(counts.w_counts(1)) / 4.0),
         true_check("boundary/finite_1e4", "B=1e4",
@@ -617,7 +616,6 @@ def run_suite(suite: str, config: RunConfig | None = None) -> VerificationReport
     return VerificationReport(
         suite=suite,
         records=tuple(records),
-        calibration=config.calibration.as_dict(),
         seeds={"seed": config.seed, "summation": "ascending-index math.fsum"},
     )
 
@@ -646,7 +644,7 @@ def to_json_text(report: VerificationReport) -> str:
     payload = {
         "suite": report.suite,
         "records": [asdict(r) for r in report.records],
-        "calibration": report.calibration,
+        "calibration": asdict(CAL),
         "seeds": report.seeds,
     }
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"

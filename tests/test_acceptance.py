@@ -8,7 +8,7 @@ test session: the records come from the session cache in ``conftest.py``,
 which the other test modules read too.  A criterion passes when
 
 - every selected row has status ``pass`` (the suite applies the criterion's
-  tolerance from the calibration),
+  tolerance from the package's one calibration block),
 - the number of selected rows is exactly the number expected, so a
   mistyped check_id prefix cannot pass on zero rows, and
 - where a time gate is stated, the sum of the rows' runtime_ms is below it.
@@ -22,8 +22,8 @@ four pairs (signed -10.88, -3.24, -9.08, -8.07), and the exact prefactor
 -11.66), so that replacement does not explain it.  The deviation splits
 exactly into counted parts, M - main = H - E1 - E0 + R (y = 0, y with one
 zero coordinate, half the boundary faces, and a remainder): the README
-("Calibration constants") and ROADMAP direction 1 define the parts and
-give their measured sizes.
+section "Calibration constants" defines the parts and gives their
+measured sizes.
 """
 
 import math
@@ -33,7 +33,7 @@ import pytest
 from conecount.calibration import default_calibration
 from conecount.report import SUITE_NAMES, CheckRecord
 
-CAL = default_calibration()  # the calibration the session's default runs use
+CAL = default_calibration()  # the one calibration block every suite reads
 
 
 @pytest.fixture
@@ -150,9 +150,15 @@ def test_criterion_13_circle_micro_suite(rows):
            detail=f"minor-arc ratio={value(sel, 'minor_arcs/ratio'):.3f}")
 
 
+# the rows that fail at desk scale: criterion 5's four deviations, no other
+KNOWN_FAILURES = {("thm1", f"deviation/X={x},Y={y}") for x, y in ((20, 20), (20, 100), (40, 40), (60, 60))}
+
+
 def test_whole_report_every_row_once(suite_records):
-    # every check runs, so no row can drop out of the report unnoticed
+    # every check runs, so no row can drop out of the report unnoticed, and
+    # a row outside every criterion cannot turn ``fail`` unnoticed either
     records = [r for suite in SUITE_NAMES if suite != "all" for r in suite_records(suite)]
     assert len(records) == 263
     assert len({(r.suite, r.check_id) for r in records}) == len(records)
     assert {r.status for r in records} <= {"pass", "fail"}
+    assert {(r.suite, r.check_id) for r in records if r.status == "fail"} == KNOWN_FAILURES

@@ -8,6 +8,7 @@ from conecount.asymptotics import (
     boundary_check,
     constants,
     deviation_thm1,
+    fit_residual_trend,
     fit_theorem2,
     height_zeta_tail_bound,
     height_zeta_truncated,
@@ -110,6 +111,12 @@ def test_deviation_records():
     assert 2.5 < deviation_thm1(20, 100).deviation < 4.0
 
 
+def test_deviation_scale_needs_y_above_one():
+    # log Y = 0 at Y = 1 would divide by zero
+    with pytest.raises(ValueError, match="Y > 1"):
+        deviation_thm1(5, 1)
+
+
 def test_deviation_trend_does_not_grow():
     devs = [deviation_thm1(s, s).deviation for s in (20, 40, 60)]
     assert all(b <= 2.0 * a for a, b in zip(devs, devs[1:]))
@@ -136,6 +143,13 @@ def test_fit_rejects_degenerate_grid():
         fit_theorem2([10**4])
     with pytest.raises(ValueError):
         fit_theorem2([10**4, 10**4])
+
+
+def test_residual_scale_needs_b_above_one():
+    # log B = 0 at B = 1 would divide by zero; the fit itself is regular on this grid
+    fit_theorem2([1, 100])
+    with pytest.raises(ValueError, match="B > 1"):
+        fit_residual_trend([1, 100])
 
 
 def test_fit_at_scale(suite_rows):

@@ -258,17 +258,18 @@ def test_minor_arc_scan_ratio(suite_rows):
     assert suite_rows("circle")["minor_arcs/ratio"].status == "pass"
 
 
-def test_j_quadrature_even_split():
+def test_j_quadrature_even_split(monkeypatch):
     # the integrand is even, so the quadrature of v^3 over [0, T] doubles up;
     # compare against an explicit two-sided panel integration
     from conecount.integrals import integrate_panels
     from conecount.circle import _sinc_sum
 
     n, m, T = 2, 2, 8.0
+    monkeypatch.setattr(circle, "_J_TRUNCATION", T)
     k = 2 * m + 1
     brk = np.unique(np.concatenate([np.arange(-int(T * k), int(T * k) + 1) / k, [-T, T]]))
     two_sided = integrate_panels(lambda g: _sinc_sum(g, n, m) ** 3, brk, 1e-10, order=16)
-    res = circle.j_quadrature(1, 2, 2, T=T)
+    res = circle.j_quadrature(1, 2, 2)
     assert res.value == pytest.approx(two_sided, rel=1e-9)
 
 

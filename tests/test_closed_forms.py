@@ -165,6 +165,28 @@ def test_float_table_grows_correctly_under_concurrent_requests():
         sys.setswitchinterval(switch)
 
 
+def test_float_table_cap_refuses_before_growing():
+    # F_float(10**12) used to ask numpy for 7.3 TiB; a refused call leaves the table as it was
+    cap = closed_forms.FLOAT_TABLE_MAX_N
+    table = closed_forms._FLOAT_TABLE
+    for call in (lambda: F_float(10**12), lambda: F_float(np.array([3, cap + 1])),
+                 lambda: G_value(cap + 1.0), lambda: G_value(1e300)):
+        with pytest.raises(ResourceLimitError):
+            call()
+        assert closed_forms._FLOAT_TABLE is table
+
+
+def test_float_table_growth_stops_at_the_cap():
+    module = fresh_closed_forms()
+    module.FLOAT_TABLE_MAX_N = 5000
+    module.F_float(3000)
+    assert module.F_float(5000) == F_float(5000)  # doubling would have made 6002 columns
+    assert module._FLOAT_TABLE.shape == (2, 5001)
+    assert module.G_value(5000.5) == G_value(5000.5)
+    with pytest.raises(ResourceLimitError):
+        module.G_value(5001.0)
+
+
 def test_g_values():
     assert G_value(0.5) == pytest.approx(-(33 - math.pi**2) / 8, abs=1e-12)
     assert G_value(1.0) == pytest.approx(6 - (33 - math.pi**2) / 2, abs=1e-12)

@@ -45,8 +45,7 @@ def _literal_orders(tree: ast.Module) -> list[str]:
         name = node.func.attr if isinstance(node.func, ast.Attribute) else getattr(node.func, "id", None)
         if name != "integrate_panels":
             continue
-        orders = [kw.value for kw in node.keywords if kw.arg == "order"] + node.args[4:5]
-        for expr in orders:
+        for expr in [kw.value for kw in node.keywords if kw.arg == "order"]:
             parts = list(ast.walk(expr))
             if any(isinstance(p, ast.Constant) for p in parts) and not any(isinstance(p, ast.Call) for p in parts):
                 found.append(f"line {node.lineno}: order={ast.unparse(expr)}")
@@ -54,7 +53,7 @@ def _literal_orders(tree: ast.Module) -> list[str]:
 
 
 def test_literal_order_is_detected():
-    src = "integrate_panels(f, brk, tol, order=4)\nintegrals.integrate_panels(f, brk, tol, 12, 6 + 3 * n)\n"
+    src = "integrate_panels(f, brk, tol, order=4)\nintegrals.integrate_panels(f, brk, tol, order=6 + 3 * n)\n"
     assert _literal_orders(ast.parse(src)) == ["line 1: order=4", "line 2: order=6 + 3 * n"]
     assert _literal_orders(ast.parse("integrate_panels(f, brk, tol, order=panel_order(3 * n))")) == []
 

@@ -182,11 +182,12 @@ def test_si_cubed_config_validation():
         QuadratureConfig(truncation=0.5)
 
 
-def test_integrate_panels_budget():
+def test_integrate_panels_budget(monkeypatch):
     # a kink far from any breakpoint forces endless bisection
+    monkeypatch.setattr(integrals, "_MAX_DEPTH", 3)
     with pytest.raises(ConvergenceError):
         integrate_panels(lambda x: np.abs(x - 0.123456789), np.array([0.0, 1.0]),
-                         tolerance=1e-12, max_depth=3, order=2)
+                         tolerance=1e-12, order=2)
 
 
 def test_integrate_panels_tolerance_below_rounding():

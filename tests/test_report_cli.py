@@ -1,14 +1,16 @@
 import json
 import os
+import re
+import shlex
 import stat
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
 from conecount import report
-from conecount.calibration import Calibration, load_calibration, load_calibration_dict
-from conecount.cli import main
+from conecount.cli import build_parser, main
 from conecount.report import (
     CSV_HEADER,
     RunConfig,
@@ -18,14 +20,6 @@ from conecount.report import (
     to_csv_text,
     to_json_text,
 )
-
-
-def test_calibration_roundtrip(tmp_path):
-    path = tmp_path / "cal.json"
-    path.write_text(json.dumps(Calibration(thm1_deviation_bound=4.5).as_dict()))
-    assert load_calibration(str(path)) == Calibration(thm1_deviation_bound=4.5)
-    with pytest.raises(ValueError):
-        load_calibration_dict({"not_a_knob": 1.0})
 
 
 def test_run_suite_unknown_name():
@@ -125,6 +119,16 @@ def test_cli_bad_grid_is_usage_error(tmp_path, capsys, suite, grid, item):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("suite,grid,condition", [
+    ("thm1", "5x1", "Y > 1"),     # the deviation scale has a factor log Y
+    ("thm2", "1,100", "B > 1"),   # the residual scale has a factor log^2 B
+])
+def test_grid_at_one_fails_its_row_by_name(suite, grid, condition):
+    rep = run_suite(suite, RunConfig(grid=tuple(grid.split(","))))
+    errors = [r.actual for r in rep.records if r.actual.startswith("error:")]
+    assert errors and all(e.startswith("error: ValueError:") and condition in e for e in errors)
+
+
 def test_grid_suites_match_builders():
     # exactly the builders that read the grid reject a malformed one, so the
     # list run_suite checks a grid against cannot drift from them
@@ -150,9 +154,6 @@ def test_b_grid_is_read_exactly():
 def test_cli_exit_codes(tmp_path):
     # failure -> 1 (the deviation checks exceed the default bound)
     assert main(["--suite", "thm1"]) == 1
-    # bad calibration file -> usage error
-    missing = tmp_path / "nope.json"
-    assert main(["--suite", "thm3", "--calibration", str(missing)]) == 2
     # unusable output path -> 3
     assert main(["--suite", "thm3", "--out", str(tmp_path / "no" / "dir" / "x.csv")]) == 3
     # argparse rejects unknown suites with SystemExit(2)
@@ -167,17 +168,40 @@ def test_cli_exit_codes(tmp_path):
     with pytest.raises(SystemExit) as exc:
         main(["--jobs", "2"])
     assert exc.value.code == 2
+    # the calibration constants are the package's own: no file can loosen a bound
+    cal = tmp_path / "cal.json"
+    cal.write_text(json.dumps({"thm1_deviation_bound": 11.0}))
+    with pytest.raises(SystemExit) as exc:
+        main(["--suite", "thm1", "--calibration", str(cal)])
+    assert exc.value.code == 2
 
 
 def test_emit_readonly_target(tmp_path):
+    rep = run_suite("thm3")
+    # no user, root included, can open a directory for writing
+    with pytest.raises(IsADirectoryError):
+        emit(rep, "csv", str(tmp_path))
     target = tmp_path / "locked.csv"
     target.write_text("x")
     target.chmod(stat.S_IRUSR)
-    if os.access(target, os.W_OK):  # running as root: permission bits are moot
-        pytest.skip("cannot create a read-only file under this user")
-    rep = run_suite("thm3")
-    with pytest.raises(OSError):
-        emit(rep, "csv", str(target))
+    if not os.access(target, os.W_OK):  # root may write a file whatever its permission bits
+        with pytest.raises(PermissionError):
+            emit(rep, "csv", str(target))
+
+
+def _readme_cli_lines() -> list[str]:
+    """The ``conecount ...`` lines of the README's ``## CLI`` code block, comments dropped."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = re.search(r"^## CLI\n+```sh\n(.*?)^```", readme, re.S | re.M).group(1)
+    return [line.split("#")[0] for line in block.splitlines() if line.startswith("conecount ")]
+
+
+def test_readme_cli_lines_parse():
+    # a flag the README documents must still exist
+    lines = _readme_cli_lines()
+    assert len(lines) >= 4
+    for line in lines:
+        build_parser().parse_args(shlex.split(line)[1:])
 
 
 def test_console_script_runs():
