@@ -294,10 +294,11 @@ class MinorArcScan(NamedTuple):
 
 # kernel elements (samples times floor(X)) in one block of the minor-arc
 # scan.  minor_arc_scan(400, 400, 2000, 1) has a traced peak of 32.3 MB in
-# one block, 3.5 MB at 2^16 and 1.6 MB at 2^14; at 2^14 about half of it is
-# the 12,232 interval starts and lengths that the sample walk reads as
-# Python floats.  At X = 30, 99 and 400, 2^14 was as fast as any size
-# tried from 2^12 to one block (best of 4-30 CPU times, 2-core x86-64 host).
+# one block, 3.5 MB at 2^16, 1.6 MB at 2^14 and 1.4 MB at 2^12; at 2^14
+# 0.74 MB of it is the 12,232 interval starts and lengths that the sample
+# walk reads as Python floats, and 32 KB its sorted remainders and their
+# argsort.  At X = 30, 99 and 400, 2^14 was as fast as any size tried from
+# 2^12 to one block (best of 6 CPU times, 2-core x86-64 host).
 _SCAN_BLOCK = 2**14
 
 
@@ -321,16 +322,23 @@ def minor_arc_scan(X: float, Y: float, n_samples: int, seed: int) -> MinorArcSca
     u = np.array([rng.random() * total for _ in range(n_samples)])
     # all samples walk the intervals together, each through the same float
     # subtractions as a one-sample scan; a remainder that rounding carries
-    # past every interval takes the last interval's right end
+    # past every interval takes the last interval's right end.  The open
+    # remainders are kept sorted: rounding is monotone (a <= b gives
+    # fl(a - ln) <= fl(b - ln)), so subtracting the same ln from each keeps
+    # their order, and the samples that land in an interval (rest <= ln) are
+    # a prefix.  It is placed through the argsort and dropped, so each
+    # interval costs one comparison and one subtraction over the open samples.
     alphas = np.full(n_samples, ends[-1])
-    open_ = np.ones(n_samples, dtype=bool)
+    order = np.argsort(u, kind="stable")
+    rest = u[order]
     for a, ln in zip(starts.tolist(), lengths):
-        hit = open_ & (u <= ln)
-        alphas[hit] = a + u[hit]
-        open_ &= ~hit
-        if not open_.any():
-            break
-        u -= ln
+        if rest[0] <= ln:
+            hit = rest.searchsorted(ln, "right")
+            alphas[order[:hit]] = a + rest[:hit]
+            order, rest = order[hit:], rest[hit:]
+            if not rest.size:
+                break
+        rest -= ln
     # each sample's kernel sum is its own row, so blocks of rows give the same values
     x = np.arange(1, math.floor(X) + 1)
     rows = max(1, _SCAN_BLOCK // max(x.size, 1))
@@ -373,6 +381,8 @@ def j_quadrature(q: int, X: float, Y: float) -> QuadResult:
     36 at n = 10); the fixed order 16 took 1.5 times as long, bisecting
     most panels at n >= 5.
     """
+    if q < 1:
+        raise ValueError("q must be a positive integer")
     if q > X:
         return QuadResult(value=0.0, tail_bound=0.0)
     n = math.floor(X / q)
@@ -381,7 +391,17 @@ def j_quadrature(q: int, X: float, Y: float) -> QuadResult:
     T = _J_TRUNCATION
     brk = np.unique(np.concatenate([[0.0], np.arange(1, int(T * k) + 1) / k, [T]]))
     brk = brk[brk <= T]
-    body = integrate_panels(lambda g: _sinc_sum(g, n, m) ** 3, brk, QUAD_TOLERANCE, order=panel_order(3 * n))
+
+    def v_cubed(g):
+        # cubed by multiplication: v_q changes sign, and numpy 2.4's float64
+        # pow costs 70 ns per element on mixed signs and 116 ns on negative
+        # bases, against about 1 ns for the two products (8,192 elements)
+        v = _sinc_sum(g, n, m)
+        c = v * v
+        c *= v
+        return c
+
+    body = integrate_panels(v_cubed, brk, QUAD_TOLERANCE, order=panel_order(3 * n))
     c_log = Calibration.v_decay_constant * max(math.log(X), 1.0)
     tail = c_log**3 / (T * T)
     return QuadResult(value=2.0 * body, tail_bound=tail)

@@ -162,7 +162,7 @@ def G_value(t):
     A t of FLOAT_TABLE_MAX_N + 1 or more is refused as F_float refuses its n.
     """
     u = np.asarray(t, dtype=float)
-    if u.min(initial=1.0) <= 0:
+    if not u.min(initial=1.0) > 0:  # false for a NaN too
         raise ValueError("t must be positive")
     n = np.floor(np.minimum(u, FLOAT_TABLE_MAX_N + 1)).astype(np.int64)  # F_float refuses, int64 holds
     value = F_float(n) - (33.0 - math.pi**2) / 2.0 * u * u

@@ -319,10 +319,15 @@ def si(t):
 # ---------------------------------------------------------------------------
 
 
+def _check_frequencies(*w: float) -> None:
+    # a NaN fails the comparison too
+    if not all(0 < x < math.inf for x in w):
+        raise ValueError("frequencies must be positive and finite")
+
+
 def triple_sine_closed(w1: float, w2: float, w3: float) -> float:
     """Closed form of int_{-inf}^{inf} sin(w1 t) sin(w2 t) sin(w3 t)/t^3 dt."""
-    if w1 <= 0 or w2 <= 0 or w3 <= 0:
-        raise ValueError("frequencies must be positive")
+    _check_frequencies(w1, w2, w3)
     s = w1 + w2 + w3
     return (_PI / 8.0) * (
         s * s + box_fn(w1 - w2 - w3) + box_fn(w2 - w3 - w1) + box_fn(w3 - w1 - w2)
@@ -348,8 +353,7 @@ def triple_sine_quad(w1: float, w2: float, w3: float) -> QuadResult:
     uses the even Maclaurin branch and the tail beyond T is bounded by
     2 int_T^inf t^-3 dt = 1/T^2.
     """
-    if w1 <= 0 or w2 <= 0 or w3 <= 0:
-        raise ValueError("frequencies must be positive")
+    _check_frequencies(w1, w2, w3)
     eps = 1.0e-3
     T = QuadratureConfig().truncation
     brk, order = oscillatory_panels(eps, T, w1 + w2 + w3)

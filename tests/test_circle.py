@@ -8,7 +8,7 @@ from conecount import circle, report
 from conecount.arith import build_arith_tables
 from conecount.calibration import Calibration
 from conecount.counts import m_fast
-from conecount.integrals import j_closed
+from conecount.integrals import QUAD_TOLERANCE, integrate_panels, j_closed, panel_order
 
 ALPHAS = [0.0, 0.5, 1.0 / 3.0, 0.123456, 0.987, -0.377, 2.345]
 
@@ -183,7 +183,8 @@ def test_minor_arc_scan_deterministic():
 
 
 def _scan_per_sample(X, Y, n_samples, seed):
-    """The minor-arc scan as a scalar loop: each sample walks the intervals in turn."""
+    """The minor-arc scan as a scalar loop, each sample walking the intervals
+    in turn; returns the scan and its samples."""
     Q, _, intervals = _dissect_oracle(X, Y)
     lengths = [b - a for a, b in intervals]
     total = sum(lengths)
@@ -196,20 +197,81 @@ def _scan_per_sample(X, Y, n_samples, seed):
                 alphas[i] = a + u
                 break
             u -= ln
+        else:  # rounding carried the remainder past every interval
+            alphas[i] = intervals[-1][1]
     vals = np.abs(circle.kernel_sum(alphas, np.arange(1, math.floor(X) + 1), math.floor(Y), 1.0))
     scale = (X * Y / Q) * math.log(Y)
     m = float(vals.max())
-    return circle.MinorArcScan(
+    scan = circle.MinorArcScan(
         X=X, Y=Y, n_samples=n_samples, seed=seed, max_abs_f=m, scale=scale, ratio=m / scale
     )
+    return scan, alphas.tolist()
+
+
+def _scan_recording_samples(monkeypatch, X, Y, n_samples, seed):
+    """minor_arc_scan(X, Y, n_samples, seed) and the samples it evaluates f at, in order."""
+    seen = []
+    kernel_sum = circle.kernel_sum
+
+    def recording(alpha, *args):
+        seen.extend(alpha.tolist())
+        return kernel_sum(alpha, *args)
+
+    with monkeypatch.context() as mp:
+        mp.setattr(circle, "kernel_sum", recording)
+        return circle.minor_arc_scan(X, Y, n_samples, seed), seen
 
 
 @pytest.mark.parametrize("X,Y,n,seed", [
     (40, 40, 1000, report.RunConfig().seed), (40, 40, 1000, 7), (40, 40, 1000, 12345),
-    (40, 40, 1000, 2**31 - 5), (110, 100, 2000, 1),
+    (40, 40, 1000, 2**31 - 5), (110, 100, 2000, 1), (200, 37, 500, 3),
 ])
-def test_minor_arc_scan_matches_scalar_loop_bit_for_bit(X, Y, n, seed):
-    assert circle.minor_arc_scan(X, Y, n, seed) == _scan_per_sample(X, Y, n, seed)
+def test_minor_arc_scan_matches_scalar_loop_bit_for_bit(X, Y, n, seed, monkeypatch):
+    # every sample is compared, not only the one that gives the max
+    assert _scan_recording_samples(monkeypatch, X, Y, n, seed) == _scan_per_sample(X, Y, n, seed)
+
+
+def _draws(values):
+    """A Random whose every instance returns ``values`` in turn."""
+
+    class Draws(random.Random):
+        def seed(self, *args, **kwargs):
+            self._next = iter(values).__next__
+
+        def random(self):
+            return self._next()
+
+    return Draws
+
+
+@pytest.mark.parametrize("values", [
+    [0.5] * 7,  # all tied
+    [0.0, 0.3, 0.3, 0.9, 0.3, 0.0, 0.9],  # ties, and draws on the first start
+    [i / 64 for i in range(63, 0, -1)],  # descending
+    [1.0 - 2.0**-53],  # past every interval by rounding at (40, 40)
+    [0.25, 1.0 - 2.0**-53, 0.75, 1.0 - 2.0**-53, 1e-17],
+])
+@pytest.mark.parametrize("X,Y", [(40, 40), (31, 117)])
+def test_minor_arc_scan_sorted_walk_on_chosen_draws(X, Y, values, monkeypatch):
+    # the scan walks its draws in sorted order; each must still land where
+    # the one-sample walk puts it
+    monkeypatch.setattr(circle.random, "Random", _draws(values))
+    n = len(values)
+    assert _scan_recording_samples(monkeypatch, X, Y, n, 1) == _scan_per_sample(X, Y, n, 1)
+
+
+@pytest.mark.parametrize("X,Y", [(40, 40), (110, 100)])
+def test_minor_arc_scan_draw_on_an_interval_end(X, Y, monkeypatch):
+    # a remainder equal to the interval's length (u <= ln) lands on its right
+    # end, not in the next interval
+    _, _, intervals = _dissect_oracle(X, Y)
+    lengths = [b - a for a, b in intervals]
+    v = lengths[0] / sum(lengths)
+    assert v * sum(lengths) == lengths[0]
+    monkeypatch.setattr(circle.random, "Random", _draws([v, 0.6, v, v]))
+    scan, alphas = _scan_recording_samples(monkeypatch, X, Y, 4, 1)
+    assert (scan, alphas) == _scan_per_sample(X, Y, 4, 1)
+    assert alphas[0] == intervals[0][0] + lengths[0]
 
 
 def test_minor_arc_scan_sample_past_every_interval(monkeypatch):
@@ -244,7 +306,8 @@ def test_minor_arc_scan_rejects_no_samples(n, monkeypatch):
 
 def test_minor_arc_scan_traced_peak(traced_peak):
     # 32.3 MB with the 2000 x 400 kernel grid in one block, 1.6 MB in blocks
-    # of 2^14 elements (about half of it the walk's 12,232 interval starts and lengths)
+    # of 2^14 elements: 0.74 MB of it the walk's 12,232 interval starts and
+    # lengths, 32 KB its sorted remainders and their argsort
     assert traced_peak(lambda: circle.minor_arc_scan(400, 400, 2000, report.RunConfig().seed)) < 10.0
 
 
@@ -271,6 +334,28 @@ def test_j_quadrature_even_split(monkeypatch):
     two_sided = integrate_panels(lambda g: _sinc_sum(g, n, m) ** 3, brk, 1e-10, order=16)
     res = circle.j_quadrature(1, 2, 2)
     assert res.value == pytest.approx(two_sided, rel=1e-9)
+
+
+@pytest.mark.parametrize("q,X,Y", [(1, 10, 10), (2, 7, 3), (3, 10, 10), (1, 1, 10)])
+def test_j_quadrature_cube_by_multiplication(q, X, Y):
+    # v^3 as v * v * v rounds differently from v ** 3, but by far less
+    # than the quadrature's tolerance
+    n, m = X // q, Y
+    k = 2 * m + 1
+    T = circle._J_TRUNCATION
+    brk = np.unique(np.concatenate([[0.0], np.arange(1, int(T * k) + 1) / k, [T]]))
+    pow_cubed = 2.0 * integrate_panels(lambda g: circle._sinc_sum(g, n, m) ** 3, brk[brk <= T], QUAD_TOLERANCE,
+                                       order=panel_order(3 * n))
+    assert circle.j_quadrature(q, X, Y).value == pytest.approx(pow_cubed, rel=1e-14, abs=0.0)
+
+
+@pytest.mark.parametrize("q", [0, -1])
+def test_j_quadrature_rejects_q_below_one(q, monkeypatch):
+    # q = 0 used to divide by zero, q = -1 to reach numpy's Gauss-Legendre
+    # nodes with a negative order; both are refused before any work
+    monkeypatch.setattr(circle, "integrate_panels", None)
+    with pytest.raises(ValueError, match="q must be a positive integer"):
+        circle.j_quadrature(q, 5, 5)
 
 
 @pytest.mark.parametrize("q,X,Y", [(1, 2, 2), (2, 2, 2), (1, 4, 4), (2, 6, 8)])

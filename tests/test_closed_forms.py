@@ -3,6 +3,7 @@ import itertools
 import math
 import random
 import sys
+import warnings
 from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
@@ -193,6 +194,16 @@ def test_g_values():
     assert G_value(1e-7) == pytest.approx(0.0, abs=1e-12)  # t -> 0+ limit
     with pytest.raises(ValueError):
         G_value(0.0)
+
+
+@pytest.mark.parametrize("t", [math.nan, np.array([2.0, math.nan, 3.0])])
+def test_g_value_rejects_nan(t):
+    # nan <= 0 is false, so a NaN used to reach the int64 cast (RuntimeWarning)
+    # and fail in F_float as "n must be a nonnegative integer"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="t must be positive"):
+            G_value(t)
 
 
 def test_float_forms_on_arrays_match_scalar_calls_bit_for_bit():

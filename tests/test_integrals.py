@@ -72,6 +72,16 @@ def test_triple_sine_closed_values():
         triple_sine_closed(1.0, 0.0, 1.0)
 
 
+@pytest.mark.parametrize("ws", [(1, 1, math.nan), (math.inf, 1, 1), (1, -math.inf, 1)])
+def test_triple_sine_rejects_non_finite_frequencies(ws, monkeypatch):
+    # NaN used to reach int() of the panel count, inf a division by zero;
+    # both are refused before any panel is cut
+    monkeypatch.setattr(integrals, "oscillatory_panels", None)
+    for fn in (triple_sine_closed, triple_sine_quad):
+        with pytest.raises(ValueError, match="positive and finite"):
+            fn(*ws)
+
+
 @given(st.permutations([0.7, 1.3, 2.9]))
 @settings(max_examples=6)
 def test_triple_sine_symmetric(ws):
