@@ -37,13 +37,18 @@ panel's share is its length-proportional part of the tolerance, floored
 at the panel's own rounding level 50 eps |G| (eps the float64 machine
 epsilon, G the panel's order n + 1 value), as in QUADPACK: no panel is
 asked to agree beyond what float64 can resolve, so whether a panel
-converges does not depend on how the platform rounds.  Panel results are
+converges does not depend on how the platform rounds.  One routine,
+``_gl_sums``, applies every rule, here and in the sine integral below; it
+sums each panel's weighted values by a numpy row sum, which rounds every
+row alone (a BLAS product rounds by its kernel and the rows it is handed),
+so the blocks a level is cut into cannot move a bit.  Panel results are
 added by math.fsum, correctly rounded and so independent of their order.
 
 The sine integral uses three regimes, each with truncation error below
 1e-13:  the Maclaurin series for t <= 2 (terms fall below 1e-17 by k = 13);
 cumulative panel quadrature between the breakpoints {2} u {k pi} for
-2 < t <= 40 (panels are shorter than pi, where the fixed rule is exact to
+2 < t <= 40 (order 32 on the table panels, which are shorter than pi, and
+order 24 from the last breakpoint to t, where the fixed rule is exact to
 rounding); and for t > 40 the asymptotic form
 
     Si t = pi/2 - cos(t) P(1/t) - sin(t) Q(1/t),
@@ -63,7 +68,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .closed_forms import F_closed, box_fn
-from .errors import ConvergenceError
+from .errors import ConvergenceError, ResourceLimitError
 
 _PI = math.pi
 # a panel is never asked to agree beyond 50 ulps of its own size
@@ -85,15 +90,11 @@ _HALF_PERIODS = 16
 # and cubed-Si calls take the unblocked time (best of 10-30, 2-core x86-64
 # host), at 4096 up to 15% more.
 _BLOCK_POINTS = 8192
-# A BLAS matrix-vector product may round a row by its place in a group of
-# rows (OpenBLAS on x86-64 takes rows four at a time, and the rows past the
-# last full group by another kernel), and numpy sends a one-row matrix to a
-# dot product.  Blocks of a multiple of 64 rows, the last one taking the
-# rest, keep each row's place in every group of up to 64 rows of the whole
-# level and give no block one row unless the level has one, so a block's
-# values are those of the level's one product (found equal on 400 random
-# shapes in a single-threaded BLAS).
-_ROW_GROUP = 64
+# Cap on the panels oscillatory_panels cuts, checked before any is made:
+# triple_sine_quad(1, 1, 5024) cuts 999,891 in ~2.8 s with a traced peak of
+# 51 MB, and si_cubed_quad at T = 1.6e7 cuts 954,930 in ~3.5 s (2-core
+# x86-64 host).  The suites and the benchmark cut at most ~2,000.
+MAX_PANELS = 10**6
 
 
 @dataclass(frozen=True)
@@ -103,8 +104,9 @@ class QuadratureConfig:
     truncation: float = 1.0e4
 
     def __post_init__(self):
-        if self.truncation < 1.0:
-            raise ValueError("truncation must be >= 1")
+        # a NaN fails the comparison too
+        if not 1.0 <= self.truncation < math.inf:
+            raise ValueError("truncation must be finite and >= 1")
 
 
 class QuadResult(NamedTuple):
@@ -130,9 +132,27 @@ def panel_order(half_periods: int) -> int:
 
 def oscillatory_panels(a: float, b: float, omega: float) -> tuple[np.ndarray, int]:
     """Equal panels over [a, b] of at most ``_HALF_PERIODS`` half-periods
-    pi/omega each, and the order that resolves one of them."""
-    h = _HALF_PERIODS * _PI / omega
-    return np.linspace(a, b, math.ceil((b - a) / h) + 1), panel_order(_HALF_PERIODS)
+    pi/omega each, and the order that resolves one of them.  More than
+    ``MAX_PANELS`` panels raise ResourceLimitError before any is cut."""
+    count = math.ceil((b - a) / (_HALF_PERIODS * _PI / omega))
+    if count > MAX_PANELS:
+        raise ResourceLimitError(f"oscillatory panels capped at {MAX_PANELS}")
+    return np.linspace(a, b, count + 1), panel_order(_HALF_PERIODS)
+
+
+def _gl_sums(f: Callable[[np.ndarray], np.ndarray], a: np.ndarray, b: np.ndarray, n: int) -> np.ndarray:
+    """The order-n Gauss-Legendre value of f on each panel [a[i], b[i]],
+    f called on blocks of about ``_BLOCK_POINTS`` points and each panel
+    summed by a row sum, so the blocks cannot move a bit."""
+    nodes, weights = _gl_nodes(n)
+    half = (b - a) / 2.0
+    mid = (a + b) / 2.0
+    rows = max(1, _BLOCK_POINTS // n)
+    sums = np.empty_like(half)
+    for lo in range(0, half.size, rows):
+        x = mid[lo : lo + rows, None] + half[lo : lo + rows, None] * nodes
+        sums[lo : lo + rows] = (f(x.ravel()).reshape(x.shape) * weights).sum(axis=1)
+    return half * sums
 
 
 def integrate_panels(
@@ -154,10 +174,10 @@ def integrate_panels(
     its order ``order + 1`` value G.  The accepted panel values are added
     by ``math.fsum``, which rounds the exact sum once, so the result does
     not depend on the order the panels converge in.  The integrand is
-    called on blocks of panels of about ``_BLOCK_POINTS`` points (under
-    twice that, or 64 panels at orders above 128), so its temporaries, and
-    so peak memory, stay at one block's size however many panels a level
-    holds.
+    called on blocks of ``max(1, _BLOCK_POINTS // n)`` panels at order n,
+    so its temporaries, and so peak memory, stay at one block's size
+    however many panels a level holds; each panel's values are added by a
+    numpy row sum, which rounds every row alone, so no block moves a bit.
 
     Raises ConvergenceError when some panel of the last level still misses
     its share.  Because of the floor this means the integrand is not
@@ -171,10 +191,10 @@ def integrate_panels(
     the panel's true error is 2.4e-6.  The package's callers meet the
     precondition with integrands that are entire, so any panel will do:
     ``triple_sine_quad`` and ``si_cubed_quad`` integrate
-    sin(w1 t) sin(w2 t) sin(w3 t)/t^3 and (Si t)^3/t^3 over [1e-3, T] on
+    sin(w1 t) sin(w2 t) sin(w3 t)/t^3 and (Si t)^3/t^3 over [eps, T] on
     the equal panels of ``oscillatory_panels`` (the computed Si changes
-    regime at t = 2 and 40 inside panels, where it steps by 4e-16 and
-    7e-16, far below a panel's share), and ``circle.j_quadrature``
+    regime at t = 2 and 40 inside panels, where it steps by under 1e-15,
+    far below a panel's share), and ``circle.j_quadrature``
     integrates v_q^3 on panels cut at the zeros j/(2 floor(Y) + 1) of its
     outer sine.
     """
@@ -183,20 +203,6 @@ def integrate_panels(
         return 0.0
     total_len = float(pts[-1] - pts[0])
 
-    def gl(a: np.ndarray, b: np.ndarray, n: int) -> np.ndarray:
-        nodes, weights = _gl_nodes(n)
-        half = (b - a) / 2.0
-        mid = (a + b) / 2.0
-        # Blocks of a multiple of _ROW_GROUP panels; the last takes the rest,
-        # so it has at least one block's panels unless it is the whole level.
-        rows = max(_ROW_GROUP, _BLOCK_POINTS // n // _ROW_GROUP * _ROW_GROUP)
-        cuts = [i * rows for i in range(max(1, a.size // rows))] + [a.size]
-        dot = np.empty_like(a)
-        for lo, hi in zip(cuts, cuts[1:]):
-            x = mid[lo:hi, None] + half[lo:hi, None] * nodes[None, :]
-            dot[lo:hi] = f(x.ravel()).reshape(x.shape) @ weights
-        return half * dot
-
     a = pts[:-1]
     b = pts[1:]
     finished: list[np.ndarray] = []  # the accepted panel values of each depth
@@ -204,8 +210,8 @@ def integrate_panels(
     while a.size:
         if depth >= _MAX_DEPTH:
             raise ConvergenceError("panel bisection budget exhausted")
-        lo = gl(a, b, order)
-        hi = gl(a, b, order + 1)
+        lo = _gl_sums(f, a, b, order)
+        hi = _gl_sums(f, a, b, order + 1)
         share = np.maximum(
             tolerance * np.maximum((b - a) / total_len, 1e-300),
             _ROUNDING_FLOOR * np.abs(hi),
@@ -263,32 +269,25 @@ def _si_asymptotic(t: np.ndarray) -> np.ndarray:
     return _PI / 2.0 - np.cos(t) * p / t - np.sin(t) * q / (t * t)
 
 
+def _sinc(x: np.ndarray) -> np.ndarray:
+    return np.sin(x) / x
+
+
 @lru_cache(maxsize=1)
 def _si_mid_table():
     """Cumulative Si at the mid-regime breakpoints {2} u {k pi <= 40}."""
     brk = [_SI_SERIES_CUT] + [k * _PI for k in range(1, 14) if k * _PI > _SI_SERIES_CUT]
-    brk = [b for b in brk if b <= _SI_ASYMPTOTIC_CUT] + [_SI_ASYMPTOTIC_CUT]
-    nodes, weights = _gl_nodes(32)
-    vals = [float(_si_series(np.array([_SI_SERIES_CUT]))[0])]
-    for a, b in zip(brk[:-1], brk[1:]):
-        half = (b - a) / 2.0
-        x = (a + b) / 2.0 + half * nodes
-        vals.append(vals[-1] + half * float(np.dot(np.sin(x) / x, weights)))
-    return np.asarray(brk), np.asarray(vals)
+    brk = np.asarray([b for b in brk if b <= _SI_ASYMPTOTIC_CUT] + [_SI_ASYMPTOTIC_CUT])
+    panels = _gl_sums(_sinc, brk[:-1], brk[1:], 32)
+    return brk, np.cumsum(np.concatenate([_si_series(brk[:1]), panels]))
 
 
 def _si_mid(t: np.ndarray) -> np.ndarray:
+    # 2 < t <= 40, so every t lies on a table panel [brk[idx], brk[idx + 1])
+    # or at its last breakpoint, and every node in [2, 40]
     brk, cum = _si_mid_table()
     idx = np.searchsorted(brk, t, side="right") - 1
-    idx = np.clip(idx, 0, brk.size - 1)
-    a = brk[idx]
-    base = cum[idx]
-    nodes, weights = _gl_nodes(24)
-    half = (t - a) / 2.0
-    x = (a + t)[:, None] / 2.0 + half[:, None] * nodes[None, :]
-    x = np.where(x == 0.0, 1e-300, x)
-    partial = half * ((np.sin(x) / x) @ weights)
-    return base + partial
+    return cum[idx] + _gl_sums(_sinc, brk[idx], t, 24)
 
 
 def si(t):
@@ -349,17 +348,21 @@ def triple_sine_quad(w1: float, w2: float, w3: float) -> QuadResult:
 
     The integrand is even, so 2 * int_0^T is computed, T the default
     ``QuadratureConfig`` truncation, on the equal panels of
-    ``oscillatory_panels`` for the top frequency w1 + w2 + w3; |t| < 1e-3
-    uses the even Maclaurin branch and the tail beyond T is bounded by
-    2 int_T^inf t^-3 dt = 1/T^2.
+    ``oscillatory_panels`` for the top frequency Omega = w1 + w2 + w3;
+    |t| < eps = min(1e-3, 0.03/Omega) uses the even Maclaurin branch, whose
+    first dropped term is below w1 w2 w3 eps (Omega eps)^6 / 5040, and the
+    tail beyond T is bounded by 2 int_T^inf t^-3 dt = 1/T^2.  A top
+    frequency that needs more than ``MAX_PANELS`` panels raises
+    ResourceLimitError.
     """
     _check_frequencies(w1, w2, w3)
-    eps = 1.0e-3
+    omega = w1 + w2 + w3
+    eps = min(1.0e-3, 0.03 / omega)
     T = QuadratureConfig().truncation
-    brk, order = oscillatory_panels(eps, T, w1 + w2 + w3)
+    brk, order = oscillatory_panels(eps, T, omega)
 
     def integrand(t: np.ndarray) -> np.ndarray:
-        return np.sin(w1 * t) * np.sin(w2 * t) * np.sin(w3 * t) / t**3
+        return np.sin(w1 * t) * np.sin(w2 * t) * np.sin(w3 * t) / (t * t * t)
 
     body = integrate_panels(integrand, brk, QUAD_TOLERANCE, order=order)
     head = _triple_sine_small_t((w1, w2, w3), eps)
@@ -381,7 +384,8 @@ def si_cubed_quad(cfg: QuadratureConfig | None = None) -> QuadResult:
     """int_0^inf (Si t)^3 / t^3 dt by panel quadrature on [eps, T].
 
     The panels are those of ``oscillatory_panels`` for the top frequency 3
-    of (Si t)^3 = (pi/2 - cos(t)/t - ...)^3.
+    of (Si t)^3 = (pi/2 - cos(t)/t - ...)^3, so a truncation that needs
+    more than ``MAX_PANELS`` panels raises ResourceLimitError.
 
     Near zero (Si t)^3/t^3 -> 1; the branch below eps = 1e-3 integrates the
     even series (1 - t^2/6 + (77/5400) t^4).  Beyond T the expansion
@@ -398,7 +402,7 @@ def si_cubed_quad(cfg: QuadratureConfig | None = None) -> QuadResult:
 
     def integrand(t: np.ndarray) -> np.ndarray:
         s = si(t)
-        return s * s * s / t**3
+        return s * s * s / (t * t * t)
 
     body = integrate_panels(integrand, brk, QUAD_TOLERANCE, order=order)
     head = eps - eps**3 / 18.0 + (77.0 / 27000.0) * eps**5

@@ -1,7 +1,8 @@
 """Source hygiene: every name a module imports is read somewhere in it,
 every module imports only what a plain install provides, no caller sets
-its own quadrature order, every committed benchmark record names what
-the benchmark measures, and every layer the benchmark traces exists."""
+its own quadrature order, the quadrature sums no panel by a BLAS product,
+every committed benchmark record names what the benchmark measures, and
+every layer the benchmark traces exists."""
 
 import ast
 import importlib
@@ -63,6 +64,33 @@ def test_quadrature_order_comes_from_the_order_rule(path):
     # integrals.panel_order is the one place that turns what a panel holds
     # into a Gauss-Legendre order
     assert _literal_orders(ast.parse(path.read_text(), filename=str(path))) == []
+
+
+def _blas_products(tree: ast.Module) -> list[str]:
+    """Matrix products (``a @ b``, ``a @= b``) and ``dot`` calls, whose
+    rounding depends on the BLAS kernel and on the shape it is handed."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.MatMult):
+            found.append(node)
+        elif isinstance(node, ast.Call):
+            name = node.func.attr if isinstance(node.func, ast.Attribute) else getattr(node.func, "id", None)
+            if name == "dot":
+                found.append(node)
+    return [f"line {n.lineno}: {ast.unparse(n)}" for n in sorted(found, key=lambda n: n.lineno)]
+
+
+def test_blas_product_is_detected():
+    src = "y = v @ w\ny @= w\nz = np.dot(v, w)\nz = v.dot(w)\nz = (v * w).sum(axis=1)\n"
+    assert _blas_products(ast.parse(src)) == [
+        "line 1: v @ w", "line 2: y @= w", "line 3: np.dot(v, w)", "line 4: v.dot(w)"]
+
+
+def test_quadrature_sums_panels_by_rows():
+    # a panel's value is a numpy row sum, which rounds each row alone, so
+    # the blocks a level is cut into cannot move a bit
+    path = Path(conecount.__file__).parent / "integrals.py"
+    assert _blas_products(ast.parse(path.read_text(), filename=str(path))) == []
 
 
 ROOT = Path(__file__).resolve().parents[1]

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from scipy.special import sici
 
 from conecount import circle, integrals
-from conecount.errors import ConvergenceError
+from conecount.errors import ConvergenceError, ResourceLimitError
 from conecount.integrals import (
     QuadratureConfig,
     box_fn,
@@ -139,14 +139,28 @@ def test_si_cubed_quad_evaluation_budget(monkeypatch):
 
 
 @pytest.mark.parametrize(
-    "ws", [(0.05, 0.05, 0.05), (0.001, 1, 1), (0.01, 0.5, 0.5), (50, 0.5, 0.5), (20, 20, 20), (5, 5, 9.9)]
+    "ws",
+    [(0.05, 0.05, 0.05), (0.001, 1, 1), (0.01, 0.5, 0.5), (50, 0.5, 0.5), (20, 20, 20), (5, 5, 9.9),
+     (100, 100, 100), (0.5, 0.5, 600)],
 )
 def test_triple_sine_quad_extremes(ws):
     # a top frequency of 0.15 puts [eps, T] on 30 panels, the first ones
     # longer than the whole region where the integrand is large; 60 puts
-    # it on ~12,000 short panels
+    # it on ~12,000 short panels and 601 on ~120,000; with the small-t
+    # branch cut at 1e-3 whatever the frequency, 300 and 601 missed the
+    # closed form by 3.9e-6 and 4.0e-7
     res = triple_sine_quad(*ws)
     assert abs(res.value - triple_sine_closed(*ws)) <= res.tail_bound + integrals.QUAD_TOLERANCE
+
+
+@pytest.mark.parametrize("quad", [lambda: triple_sine_quad(1, 1, 1e6),
+                                  lambda: si_cubed_quad(QuadratureConfig(truncation=1e12))])
+def test_oscillatory_panels_capped(quad, monkeypatch):
+    # ~2e8 and ~6e10 panels, refused before a breakpoint is made
+    monkeypatch.setattr(integrals, "integrate_panels", None)
+    monkeypatch.setattr(np, "linspace", None)
+    with pytest.raises(ResourceLimitError, match="panels capped"):
+        quad()
 
 
 # a panel holds up to 3 floor(X/q)/2 periods of v_q^3, and the order
@@ -188,8 +202,10 @@ def test_si_cubed_truncation_consistency():
 def test_si_cubed_config_validation():
     with pytest.raises(ValueError):
         si_cubed_quad(QuadratureConfig(truncation=50.0))
-    with pytest.raises(ValueError):
-        QuadratureConfig(truncation=0.5)
+    for bad in (0.5, math.inf, math.nan):
+        # inf and NaN used to reach math.ceil of the panel count
+        with pytest.raises(ValueError, match="finite and >= 1"):
+            QuadratureConfig(truncation=bad)
 
 
 def test_integrate_panels_budget(monkeypatch):
@@ -228,8 +244,7 @@ def test_integrate_panels_bisects_a_narrow_bump():
 
 def _panel_values(monkeypatch, block_points):
     """The accepted panel values of a 600-panel triple-sine integral at
-    orders 8 and 9 (under 5,500 points a rule, so one BLAS thread either
-    way) with the integrand called on blocks of ``block_points``."""
+    orders 8 and 9 with the integrand called on blocks of ``block_points``."""
     accepted = []
     fsum = math.fsum
     monkeypatch.setattr(integrals, "_BLOCK_POINTS", block_points)
@@ -240,13 +255,22 @@ def _panel_values(monkeypatch, block_points):
     return accepted[0]
 
 
-@pytest.mark.parametrize("block_points", [1, 1100])
+@pytest.mark.parametrize("block_points", [1, 512, 1100])
 def test_integrate_panels_blocks_keep_the_bits(monkeypatch, block_points):
-    # one block per level (10**6) and blocks of 64 panels (block_points 1)
-    # or of 128 and 64 (1100), the last block of a level taking the rest,
-    # give every panel the same bits; blocks of one panel, or of 137 and
-    # 122 panels, did not
+    # blocks of one panel (block_points 1), of 64 and 56 (512) and of 137
+    # and 122 (1100), the last block of a level taking the rest, give every
+    # panel the bits of one block per level (10**6); a BLAS product in
+    # place of the row sum failed at 1 and 1100
     assert _panel_values(monkeypatch, block_points) == _panel_values(monkeypatch, 10**6)
+
+
+def test_si_of_an_array_is_si_of_each_element():
+    # the series (t <= 2), the panel rule on a table panel (2 < t <= 40)
+    # and the asymptotic form (t > 40), each row of the panel rule summed
+    # alone, so no element's bits depend on the others
+    ts = np.concatenate([np.linspace(0.0, 2.0, 37), np.linspace(2.0, 40.0, 401)[1:],
+                         np.geomspace(40.0, 1e6, 50)[1:], [math.pi, 7 * math.pi, 40.0]])
+    assert si(ts).tolist() == [si(t) for t in ts]
 
 
 def test_j_closed_values():
