@@ -251,7 +251,12 @@ def height_zeta_truncated(s: float, height_cutoff: int) -> float:
 
 def height_zeta_tail_bound(s: float, height_cutoff: int, horizon: int) -> float:
     """Bound on the series increment between cutoff and a larger horizon,
-    from the counted pairs alone."""
+    from the counted pairs alone.  Requires s > 1 and
+    1 <= cutoff < horizon <= HEIGHT_ZETA_MAX_CUTOFF."""
+    if s <= 1.0:
+        raise ValueError("the series needs s > 1")
+    if not 1 <= height_cutoff < horizon <= HEIGHT_ZETA_MAX_CUTOFF:
+        raise ValueError(f"need 1 <= cutoff < horizon <= {HEIGHT_ZETA_MAX_CUTOFF}")
     lo = n_times4(height_cutoff**2)
     hi = n_times4(horizon**2)
     return (hi - lo) * (height_cutoff + 1) ** (-2.0 * s)

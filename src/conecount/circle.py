@@ -90,8 +90,14 @@ def f_eval(alpha: float, X: float, Y: float) -> float:
     return float(kernel_sum(alpha, np.arange(1, math.floor(X) + 1), m, 1.0))
 
 
+def _check_q(q: int) -> None:
+    if q < 1:
+        raise ValueError("q must be a positive integer")
+
+
 def g_q_eval(alpha: float, q: int, X: float, Y: float) -> float:
     """The part of f(alpha) with q not dividing x (zero for q = 1)."""
+    _check_q(q)
     x = np.arange(1, math.floor(X) + 1)
     return float(kernel_sum(alpha, x[x % q != 0], math.floor(Y), 1.0))
 
@@ -103,6 +109,7 @@ def f_star_eval(beta: float, q: int, X: float, Y: float) -> float:
 
 def w_q_eval(gamma: float, q: int, X: float, Y: float) -> float:
     """w_q(gamma) = sum over 0 < |x| <= X/q of the full Dirichlet kernel at gamma x."""
+    _check_q(q)
     return float(kernel_sum(gamma, np.arange(1, math.floor(X / q) + 1), math.floor(Y), 0.0))
 
 
@@ -146,6 +153,7 @@ def _sinc_sum(gamma: float | np.ndarray, n: int, m: int) -> float | np.ndarray:
 
 def v_q_eval(gamma: float, q: int, X: float, Y: float) -> float:
     """v_q(gamma): the w_q sum with sin(pi gamma x) replaced by pi gamma x."""
+    _check_q(q)
     return float(_sinc_sum(float(gamma), math.floor(X / q), math.floor(Y)))
 
 
@@ -381,8 +389,7 @@ def j_quadrature(q: int, X: float, Y: float) -> QuadResult:
     36 at n = 10); the fixed order 16 took 1.5 times as long, bisecting
     most panels at n >= 5.
     """
-    if q < 1:
-        raise ValueError("q must be a positive integer")
+    _check_q(q)
     if q > X:
         return QuadResult(value=0.0, tail_bound=0.0)
     n = math.floor(X / q)

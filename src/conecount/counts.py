@@ -14,16 +14,17 @@ Quantities (all exact integers):
 
                      M = 6 * sum_{a,b >= 1} r(a) r(b) r(a+b),
 
-                 one self-convolution of r.  r(0) is never defined or used.
-                 The square is a float64 FFT rounded to integers; a
-                 rounding bound after Percival (Math. Comp. 72, 2003),
-                 checked before rounding, proves every rounded value
-                 exact, and the final int64 dot is checked against
-                 overflow before it runs.  Boxes are counted in batches:
-                 the r-tables of several boxes, zero-padded to one width,
-                 are squared by one 2-D rfft along the rows, under the
-                 rounding bound of the largest row norm (computed exactly
-                 in integers) and one overflow check per row.
+                 one self-convolution of r, taken with r(0) = 0.  By
+                 Parseval the sum is (1/L) sum_k |R_k|^2 Re R_k for the
+                 DFT R of r at a length L >= 2XY: one forward float64
+                 transform, with no square, no inverse transform and no
+                 int64 dot.  A rounding bound after Percival (Math.
+                 Comp. 72, 2003), checked before the transform from row
+                 norms computed exactly in integers, proves the rounded
+                 sum exact.  Boxes are counted in batches: the r-tables
+                 of several boxes, zero-padded to one width, go through
+                 one 2-D rfft along the rows under the bound of the
+                 largest row.
   * P(X)      -- all integer solutions with |coordinates| <= X, zeros
                  allowed.
   * M'(B)     -- nonzero-coordinate pairs with |x|^2 |y|^2 <= B, i.e.
@@ -92,7 +93,7 @@ from .errors import ResourceLimitError
 # 200-300 ns each; its last shell holds (X+1)(X+2)/2 (Y+1) of them at once, at
 # ~100 bytes each, so wide boxes are cheap in time but not in memory
 # (m_naive(1, 10**6): 1.3e6 cells, 0.5 s, 310 MB).
-# m_fast squares a length-XY table by an FFT of length ~2XY, O(XY log XY).
+# m_fast transforms a length-XY table by an FFT of length ~2XY, O(XY log XY).
 M_NAIVE_MAX_CELLS = 10**7
 M_NAIVE_MAX_SHELL = 10**6
 M_FAST_MAX_XY = 200_000
@@ -253,74 +254,85 @@ def _smooth_length(n: int) -> int:
     return best
 
 
-def _fft_error_bound(norm2: float, length: int) -> float:
-    """Percival's bound on max |computed - exact| for the FFT square of a
-    vector with squared 2-norm ``norm2`` at transform length ``length``:
+def _fft_growth(length: int) -> float:
+    """Percival's growth factor eta at transform length ``length``: the
+    computed DFT y' of x satisfies ||y' - y||_2 <= eta ||y||_2, with
 
-        norm2 * ((1+e)^(3n) (1+e sqrt5)^(3n+1) (1+b)^(3n) - 1),
+        eta = (1+e)^(3n) (1+e sqrt5)^(3n+1) (1+b)^(3n) - 1,
 
     n = ceil(log2 length), e the unit roundoff, and b = e the error of a
-    twiddle factor (Percival, Math. Comp. 72 (2003)).  The bound is derived
-    for radix-2 transforms; pocketfft's radix-3 and radix-5 passes are
-    counted as n = ceil(log2 length) levels.
+    twiddle factor (Percival, Math. Comp. 72 (2003)).  This is the growth
+    of the three transforms of an FFT square, so it over-counts the one
+    forward pass it is used for.  The bound is derived for radix-2
+    transforms; pocketfft's radix-3 and radix-5 passes are counted as
+    n = ceil(log2 length) levels.
     """
     n = (length - 1).bit_length()
-    log_growth = 6 * n * math.log1p(_EPS) + (3 * n + 1) * math.log1p(_EPS * math.sqrt(5))
-    return norm2 * math.expm1(log_growth)
+    return math.expm1(6 * n * math.log1p(_EPS) + (3 * n + 1) * math.log1p(_EPS * math.sqrt(5)))
 
 
-def _max_norm2(rows: np.ndarray) -> int:
-    """max_i ||rows[i]||^2 of an integer array, exactly: one int64 einsum
-    when no row's sum of squares can wrap, Python integers otherwise."""
-    peak = int(np.abs(rows).max(initial=0))
-    if peak * peak * rows.shape[1] < _INT63:
-        return int(np.einsum("ij,ij->i", rows, rows, dtype=np.int64).max(initial=0))
-    return max(sum(x * x for x in row) for row in rows.tolist())
+def _triple_sums(rows: np.ndarray) -> list[int]:
+    """sum_{a, b >= 1} r(a) r(b) r(a+b) for each row of an integer (k, w)
+    array, row[n] = r(n), row[0] = 0, zero past the row's own N.
 
+    By Parseval, with R = DFT_L(r) at L >= 2N (a + b >= L only where
+    a + b = L = 2N, which wraps to r(0) = 0),
 
-def _squares_exact(rows: np.ndarray) -> np.ndarray:
-    """The first n coefficients of the linear self-convolution of each row
-    of an integer (k, n) array, exactly, as an int64 (k, n) array.
+        S = (1/L) sum_{k < L} |R_k|^2 Re R_k,
 
-    One float64 rfft along the rows at the smallest smooth length
-    >= 2n - 1, squared in place and inverted, then rounded by np.rint.  The
-    rounding bound is taken at the largest exact row norm, which bounds
-    every row; at or above 1/2, FloatingPointError is raised before any
-    value is rounded.
+    and each rfft bin f other than 0 and L/2 stands for f and L - f: one
+    forward rfft per batch gives every S, with no inverse transform.
+
+    Rounding.  Let P = ||r||_1 ||r||_2^2; then S <= P, and
+    sum_k |R_k|^3 <= sup|R| ||R||_2^2 <= L P, as sup|R_k| <= ||r||_1
+    (Young's inequality ||r*r||_2 <= ||r||_1 ||r||_2 gives the same).  The
+    computed spectrum is R + d with ||d||_2 <= eta ||R||_2 = eta sqrt(L)
+    ||r||_2 (``_fft_growth``), and
+    | |R+d|^2 (R+d) - |R|^2 R | <= 3|R|^2 |d| + 3|R| |d|^2 + |d|^3 sums
+    (Cauchy-Schwarz, ||d||_3 <= ||d||_2, ||r||_2 <= ||r||_1) to at most
+    L P (3 eta + 3 eta^2 + eta^3 sqrt(L)).  Forming |R|^2 Re R (3
+    roundings), numpy's pairwise row sum (leaves of up to 128 items, under
+    a tree less than n = ceil(log2 L) deep), the weights and the division
+    by L take gamma_m = m e / (1 - m e) of the computed sum of |R|^3 with
+    m below n + 40; gamma_(n+140) also covers that sum's excess over L P.
+    So each S is within
+
+        (3 eta + 3 eta^2 + eta^3 sqrt(L) + gamma_(n+140)) P
+
+    of the computed value, which rounds to S while this is < 1/2 and
+    P < 2^52.  Both are checked at the batch's largest P before any
+    transform (FloatingPointError).  The norms are exact int64 sums; a row
+    whose peak^2 times the width could wrap raises OverflowError.
     """
-    n = rows.shape[1]
-    length = _smooth_length(2 * n - 1)
-    bound = _fft_error_bound(_max_norm2(rows), length)
-    if bound >= 0.5:
-        raise FloatingPointError(f"FFT rounding bound {bound:.3g} >= 1/2: the square would not be exact")
+    width = rows.shape[1]
+    mags = np.abs(rows)
+    if int(mags.max(initial=0)) ** 2 * width >= _INT63:
+        raise OverflowError("r-table row norms could exceed the int64 range")
+    norm1 = mags.sum(axis=1, dtype=np.int64).tolist()
+    norm2 = np.einsum("ij,ij->i", rows, rows, dtype=np.int64).tolist()
+    worst = max(a * b for a, b in zip(norm1, norm2))
+    length = _smooth_length(2 * (width - 1))
+    n = (length - 1).bit_length()
+    eta = _fft_growth(length)
+    gamma = (n + 140) * _EPS / (1 - (n + 140) * _EPS)
+    bound = (3 * eta + 3 * eta * eta + eta**3 * math.sqrt(length) + gamma) * worst
+    if bound >= 0.5 or worst >= 1 << 52:
+        raise FloatingPointError(f"FFT rounding bound {bound:.3g} >= 1/2: the triple sums would not be exact")
     spectrum = np.fft.rfft(rows, length, axis=1)
-    spectrum *= spectrum
-    square = np.fft.irfft(spectrum, length, axis=1)[:, :n]
-    del spectrum
-    np.rint(square, out=square)
-    return square.astype(np.int64)
+    re, im = spectrum.real, spectrum.imag
+    im *= im
+    im += re * re
+    im *= re  # |R_f|^2 Re R_f
+    totals = 2 * im.sum(axis=1) - im[:, 0]
+    if length % 2 == 0:
+        totals -= im[:, -1]  # the Nyquist bin stands for itself alone
+    return [round(t / length) for t in totals.tolist()]
 
 
-def _triple_sums(rows: np.ndarray, sizes) -> list[int]:
-    """sum_{a, b >= 1, a+b <= N} r(a) r(b) r(a+b) for each row r(1..N) of
-    ``rows``, N = sizes[i], zero-padded to the width of the array.
-
-    Raises OverflowError when the int64 dot of any row could wrap, before
-    any dot runs.
-    """
-    n = rows.shape[1]
-    conv = _squares_exact(rows)[:, : n - 1]  # conv[i, j] = sum_{a+b=j+2} r(a) r(b)
-    conv[np.arange(n - 1) >= np.subtract(sizes, 1)[:, None]] = 0  # a + b <= N of the row
-    tails = rows[:, 1:]  # r(c), c = 2..N
-    peaks, totals = conv.max(axis=1, initial=0).tolist(), tails.sum(axis=1).tolist()
-    if any(p * t >= _INT63 for p, t in zip(peaks, totals)):
-        raise OverflowError("r-table triple sum could exceed the int64 range")
-    return np.einsum("ij,ij->i", conv, tails).tolist()
-
-
-# A batch squares its boxes' r-tables together while its rows times the
-# largest square's size 2XY stay within this many points; a larger box is
-# a batch of one.
+# A batch transforms its boxes' r-tables together while its rows times the
+# largest transform size 2XY stay within this many points; a larger box is
+# a batch of one.  One forward rfft per batch, under one Parseval rounding
+# bound: no square, no inverse transform and no int64 dot.
 _BATCH_POINTS = 1 << 15
 # M(X, Y) for X <= Y, emptied when a batch would take it past the cap.
 _BOXES: dict[tuple[int, int], int] = {}
@@ -343,9 +355,10 @@ def _count_boxes(boxes) -> list[int]:
     """M(X, Y) for each box (X, Y) of ``boxes``, in order.
 
     Boxes with a zero side count 0.  Cached boxes are read first; the rest
-    are counted smallest first, in batches whose r(1..XY) rows, filled in
-    place by ``build_r_table``, are zero-padded rows of one exact square, and
-    a batch is cached only when all its counts are known.  The counts
+    are counted smallest first, in batches whose r(0..XY) rows, filled in
+    place by ``build_r_table``, are zero-padded rows of one forward
+    transform (``_triple_sums``), and a batch is cached only when all its
+    counts are known.  The counts
     returned do not depend on the cache keeping them, which a later batch
     may empty.  A box with XY > M_FAST_MAX_XY is refused before any work.
     """
@@ -355,11 +368,10 @@ def _count_boxes(boxes) -> list[int]:
     if todo and todo[-1][0] * todo[-1][1] > M_FAST_MAX_XY:
         raise ResourceLimitError(f"m_fast FFT square capped at X*Y <= {M_FAST_MAX_XY}")
     for batch in _batches(todo):
-        sizes = [X * Y for X, Y in batch]
-        rows = np.zeros((len(batch), max(sizes)), dtype=np.int32)  # r(n) <= 2 min(X, Y)
+        rows = np.zeros((len(batch), 1 + max(X * Y for X, Y in batch)), dtype=np.int32)  # r(n) <= 2 min(X, Y)
         for row, (X, Y) in zip(rows, batch):
-            build_r_table(X, Y, out=row)
-        counted = [_checked(6 * s) for s in _triple_sums(rows, sizes)]
+            build_r_table(X, Y, out=row[1:])
+        counted = [_checked(6 * s) for s in _triple_sums(rows)]
         if len(_BOXES) + len(batch) > _BOXES_MAX:
             _BOXES.clear()
         _BOXES.update(zip(batch, counted))
@@ -368,7 +380,7 @@ def _count_boxes(boxes) -> list[int]:
 
 
 def m_fast(X, Y) -> int:
-    """M(X, Y) via the coefficient identity (one exact FFT square of r).
+    """M(X, Y) via the coefficient identity (one exact Parseval sum of r).
 
     Real-valued bounds are floored: a box count only sees integer points.
     Results are memoised; X, Y enter symmetrically.  A box not yet cached

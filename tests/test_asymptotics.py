@@ -183,3 +183,16 @@ def test_height_zeta():
         height_zeta_truncated(1.0, 10)
     with pytest.raises(ResourceLimitError):
         height_zeta_truncated(2.0, 10**6)
+
+
+@pytest.mark.parametrize("s, cutoff, horizon", [
+    (2.0, 100, 50),  # horizon below the cutoff: the bound came out negative
+    (2.0, 100, 100),
+    (0.5, 10, 20),  # a divergent series: the bound came out finite
+    (1.0, 10, 20),
+    (2.0, 0, 20),
+    (2.0, 10, asymptotics.HEIGHT_ZETA_MAX_CUTOFF + 1),
+])
+def test_height_zeta_tail_bound_rejects_bad_inputs(s, cutoff, horizon):
+    with pytest.raises(ValueError):
+        height_zeta_tail_bound(s, cutoff, horizon)

@@ -89,6 +89,14 @@ def test_w_v_at_zero_and_brute():
             assert circle.v_q_eval(g, q, X, Y) == pytest.approx(circle.v_q_naive(g, q, X, Y), abs=1e-9)
 
 
+@pytest.mark.parametrize("kernel", [circle.g_q_eval, circle.w_q_eval, circle.f_star_eval, circle.v_q_eval])
+@pytest.mark.parametrize("q", [0, -1])
+def test_kernels_reject_q_below_one(kernel, q):
+    # q = 0 used to return 0.0 after a divide-by-zero warning, or raise ZeroDivisionError
+    with pytest.raises(ValueError, match="q must be a positive integer"):
+        kernel(0.1, q, 5, 5)
+
+
 @pytest.mark.parametrize("n", [1, 2, 10, 40, 200])
 def test_v_recurrence_matches_oracle(n):
     # the recurrence is least stable where sin(theta) ~ 0, i.e. at the zeros

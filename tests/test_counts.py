@@ -1,6 +1,7 @@
 import functools
 import itertools
 import math
+import operator
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -82,18 +83,23 @@ def test_m_fast_matches_literal_convolution(box):
     assert counts.m_fast(*box) == m_literal(*box)
 
 
-def test_square_guards_raise_instead_of_rounding():
-    # ||v||^2 = 1e17: the rounding bound is far above 1/2
+def test_square_guards_raise_instead_of_rounding(monkeypatch):
+    # a row of 10^7: P = ||v||_1 ||v||_2^2 = 1e27, so the rounding bound is far above 1/2
+    rows = np.zeros((1, 1001), dtype=np.int64)
+    rows[0, 1:] = 10**7
     with pytest.raises(FloatingPointError):
-        counts._squares_exact(np.full((1, 1000), 10**7, dtype=np.int64))
-    # ||v||^2 = 1e13 squares exactly, but max(v*v) * sum(v[1:]) ~ 1e21 >= 2^63
-    v = np.full(1000, 10**5, dtype=np.int64)
-    assert np.array_equal(counts._squares_exact(v[None])[0], np.convolve(v, v)[: v.size])
+        counts._triple_sums(rows)
+    # peak^2 times the width passes 2^63, so the int64 norms could wrap
     with pytest.raises(OverflowError):
-        counts._triple_sums(v[None], [v.size])
-    # norms stay exact where int64 squares would wrap
-    assert counts._max_norm2(np.array([[2**40, 1], [3, 4]])) == 2**80 + 1
-    assert counts._max_norm2(np.array([[3, 4], [1, 2]], dtype=np.int32)) == 25
+        counts._triple_sums(np.array([[0, 2**40, 1], [0, 3, 4]]))
+    # the bound is checked before any transform runs; a row of 7s is summed exactly
+    with monkeypatch.context() as mp:
+        mp.setattr(np.fft, "rfft", lambda *a, **k: pytest.fail("transformed a refused row"))
+        with pytest.raises(FloatingPointError):
+            counts._triple_sums(rows)
+    v = np.full(1000, 7, dtype=np.int64)
+    literal = int(np.dot(np.convolve(v, v)[: v.size - 1], v[1:]))  # sum over a + b = c <= 1000
+    assert counts._triple_sums(np.concatenate([[0], v])[None]) == [literal]
 
 
 @st.composite
@@ -168,15 +174,44 @@ def test_box_cache_eviction_keeps_counts_exact(monkeypatch):
     assert counts.n0_times4(10**6) == 245390400
 
 
-def test_near_overflow_row_raises():
-    # next to an r-table row, a row whose triple sum could pass 2^63 stops the batch before any dot
-    r = build_r_table(30, 40)[1:]
-    rows = np.zeros((2, 1200), dtype=np.int64)
-    rows[0] = r
-    rows[1, :1000] = 10**5
-    with pytest.raises(OverflowError):
-        counts._triple_sums(rows, [1200, 1000])
-    assert counts._triple_sums(rows[:1], [1200]) == [m_literal(30, 40) // 6]
+def test_near_overflow_row_raises(monkeypatch):
+    # next to an r-table row, a row of 10^5 (P = 1e21 >= 2^52) stops the batch before any transform
+    rows = np.zeros((2, 1201), dtype=np.int64)
+    build_r_table(30, 40, out=rows[0, 1:])
+    rows[1, 1:1001] = 10**5
+    with monkeypatch.context() as mp:
+        mp.setattr(np.fft, "rfft", lambda *a, **k: pytest.fail("transformed a refused batch"))
+        with pytest.raises(FloatingPointError):
+            counts._triple_sums(rows)
+    assert counts._triple_sums(rows[:1]) == [m_literal(30, 40) // 6]
+
+
+def m_bigint(X, Y):
+    """M(X, Y) with r*r from one Python big-int square (Kronecker
+    substitution): r(0..XY) packed into 32-bit slots, whose coefficients
+    (r*r)(c) <= ||r||_2^2 < 2^32 then carry into no neighbour."""
+    r = build_r_table(X, Y)
+    assert int(np.dot(r, r)) < 2**32
+    packed = int.from_bytes(r.astype("<u4").tobytes(), "little")
+    square = np.frombuffer((packed * packed).to_bytes(8 * r.size, "little"), dtype="<u4")
+    return 6 * sum(map(operator.mul, square[: r.size].tolist(), r.tolist()))
+
+
+def test_m_fast_matches_bigint_square_at_the_cap_tier():
+    assert m_bigint(30, 40) == m_literal(30, 40)
+    assert counts.m_fast(442, 452) == m_bigint(442, 452) == 2475013541952  # the largest rounding bound at XY <= 2e5
+
+
+@pytest.mark.parametrize("box, count", [
+    ((447, 447), 2470138529664),
+    ((400, 500), 2481187763184),
+    ((1, 200000), 959995200000),
+    ((64, 3125), 2392831133280),
+    ((141, 1418), 2448172029888),
+])
+def test_m_fast_pinned_at_the_cap_tier(box, count):
+    # values of the square-and-invert FFT path, confirmed by m_bigint
+    assert counts.m_fast(*box) == count
 
 
 def test_m_budgets():
@@ -251,8 +286,9 @@ def test_mprime_block_sums_call_count(z, monkeypatch):
 
 def test_mprime_traced_peak(traced_peak, monkeypatch):
     # cold box cache, numpy.fft already imported: counting one FFT square
-    # per box peaked at 0.80 MB, and batching must add no memory cliff
-    counts._squares_exact(np.ones((1, 4), dtype=np.int64))  # imports numpy.fft outside the trace
+    # per box peaked at 0.80 MB, and the batched transforms must add no
+    # memory cliff
+    np.fft.rfft(np.ones(4))  # imports numpy.fft outside the trace
     monkeypatch.setattr(counts, "_BOXES", {})
     assert traced_peak(lambda: counts._mprime_z.__wrapped__(math.isqrt(4 * 10**8))) < 0.81
 

@@ -1,8 +1,9 @@
 """Source hygiene: every name a module imports is read somewhere in it,
 every module imports only what a plain install provides, no caller sets
 its own quadrature order, the quadrature sums no panel by a BLAS product,
-every committed benchmark record names what the benchmark measures, and
-every layer the benchmark traces exists."""
+the exact box counts take no inverse transform, every committed benchmark
+record names what the benchmark measures, and every layer the benchmark
+traces exists."""
 
 import ast
 import importlib
@@ -36,6 +37,11 @@ def test_every_import_is_read(path):
     assert _unused_imports(ast.parse(path.read_text(), filename=str(path))) == []
 
 
+def _call_name(call: ast.Call) -> str | None:
+    """The called name: ``f`` of ``f(...)`` and of ``mod.f(...)``."""
+    return call.func.attr if isinstance(call.func, ast.Attribute) else getattr(call.func, "id", None)
+
+
 def _literal_orders(tree: ast.Module) -> list[str]:
     """Calls of integrate_panels whose order is written out in literals
     (``order=4``, ``order=6 + 3 * n``) instead of taken from a function."""
@@ -43,7 +49,7 @@ def _literal_orders(tree: ast.Module) -> list[str]:
     for node in ast.walk(tree):
         if not isinstance(node, ast.Call):
             continue
-        name = node.func.attr if isinstance(node.func, ast.Attribute) else getattr(node.func, "id", None)
+        name = _call_name(node)
         if name != "integrate_panels":
             continue
         for expr in [kw.value for kw in node.keywords if kw.arg == "order"]:
@@ -74,7 +80,7 @@ def _blas_products(tree: ast.Module) -> list[str]:
         if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.MatMult):
             found.append(node)
         elif isinstance(node, ast.Call):
-            name = node.func.attr if isinstance(node.func, ast.Attribute) else getattr(node.func, "id", None)
+            name = _call_name(node)
             if name == "dot":
                 found.append(node)
     return [f"line {n.lineno}: {ast.unparse(n)}" for n in sorted(found, key=lambda n: n.lineno)]
@@ -91,6 +97,25 @@ def test_quadrature_sums_panels_by_rows():
     # the blocks a level is cut into cannot move a bit
     path = Path(conecount.__file__).parent / "integrals.py"
     assert _blas_products(ast.parse(path.read_text(), filename=str(path))) == []
+
+
+def _inverse_transforms(tree: ast.Module) -> list[str]:
+    """Calls of ``irfft`` or ``rint``: an inverse transform rounded back to
+    integers, which the Parseval sums of the counting engine do without."""
+    calls = [n for n in ast.walk(tree) if isinstance(n, ast.Call) and _call_name(n) in ("irfft", "rint")]
+    return [f"line {n.lineno}: {ast.unparse(n)}" for n in calls]
+
+
+def test_inverse_transform_is_detected():
+    src = "s = np.fft.irfft(f, n)\nnp.rint(s, out=s)\nr = irfft(f)\nt = np.fft.rfft(r, n)\nc = round(t)\n"
+    assert _inverse_transforms(ast.parse(src)) == [
+        "line 1: np.fft.irfft(f, n)", "line 2: np.rint(s, out=s)", "line 3: irfft(f)"]
+
+
+def test_box_counts_take_no_inverse_transform():
+    # M(X, Y) is one forward rfft per batch under a Parseval rounding bound
+    path = Path(conecount.__file__).parent / "counts.py"
+    assert _inverse_transforms(ast.parse(path.read_text(), filename=str(path))) == []
 
 
 ROOT = Path(__file__).resolve().parents[1]
