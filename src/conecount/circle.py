@@ -255,11 +255,13 @@ def f_naive(alpha: float, X: int, Y: int) -> complex:
 
 def g_q_naive(alpha: float, q: int, X: int, Y: int) -> complex:
     """g_q(alpha) as its literal double sum over q !| x."""
+    _check_q(q)
     return _exp_double_sum(alpha, [x for x in _nonzero(X) if x % q], _nonzero(Y))
 
 
 def f_star_naive(beta: float, q: int, X: int, Y: int) -> complex:
     """f*_q(beta) as its literal double sum, y = 0 row included."""
+    _check_q(q)
     return _exp_double_sum(beta * q, _nonzero(X // q), range(-Y, Y + 1))
 
 
@@ -277,11 +279,13 @@ def _sine_ratio_sum(gamma: float, n: int, Y: int, denom) -> float:
 
 def w_q_naive(gamma: float, q: int, X: int, Y: int) -> float:
     """w_q(gamma) term by term."""
+    _check_q(q)
     return _sine_ratio_sum(gamma, X // q, Y, math.sin)
 
 
 def v_q_naive(gamma: float, q: int, X: int, Y: int) -> float:
     """v_q(gamma) term by term."""
+    _check_q(q)
     return _sine_ratio_sum(gamma, X // q, Y, lambda t: t)
 
 
@@ -396,8 +400,8 @@ def j_quadrature(q: int, X: float, Y: float) -> QuadResult:
     m = math.floor(Y)
     k = 2 * m + 1
     T = _J_TRUNCATION
-    brk = np.unique(np.concatenate([[0.0], np.arange(1, int(T * k) + 1) / k, [T]]))
-    brk = brk[brk <= T]
+    # T k is an integer, so the last zero is T itself: j / k is exact at j = T k
+    brk = np.arange(int(T * k) + 1) / k
 
     def v_cubed(g):
         # cubed by multiplication: v_q changes sign, and numpy 2.4's float64

@@ -62,10 +62,13 @@ carries (``mu_square``), it is 4N0: one walk over c, since
 (z // n) // m = z // (nm).
 
 Every fast path has a naive enumeration oracle in this module.  The
-oracles share one kernel that uses no r(n): x runs shell by shell, up to
-order and signs, and for each (x, y0) the (y1, y2) on the line
-x1 y1 + x2 y2 = -x0 y0 are counted in closed form, bucketed by how many of
-the six coordinates vanish (``_line_counts``).  All counters fit
+oracles share one kernel that uses no r(n): x runs over the shells
+max |x_i| = k, up to order and signs, and for each (x, y0) the (y1, y2)
+on the line x1 y1 + x2 y2 = -x0 y0 are counted in closed form, bucketed by
+how many of the six coordinates vanish (``_line_counts``).  Shells that
+share their y0 columns are counted in blocks of whole shells, one
+vectorised pass per block (``_kernel_hist``): all of M(X, Y) and P(X) is
+one group, and the pair table groups the shells k by Z // k.  All counters fit
 comfortably in checked 64-bit range at the configured budgets; results
 are returned as Python ints and verified nonnegative and < 2^63 (an
 OverflowError is raised rather than wrapping).  A failed rounding bound
@@ -90,9 +93,10 @@ from .arith import arith_table, build_r_table
 from .errors import ResourceLimitError
 
 # Cost caps: m_naive's kernel visits about (X+1)^3 (Y+1) / 6 (x, y0) cells at
-# 200-300 ns each; its last shell holds (X+1)(X+2)/2 (Y+1) of them at once, at
+# 70-100 ns each (2 cores, numpy 2.4.6: 100 ns at (11, 10), 85 ns at (26, 12)
+# and (60, 60)); its last shell holds (X+1)(X+2)/2 (Y+1) of them at once, at
 # ~100 bytes each, so wide boxes are cheap in time but not in memory
-# (m_naive(1, 10**6): 1.3e6 cells, 0.5 s, 310 MB).
+# (m_naive(1, 330000): 9.9e5 cells in one shell, 0.07 s, 100 MB of peak RSS).
 # m_fast transforms a length-XY table by an FFT of length ~2XY, O(XY log XY).
 M_NAIVE_MAX_CELLS = 10**7
 M_NAIVE_MAX_SHELL = 10**6
@@ -142,22 +146,38 @@ def _checked(count) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Enumeration kernel: the y on x.y = 0, one x-shell at a time
+# Enumeration kernel: the y on x.y = 0, in blocks of whole x-shells
 # ---------------------------------------------------------------------------
 
+# A block takes whole x-shells while its rows times its columns stay within
+# this many (x, y0) cells; a larger shell is a block on its own, so the
+# temporaries peak at the larger of a block and the largest shell.  Timed on
+# 2 cores (numpy 2.4.6) at 2^10, 2^11, 2^12, 2^13, 2^14 and 2^16 cells:
+# m_naive(19, 8) took 2.5, 2.0, 1.5, 1.3, 1.4 and 1.4 ms, p_count(12) 1.1,
+# 0.84, 0.65, 0.52, 0.51 and 0.50 ms, and m_naive(26, 12) 5.6, 5.0, 4.6, 4.0,
+# 4.4 and 5.4 ms, its larger temporaries slowing the widest blocks.
+_BLOCK_CELLS = 1 << 13
 
-def _shell(k: int):
-    """The x with max |x_i| = k up to order and signs, as (x0, x1, weight, zeros).
+
+def _shell_rows(ks: range, lo, hi):
+    """The x with max |x_i| = k for the k of ``ks``, up to order and signs,
+    as (x0, x1, k, weight, zeros), shell after shell.
 
     Permuting the coordinates of x and y together, and flipping x_i and y_i
     together, keep x.y, |y|, gcd(y) and the zero count.  So x runs over
     0 <= x0 <= x1 <= x2 = k, weighted by its distinct orderings times its
     2^(#nonzero x_i) sign patterns; ``zeros`` counts its zero coordinates.
+    The pairs lo <= hi of ``np.tril_indices`` come hi-major, so shell k is
+    their first (k+1)(k+2)/2 pairs (x0, x1) = (lo, hi).
     """
-    x0, x1 = np.triu_indices(k + 1)
+    k = np.arange(ks.start, ks.stop)
+    sizes = (k + 1) * (k + 2) // 2
+    ends = np.cumsum(sizes)
+    at = np.arange(ends[-1]) - np.repeat(ends - sizes, sizes)
+    x0, x1, k = lo[at], hi[at], np.repeat(k, sizes)
     orderings = 6 // ((1 + (x0 == x1)) * (1 + (x1 == k)))  # 6, 3, or 1 when x0 = x1 = k
     weight = orderings << (1 + (x0 > 0) + (x1 > 0))
-    return x0, x1, weight, (x0 == 0).astype(np.int64) + (x1 == 0)
+    return x0, x1, k, weight, (x0 == 0).astype(np.int64) + (x1 == 0)
 
 
 def _box_columns(q: int):
@@ -167,35 +187,38 @@ def _box_columns(q: int):
     return y0, np.full(q + 1, q, dtype=np.int64), np.where(y0 > 0, 2, 1)
 
 
-def _line_counts(x0, x1, k: int, y0, ym, wy) -> np.ndarray:
-    """Weighted counts of y != 0 on x.y = 0 for x = (x0, x1, k), by zero count of y.
+def _reduced(x1, k):
+    """(a, b, g): the line x1 y1 + k y2 = c as a y1 + b y2 = c / g, with
+    g = gcd(x1, k) and gcd(a, b) = 1.  x1 = 0 only at x = (0, 0, k), where
+    c = 0 and a = 1 bounds y1 to the box just as a = 0 would."""
+    g = np.gcd(x1, k)
+    return np.maximum(x1 // g, 1), k // g, g
 
-    ``x0 <= x1`` are int64 arrays of length n in [0, k]; the columns
+
+def _line_counts(x0, x1, k, inv, y0, ym, wy) -> np.ndarray:
+    """Weighted counts of y != 0 on x.y = 0 for each row x = (x0, x1, k), by zero count of y.
+
+    ``x0 <= x1 <= k`` and ``inv`` are int64 arrays of length n, ``inv``
+    the inverse of a mod b (``_reduced``) for each row; the columns
     ``y0, ym`` (length m, 0 <= y0 <= ym) fix y0 and the box |y| <= ym,
     and ``wy`` (shape (m,) or (m, r)) weights them.  Entry [i, j] of the
     (n, 3[, r]) result sums wy over the columns times the number of y
     with j zero coordinates.  For each (x, y0) the (y1, y2) on the line
     x1 y1 + k y2 = c = x0 y0 (the sign of c is immaterial, the box being
     symmetric) form an arithmetic progression in y1, counted in closed
-    form after one modular inverse per value of x1; the at most one point
-    with y1 = 0, the points with y2 = 0 and the origin are split off by
-    inclusion-exclusion.
+    form; the at most one point with y1 = 0, the points with y2 = 0 and
+    the origin are split off by inclusion-exclusion.
     """
-    side = np.arange(k + 1, dtype=np.int64)
-    g = np.gcd(side, k)
-    # a y1 + b y2 = c / g with gcd(a, b) = 1; x1 = 0 only at x = (0, 0, k),
-    # where c = 0 and a = 1 bounds y1 to the box just as a = 0 would
-    a, b = np.maximum(side // g, 1), k // g
-    inv = np.array([pow(int(u), -1, int(v)) for u, v in zip(a, b)], dtype=np.int64)
-    a, b, g, inv = (v[x1, None] for v in (a, b, g, inv))
-    c = x0[:, None] * y0
+    x0, x1, k, inv = (v[:, None] for v in (x0, x1, k, inv))
+    a, b, g = _reduced(x1, k)
+    c = x0 * y0
     cg, rem = np.divmod(c, g)
     r = cg * inv % b  # the y1 on the line are r + b t
     lo = np.maximum(-ym, -((b * ym - cg) // a))  # |y2| = |cg - a y1| / b <= ym
     hi = np.minimum(ym, (cg + b * ym) // a)
     line = np.maximum((hi - r) // b - (lo - 1 - r) // b, 0) * (rem == 0)
     y1_zero = (c % k == 0) & (c <= k * ym)
-    y2_zero = np.where(x1[:, None] > 0, (rem == 0) & (cg % a == 0) & (cg <= a * ym), line)
+    y2_zero = np.where(x1 > 0, (rem == 0) & (cg % a == 0) & (cg <= a * ym), line)
     origin = c == 0
     e0 = line - y1_zero - y2_zero + origin
     e1 = y1_zero + y2_zero - 2 * origin
@@ -204,10 +227,53 @@ def _line_counts(x0, x1, k: int, y0, ym, wy) -> np.ndarray:
     return np.stack([np.where(z, 0, e0) @ wy, np.where(z, e0, e1) @ wy, np.where(z, e1, origin) @ wy], axis=1)
 
 
-def _by_zero_count(weight, zeros, counts) -> np.ndarray:
-    """sum_i weight_i counts[i, j] into bucket zeros_i + j: the total zero count."""
-    hist = np.zeros(5, dtype=np.int64)
-    np.add.at(hist, zeros[:, None] + np.arange(3), weight[:, None] * counts)
+def _kernel_hist(groups, top: int, primitive: bool = False) -> np.ndarray:
+    """The line counts of the x-shells k <= top, weighted and bucketed by
+    the total zero count of (x, y): a (5,) histogram, or (5, 2) with
+    ``primitive``, whose second column keeps only the primitive x.
+
+    ``groups`` yields (ks, columns): a range of consecutive shells and the
+    kernel columns they share (with ``primitive``, two weight columns).
+    Each group is cut into blocks of whole shells within ``_BLOCK_CELLS``
+    cells, as ``_batches`` cuts boxes, and each block is counted by one
+    ``_line_counts`` pass.  Every block reads its rows from one
+    ``np.tril_indices(top + 1)``.
+    """
+    lo, hi = np.tril_indices(top + 1)[::-1]
+    hist = np.zeros((5, 2) if primitive else 5, dtype=np.int64)
+    for ks, columns in groups:
+        width, start, rows = len(columns[0]), ks.start, 0
+        for k in ks:
+            size = (k + 1) * (k + 2) // 2
+            if rows and (rows + size) * width > _BLOCK_CELLS:
+                hist += _block_hist(range(start, k), columns, lo, hi, primitive)
+                start, rows = k, 0
+            rows += size
+        hist += _block_hist(range(start, ks.stop), columns, lo, hi, primitive)
+    return hist
+
+
+def _block_hist(ks: range, columns, lo, hi, primitive: bool) -> np.ndarray:
+    """One block of ``_kernel_hist``: the shells ``ks`` at ``columns``.
+
+    The inverses mod b are taken once for each (x1, k) of the block's
+    shells, from the pairs lo <= hi read as (x1, k): the k + 1 pairs of
+    shell k start at k (k+1)/2.
+    """
+    x0, x1, k, weight, zeros = _shell_rows(ks, lo, hi)
+    base, end = ks.start * (ks.start + 1) // 2, ks.stop * (ks.stop + 1) // 2
+    a, b, _ = _reduced(lo[base:end], hi[base:end])
+    inv = np.array([pow(u, -1, v) for u, v in zip(a.tolist(), b.tolist())], dtype=np.int64)
+    counts = _line_counts(x0, x1, k, inv[k * (k + 1) // 2 + x1 - base], *columns)
+    if primitive:
+        weight = np.stack([weight, weight * (np.gcd(np.gcd(x0, x1), k) == 1)], axis=1)
+    # sum_i weight_i counts[i, j] into bucket zeros_i + j, the total zero
+    # count: one int64 product by the indicator rows of zeros_i = 0, 1, 2
+    # (np.add.at took 2-3 times as long)
+    by_zeros = (zeros == np.arange(3)[:, None]).astype(np.int64) @ (weight[:, None] * counts).reshape(len(zeros), -1)
+    hist = np.zeros((5, *counts.shape[2:]), dtype=np.int64)
+    for z, row in enumerate(by_zeros.reshape(3, *counts.shape[1:])):
+        hist[z : z + 3] += row
     return hist
 
 
@@ -218,12 +284,7 @@ def _by_zero_count(weight, zeros, counts) -> np.ndarray:
 
 def _box_hist(X: int, Y: int) -> np.ndarray:
     """Pairs x, y != 0 on the cone with |x| <= X, |y| <= Y, by zero count."""
-    columns = _box_columns(Y)
-    hist = np.zeros(5, dtype=np.int64)
-    for k in range(1, X + 1):
-        x0, x1, weight, zeros = _shell(k)
-        hist += _by_zero_count(weight, zeros, _line_counts(x0, x1, k, *columns))
-    return hist
+    return _kernel_hist([(range(1, X + 1), _box_columns(Y))], X)
 
 
 def m_naive(X, Y) -> int:
@@ -613,14 +674,10 @@ def _pair_columns(ym: int, mertens: np.ndarray):
 
 @lru_cache(maxsize=None)
 def _pair_table(Z: int) -> np.ndarray:
-    table = np.zeros((2, 5), dtype=np.int64)
     mertens = arith_table(Z).mertens
-    for k in range(1, Z + 1):
-        x0, x1, weight, zeros = _shell(k)
-        primitive = np.gcd(np.gcd(x0, x1), k) == 1
-        counts = _line_counts(x0, x1, k, *_pair_columns(Z // k, mertens))
-        table[0] += _by_zero_count(weight, zeros, counts[..., 0])
-        table[1] += _by_zero_count(weight * primitive, zeros, counts[..., 1])
+    # the shells lo..hi of one run of Z // k share the box |y| <= Z // lo
+    groups = ((range(lo, hi + 1), _pair_columns(Z // lo, mertens)) for lo, hi in zip(*_blocks(Z)))
+    table = _kernel_hist(groups, Z, primitive=True).T.copy()
     table.setflags(write=False)
     return table
 

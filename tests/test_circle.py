@@ -1,5 +1,9 @@
 import math
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,6 +13,8 @@ from conecount.arith import build_arith_tables
 from conecount.calibration import Calibration
 from conecount.counts import m_fast
 from conecount.integrals import QUAD_TOLERANCE, integrate_panels, j_closed, panel_order
+
+SRC = Path(circle.__file__).resolve().parents[1]
 
 ALPHAS = [0.0, 0.5, 1.0 / 3.0, 0.123456, 0.987, -0.377, 2.345]
 
@@ -95,6 +101,15 @@ def test_kernels_reject_q_below_one(kernel, q):
     # q = 0 used to return 0.0 after a divide-by-zero warning, or raise ZeroDivisionError
     with pytest.raises(ValueError, match="q must be a positive integer"):
         kernel(0.1, q, 5, 5)
+
+
+@pytest.mark.parametrize("oracle", [circle.g_q_naive, circle.w_q_naive, circle.f_star_naive, circle.v_q_naive])
+@pytest.mark.parametrize("q", [0, -1])
+def test_oracles_reject_q_below_one(oracle, q):
+    # q = 0 used to raise ZeroDivisionError and q = -1 to return 0, while the
+    # kernels the oracles check refuse both
+    with pytest.raises(ValueError, match="q must be a positive integer"):
+        oracle(0.1, q, 5, 5)
 
 
 @pytest.mark.parametrize("n", [1, 2, 10, 40, 200])
@@ -342,6 +357,29 @@ def test_j_quadrature_even_split(monkeypatch):
     two_sided = integrate_panels(lambda g: _sinc_sum(g, n, m) ** 3, brk, 1e-10, order=16)
     res = circle.j_quadrature(1, 2, 2)
     assert res.value == pytest.approx(two_sided, rel=1e-9)
+
+
+def test_j_quadrature_breakpoints(monkeypatch):
+    # the zeros j / (2m + 1) of v_q on [0, T], with no sort: the same floats
+    # as sorting them together with 0 and T and keeping those <= T
+    seen = []
+    monkeypatch.setattr(circle, "integrate_panels", lambda f, brk, tol, order: seen.append(brk) or 0.0)
+    T = circle._J_TRUNCATION
+    for m in range(201):
+        circle.j_quadrature(1, 2, m)
+        k = 2 * m + 1
+        old = np.unique(np.concatenate([[0.0], np.arange(1, int(T * k) + 1) / k, [T]]))
+        assert np.array_equal(seen[-1], old[old <= T]), m
+        assert seen[-1][0] == 0.0 and seen[-1][-1] == T, m
+
+
+def test_j_quadrature_leaves_numpy_ma_unimported():
+    # np.unique imports numpy.ma on its first call, 11-13 ms of a cold process
+    code = ("import sys; from conecount import circle; circle.j_quadrature(1, 2, 2); "
+            "print('numpy.ma' in sys.modules)")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(SRC), os.environ.get("PYTHONPATH", "")])}
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True)
+    assert proc.stdout.strip() == "False"
 
 
 @pytest.mark.parametrize("q,X,Y", [(1, 10, 10), (2, 7, 3), (3, 10, 10), (1, 1, 10)])

@@ -382,6 +382,7 @@ def test_m_naive_matches_m_fast_on_thin_boxes(X, Y):
     assert counts.m_naive(X, Y) == counts.m_fast(X, Y)
 
 
+@functools.cache
 def pair_tables_literal(Z):
     """The (2, 5) pair table at every height bound h <= Z, by a literal loop
     over x and y with gcd on both vectors (no numpy, no symmetry)."""
@@ -415,16 +416,50 @@ def test_pair_oracles_walk_the_shells_once(monkeypatch):
     # three oracles still share one walk over the shells
     B = 1500
     walked = []
-    shell = counts._shell
+    shell_rows = counts._shell_rows
 
-    def counted(k):
-        walked.append(k)
-        return shell(k)
+    def counted(ks, lo, hi):
+        walked.extend(ks)
+        return shell_rows(ks, lo, hi)
 
     counts._pair_table.cache_clear()
-    monkeypatch.setattr(counts, "_shell", counted)
+    monkeypatch.setattr(counts, "_shell_rows", counted)
     with ThreadPoolExecutor(max_workers=3) as pool:
         futures = [pool.submit(f, B) for f in (counts.mprime_naive, counts.n0_times4_naive, counts.n_w_naive)]
         for future in futures:
             future.result(timeout=60)
     assert walked == list(range(1, math.isqrt(B) + 1))
+
+
+def _oracle_values():
+    counts._pair_table.cache_clear()
+    return ([counts.m_naive(X, Y) for X in range(1, 13) for Y in range(1, 31)],
+            [counts.p_count(X) for X in range(1, 13)],
+            [counts.pair_zero_histogram(B).tolist() for B in range(1, 2001)])
+
+
+@pytest.mark.parametrize("cells", [1, 1 << 40], ids=["shell_per_block", "one_block"])
+def test_kernel_blocks_leave_the_counts(cells, monkeypatch):
+    # every shell a block of its own, and every group one block: the same
+    # counts as the default blocks, and the literal loop's pair tables
+    default = _oracle_values()
+    monkeypatch.setattr(counts, "_BLOCK_CELLS", cells)
+    assert _oracle_values() == default
+    tables = pair_tables_literal(8)
+    counts._pair_table.cache_clear()
+    for B in range(1, 65):
+        assert counts.pair_zero_histogram(B).tolist() == tables[math.isqrt(B)], B
+
+
+@pytest.mark.parametrize("run, parent_mb", [
+    (lambda: counts.m_naive(40, 40), 3.17),
+    (lambda: counts.m_naive(60, 9), 1.89),
+    (lambda: counts.m_naive(3, 5000), 4.47),
+    (lambda: counts._pair_table.__wrapped__(100), 1.85),
+], ids=["m_naive(40,40)", "m_naive(60,9)", "m_naive(3,5000)", "pair_zero_histogram(10**4)"])
+def test_oracle_kernel_traced_peak(traced_peak, run, parent_mb):
+    # peaks of the shell-by-shell kernel plus 0.3 MB: blocks of whole shells
+    # hold no more than the larger of a block and the largest shell
+    counts.m_naive(2, 2)
+    arith.arith_table(100)
+    assert traced_peak(run) < parent_mb + 0.3
