@@ -66,9 +66,13 @@ oracles share one kernel that uses no r(n): x runs over the shells
 max |x_i| = k, up to order and signs, and for each (x, y0) the (y1, y2)
 on the line x1 y1 + x2 y2 = -x0 y0 are counted in closed form, bucketed by
 how many of the six coordinates vanish (``_line_counts``).  Shells that
-share their y0 columns are counted in blocks of whole shells, one
-vectorised pass per block (``_kernel_hist``): all of M(X, Y) and P(X) is
-one group, and the pair table groups the shells k by Z // k.  All counters fit
+share their y0 columns are counted in blocks of whole shells
+(``_kernel_hist``): all of M(X, Y) and P(X) is one group, and the pair
+table groups the shells k by Z // k.  Every vectorised pass takes a tile
+of at most ``_BLOCK_CELLS`` (x, y0) cells, so the kernel's memory does
+not grow with the box: a block that fits is one pass, a larger one is
+cut into slices of rows, and a box wider than a tile into slices of
+columns, each built when it is counted.  All counters fit
 comfortably in checked 64-bit range at the configured budgets; results
 are returned as Python ints and verified nonnegative and < 2^63 (an
 OverflowError is raised rather than wrapping).  A failed rounding bound
@@ -92,14 +96,12 @@ import numpy as np
 from .arith import arith_table, build_r_table
 from .errors import ResourceLimitError
 
-# Cost caps: m_naive's kernel visits about (X+1)^3 (Y+1) / 6 (x, y0) cells at
-# 70-100 ns each (2 cores, numpy 2.4.6: 100 ns at (11, 10), 85 ns at (26, 12)
-# and (60, 60)); its last shell holds (X+1)(X+2)/2 (Y+1) of them at once, at
-# ~100 bytes each, so wide boxes are cheap in time but not in memory
-# (m_naive(1, 330000): 9.9e5 cells in one shell, 0.07 s, 100 MB of peak RSS).
-# m_fast transforms a length-XY table by an FFT of length ~2XY, O(XY log XY).
+# Cost caps: the box kernel of m_naive and p_count visits about
+# (X+1)^3 (Y+1) / 6 (x, y0) cells at 70-100 ns each (2 cores, numpy 2.4.6:
+# 100 ns at (11, 10), 85 ns at (26, 12) and (60, 60)), so the cap is about
+# a second.  m_fast transforms a length-XY table by an FFT of length ~2XY,
+# O(XY log XY).
 M_NAIVE_MAX_CELLS = 10**7
-M_NAIVE_MAX_SHELL = 10**6
 M_FAST_MAX_XY = 200_000
 
 _INT63 = 1 << 63
@@ -146,13 +148,13 @@ def _checked(count) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Enumeration kernel: the y on x.y = 0, in blocks of whole x-shells
+# Enumeration kernel: the y on x.y = 0, in tiles of at most _BLOCK_CELLS cells
 # ---------------------------------------------------------------------------
 
-# A block takes whole x-shells while its rows times its columns stay within
-# this many (x, y0) cells; a larger shell is a block on its own, so the
-# temporaries peak at the larger of a block and the largest shell.  Timed on
-# 2 cores (numpy 2.4.6) at 2^10, 2^11, 2^12, 2^13, 2^14 and 2^16 cells:
+# The tile: one _line_counts pass takes at most this many (x, y0) cells, at
+# about 100 bytes each while it runs.  A block takes whole x-shells while
+# its rows times its columns fit in one tile.  Timed on 2 cores (numpy
+# 2.4.6), one pass per block, at 2^10, 2^11, 2^12, 2^13, 2^14 and 2^16 cells:
 # m_naive(19, 8) took 2.5, 2.0, 1.5, 1.3, 1.4 and 1.4 ms, p_count(12) 1.1,
 # 0.84, 0.65, 0.52, 0.51 and 0.50 ms, and m_naive(26, 12) 5.6, 5.0, 4.6, 4.0,
 # 4.4 and 5.4 ms, its larger temporaries slowing the widest blocks.
@@ -180,11 +182,12 @@ def _shell_rows(ks: range, lo, hi):
     return x0, x1, k, weight, (x0 == 0).astype(np.int64) + (x1 == 0)
 
 
-def _box_columns(q: int):
-    """The y0 of a box |y| <= q as kernel columns (y0, ym, weight): y0 >= 0
-    only, weighted 2 for y0 > 0 because y -> -y keeps every count."""
-    y0 = np.arange(q + 1, dtype=np.int64)
-    return y0, np.full(q + 1, q, dtype=np.int64), np.where(y0 > 0, 2, 1)
+def _box_columns(q: int, ys: range):
+    """The y0 in ``ys`` of a box |y| <= q as kernel columns (y0, ym, weight):
+    0 <= y0 <= q only, weighted 2 for y0 > 0 because y -> -y keeps every
+    count."""
+    y0 = np.arange(ys.start, ys.stop, dtype=np.int64)
+    return y0, np.full(len(y0), q, dtype=np.int64), np.where(y0 > 0, 2, 1)
 
 
 def _reduced(x1, k):
@@ -234,10 +237,9 @@ def _kernel_hist(groups, top: int, primitive: bool = False) -> np.ndarray:
 
     ``groups`` yields (ks, columns): a range of consecutive shells and the
     kernel columns they share (with ``primitive``, two weight columns).
-    Each group is cut into blocks of whole shells within ``_BLOCK_CELLS``
-    cells, as ``_batches`` cuts boxes, and each block is counted by one
-    ``_line_counts`` pass.  Every block reads its rows from one
-    ``np.tril_indices(top + 1)``.
+    Each group is cut into blocks of whole shells, as many as fit in one
+    tile of ``_BLOCK_CELLS`` cells and at least one, as ``_batches`` cuts
+    boxes.  Every block reads its rows from one ``np.tril_indices(top + 1)``.
     """
     lo, hi = np.tril_indices(top + 1)[::-1]
     hist = np.zeros((5, 2) if primitive else 5, dtype=np.int64)
@@ -254,7 +256,8 @@ def _kernel_hist(groups, top: int, primitive: bool = False) -> np.ndarray:
 
 
 def _block_hist(ks: range, columns, lo, hi, primitive: bool) -> np.ndarray:
-    """One block of ``_kernel_hist``: the shells ``ks`` at ``columns``.
+    """One block of ``_kernel_hist``: the shells ``ks`` at ``columns``, one
+    ``_line_counts`` pass per tile of rows (at least one row).
 
     The inverses mod b are taken once for each (x1, k) of the block's
     shells, from the pairs lo <= hi read as (x1, k): the k + 1 pairs of
@@ -264,15 +267,21 @@ def _block_hist(ks: range, columns, lo, hi, primitive: bool) -> np.ndarray:
     base, end = ks.start * (ks.start + 1) // 2, ks.stop * (ks.stop + 1) // 2
     a, b, _ = _reduced(lo[base:end], hi[base:end])
     inv = np.array([pow(u, -1, v) for u, v in zip(a.tolist(), b.tolist())], dtype=np.int64)
-    counts = _line_counts(x0, x1, k, inv[k * (k + 1) // 2 + x1 - base], *columns)
+    rows = (x0, x1, k, inv[k * (k + 1) // 2 + x1 - base])
     if primitive:
         weight = np.stack([weight, weight * (np.gcd(np.gcd(x0, x1), k) == 1)], axis=1)
     # sum_i weight_i counts[i, j] into bucket zeros_i + j, the total zero
-    # count: one int64 product by the indicator rows of zeros_i = 0, 1, 2
-    # (np.add.at took 2-3 times as long)
-    by_zeros = (zeros == np.arange(3)[:, None]).astype(np.int64) @ (weight[:, None] * counts).reshape(len(zeros), -1)
-    hist = np.zeros((5, *counts.shape[2:]), dtype=np.int64)
-    for z, row in enumerate(by_zeros.reshape(3, *counts.shape[1:])):
+    # count: one int64 product per tile by the indicator rows of
+    # zeros_i = 0, 1, 2 (np.add.at took 2-3 times as long)
+    indicator = (zeros == np.arange(3)[:, None]).astype(np.int64)
+    step = max(1, _BLOCK_CELLS // len(columns[0]))
+    by_zeros = 0
+    for i in range(0, len(k), step):
+        tile = slice(i, i + step)
+        counts = weight[tile, None] * _line_counts(*(v[tile] for v in rows), *columns)
+        by_zeros = by_zeros + indicator[:, tile] @ counts.reshape(len(counts), -1)
+    hist = np.zeros((5, *weight.shape[1:]), dtype=np.int64)
+    for z, row in enumerate(by_zeros.reshape(3, 3, *weight.shape[1:])):
         hist[z : z + 3] += row
     return hist
 
@@ -283,8 +292,12 @@ def _block_hist(ks: range, columns, lo, hi, primitive: bool) -> np.ndarray:
 
 
 def _box_hist(X: int, Y: int) -> np.ndarray:
-    """Pairs x, y != 0 on the cone with |x| <= X, |y| <= Y, by zero count."""
-    return _kernel_hist([(range(1, X + 1), _box_columns(Y))], X)
+    """Pairs x, y != 0 on the cone with |x| <= X, |y| <= Y, by zero count,
+    the y0 columns in slices of one tile's width, each built when counted."""
+    if (X + 1) ** 3 * (Y + 1) // 6 > M_NAIVE_MAX_CELLS:
+        raise ResourceLimitError(f"box kernel cells (X+1)^3 (Y+1)/6 > {M_NAIVE_MAX_CELLS}")
+    slices = (range(y, min(y + _BLOCK_CELLS, Y + 1)) for y in range(0, Y + 1, _BLOCK_CELLS))
+    return _kernel_hist(((range(1, X + 1), _box_columns(Y, ys)) for ys in slices), X)
 
 
 def m_naive(X, Y) -> int:
@@ -292,10 +305,6 @@ def m_naive(X, Y) -> int:
     X, Y = math.floor(X), math.floor(Y)
     if X < 1 or Y < 1:
         raise ValueError("box bounds must be >= 1")
-    if (X + 1) ** 3 * (Y + 1) // 6 > M_NAIVE_MAX_CELLS:
-        raise ResourceLimitError(f"m_naive kernel cells (X+1)^3 (Y+1)/6 > {M_NAIVE_MAX_CELLS}")
-    if (X + 1) * (X + 2) // 2 * (Y + 1) > M_NAIVE_MAX_SHELL:
-        raise ResourceLimitError(f"m_naive last shell (X+1)(X+2)/2 (Y+1) > {M_NAIVE_MAX_SHELL}")
     return _checked(_box_hist(X, Y)[0])
 
 
@@ -461,15 +470,12 @@ def box_count(X: int, Y: int) -> BoxCount:
 # P(X): zeros allowed
 # ---------------------------------------------------------------------------
 
-P_COUNT_MAX_X = 40
-
 
 def p_count(X: int) -> int:
-    """P(X): every integer solution with |coordinates| <= X, zeros allowed."""
+    """P(X): every integer solution with |coordinates| <= X, zeros allowed,
+    by the kernel of m_naive(X, X) under its cap: X <= 87."""
     if X < 1:
         raise ValueError("X must be >= 1")
-    if X > P_COUNT_MAX_X:
-        raise ResourceLimitError(f"p_count enumeration capped at X <= {P_COUNT_MAX_X}")
     # plus x = 0 with every y, and y = 0 with every x != 0
     return _checked(_box_hist(X, X).sum() + 2 * (2 * X + 1) ** 3 - 1)
 
@@ -667,7 +673,7 @@ def _pair_columns(ym: int, mertens: np.ndarray):
         coeff = int(mertens[hi] - mertens[lo - 1])
         if coeff:
             q = ym // lo
-            y0, box, w = _box_columns(q)
+            y0, box, w = _box_columns(q, range(q + 1))
             parts.append((y0, box, np.stack([w * (lo == 1), w * coeff], axis=1)))
     return tuple(np.concatenate(col) for col in zip(*parts))
 

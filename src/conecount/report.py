@@ -248,10 +248,8 @@ def _suite_counts(cfg: RunConfig) -> list[Check]:
     random_pairs = _random_m_pairs(cfg.seed)
     for i, (x, y) in enumerate(random_pairs):
         checks.append(
-            exact_check(
-                f"m/oracle_random_{i:02d}", f"X={x},Y={y}",
-                True, lambda x=x, y=y: counts.m_fast(x, y) == counts.m_naive(x, y),
-            )
+            true_check(f"m/oracle_random_{i:02d}", f"X={x},Y={y}",
+                       lambda x=x, y=y: counts.m_fast(x, y) == counts.m_naive(x, y))
         )
     checks.append(
         true_check("m/divisible_by_16", "grid + random pairs",
@@ -269,12 +267,10 @@ def _suite_counts(cfg: RunConfig) -> list[Check]:
     )
     for b in (1, 4, 16, 100, 1234, 10**4):
         checks.append(
-            exact_check(f"mprime/oracle_B={b}", f"B={b}", True,
-                        lambda b=b: counts.mprime(b) == counts.mprime_naive(b))
+            true_check(f"mprime/oracle_B={b}", f"B={b}", lambda b=b: counts.mprime(b) == counts.mprime_naive(b))
         )
         checks.append(
-            exact_check(f"n0/oracle_B={b}", f"B={b}", True,
-                        lambda b=b: counts.n0_times4(b) == counts.n0_times4_naive(b))
+            true_check(f"n0/oracle_B={b}", f"B={b}", lambda b=b: counts.n0_times4(b) == counts.n0_times4_naive(b))
         )
 
         def run_nw(b=b):
@@ -548,8 +544,8 @@ def _suite_boundary(cfg: RunConfig) -> list[Check]:
         bound_check("w3/leading_Z=1e3", "B=1e6",
                     lambda: abs(counts.w_counts(10**6)[2] / (10**3) ** 2 - 48.0 / k().zeta2) / (48.0 / k().zeta2),
                     CAL.w3_rel_tol),
-        exact_check("boundary/identity_B=1", "B=1", True,
-                    lambda: asymptotics.boundary_check(1).exact == sum(counts.w_counts(1)) / 4.0),
+        true_check("boundary/identity_B=1", "B=1",
+                   lambda: asymptotics.boundary_check(1).exact == sum(counts.w_counts(1)) / 4.0),
         true_check("boundary/finite_1e4", "B=1e4",
                    lambda: math.isfinite(asymptotics.boundary_check(10**4).deviation)),
         exact_check("height_zeta/cutoff_1", "s=2, cutoff=1", 192.0,

@@ -219,8 +219,8 @@ def test_m_budgets():
         counts.m_naive(200, 5000)
     with pytest.raises(ResourceLimitError):
         counts.m_naive(400, 1)  # thin: the kernel would visit ~2e7 cells
-    with pytest.raises(ResourceLimitError):
-        counts.m_naive(1, 10**6)  # wide: few cells, but the last shell holds 3e6 of them at once
+    # wide: few cells, taken in tiles; M(1, Y) = 24 Y (Y - 1), as m_fast(1, 200000) is pinned below
+    assert counts.m_naive(1, 10**6) == 24 * 10**6 * (10**6 - 1)
     with pytest.raises(ResourceLimitError):
         counts.m_fast(1000, 1000)
 
@@ -236,10 +236,10 @@ def test_p_count():
     assert counts.p_count(1) == 245
     for x in (1, 2, 3):
         assert counts.p_count(x) == counts.p_count_tiny(x)
-    for x in (1, 2, 4, 8):
+    for x in (1, 2, 4, 8, 41):
         assert counts.p_count(x) >= counts.m_fast(x, x)
     with pytest.raises(ResourceLimitError):
-        counts.p_count(41)
+        counts.p_count(88)  # the box kernel's cap: (X+1)^4 / 6 > 10^7 cells
 
 
 def test_mprime_small_values():
@@ -438,10 +438,11 @@ def _oracle_values():
             [counts.pair_zero_histogram(B).tolist() for B in range(1, 2001)])
 
 
-@pytest.mark.parametrize("cells", [1, 1 << 40], ids=["shell_per_block", "one_block"])
+@pytest.mark.parametrize("cells", [512, 1 << 40], ids=["shell_per_block", "one_block"])
 def test_kernel_blocks_leave_the_counts(cells, monkeypatch):
-    # every shell a block of its own, and every group one block: the same
-    # counts as the default blocks, and the literal loop's pair tables
+    # small tiles that cut most shells into slices of rows, and every group
+    # one tile: the same counts as the default tiles, and the literal loop's
+    # pair tables
     default = _oracle_values()
     monkeypatch.setattr(counts, "_BLOCK_CELLS", cells)
     assert _oracle_values() == default
@@ -451,15 +452,50 @@ def test_kernel_blocks_leave_the_counts(cells, monkeypatch):
         assert counts.pair_zero_histogram(B).tolist() == tables[math.isqrt(B)], B
 
 
-@pytest.mark.parametrize("run, parent_mb", [
+def test_kernel_passes_fit_in_a_tile(monkeypatch):
+    # columns that fit in a tile keep every _line_counts pass within
+    # _BLOCK_CELLS cells, a block that fits is one pass, and a box wider than
+    # a tile takes its y0 in slices of one tile each
+    passes = []
+    line_counts = counts._line_counts
+
+    def recorded(x0, x1, k, inv, y0, ym, wy):
+        passes.append((len(x0) * len(y0), int(y0[0])))
+        return line_counts(x0, x1, k, inv, y0, ym, wy)
+
+    monkeypatch.setattr(counts, "_line_counts", recorded)
+    counts._pair_table.cache_clear()
+    for run in (lambda: counts.m_naive(60, 60), lambda: counts.m_naive(3, 5000), lambda: counts.m_naive(19, 300),
+                lambda: counts.p_count(30), lambda: counts.pair_zero_histogram(10**4)):
+        passes.clear()
+        run()
+        assert len(passes) > 1 and max(cells for cells, _ in passes) <= counts._BLOCK_CELLS
+    for run in (lambda: counts.m_naive(3, 3), lambda: counts.p_count(12)):
+        passes.clear()
+        run()
+        assert len(passes) == 1
+    passes.clear()
+    assert counts.m_naive(2, 50000) == counts.m_fast(2, 50000)
+    assert sorted({start for _, start in passes}) == list(range(0, 50001, counts._BLOCK_CELLS))  # seven tiles
+    assert max(cells for cells, _ in passes) <= counts._BLOCK_CELLS
+
+
+@pytest.mark.parametrize("run, measured_mb", [
     (lambda: counts.m_naive(40, 40), 3.17),
     (lambda: counts.m_naive(60, 9), 1.89),
     (lambda: counts.m_naive(3, 5000), 4.47),
     (lambda: counts._pair_table.__wrapped__(100), 1.85),
-], ids=["m_naive(40,40)", "m_naive(60,9)", "m_naive(3,5000)", "pair_zero_histogram(10**4)"])
-def test_oracle_kernel_traced_peak(traced_peak, run, parent_mb):
-    # peaks of the shell-by-shell kernel plus 0.3 MB: blocks of whole shells
-    # hold no more than the larger of a block and the largest shell
+    (lambda: counts.m_naive(60, 60), 0.95),
+    (lambda: counts.m_naive(1, 10**6), 0.97),
+    (lambda: counts._pair_table.__wrapped__(316), 5.93),
+], ids=["m_naive(40,40)", "m_naive(60,9)", "m_naive(3,5000)", "pair_zero_histogram(10**4)",
+        "m_naive(60,60)", "m_naive(1,10**6)", "pair_zero_histogram(10**5)"])
+def test_oracle_kernel_traced_peak(traced_peak, run, measured_mb):
+    # measured peaks plus 0.3 MB: the first four with one kernel pass per
+    # shell, the last three with tiles of _BLOCK_CELLS cells, whose
+    # temporaries do not grow with the box.  One pass per shell held 10.2 MB
+    # at m_naive(60, 60), 92.9 MB at m_naive(1, 330000) and 16.7 MB at
+    # pair_zero_histogram(10**5)
     counts.m_naive(2, 2)
-    arith.arith_table(100)
-    assert traced_peak(run) < parent_mb + 0.3
+    arith.arith_table(316)
+    assert traced_peak(run) < measured_mb + 0.3
