@@ -493,9 +493,7 @@ def test_kernel_passes_fit_in_a_tile(monkeypatch):
 def test_oracle_kernel_traced_peak(traced_peak, run, measured_mb):
     # measured peaks plus 0.3 MB: the first four with one kernel pass per
     # shell, the last three with tiles of _BLOCK_CELLS cells, whose
-    # temporaries do not grow with the box.  One pass per shell held 10.2 MB
-    # at m_naive(60, 60), 92.9 MB at m_naive(1, 330000) and 16.7 MB at
-    # pair_zero_histogram(10**5)
+    # temporaries do not grow with the box
     counts.m_naive(2, 2)
     arith.arith_table(316)
     assert traced_peak(run) < measured_mb + 0.3
