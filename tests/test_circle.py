@@ -132,12 +132,6 @@ def test_v_on_an_array_is_v_q_eval_bit_for_bit():
         assert circle._sinc_sum(gammas, n, 3).tolist() == [circle.v_q_eval(g, 1, n, 3) for g in gammas]
 
 
-def test_decomposition_restored_row():
-    # f(a/q + b) - f*_q(b) - g_q(a/q + b) is exactly the restored y = 0 row,
-    # at most 2 floor(X/q) + 1 <= 2X + 1 unit terms; the slack is diff - (2X + 1)
-    assert report._decomposition_slack() <= 0.0
-
-
 def _dissect_oracle(X, Y):
     """The dissection as a per-fraction loop: Python sort, pairwise check and
     complement walk.  Returns Q, the (q, a, centre, half-width) of each arc in
@@ -340,10 +334,6 @@ def test_j_quadrature_traced_peak(traced_peak):
     assert traced_peak(lambda: circle.j_quadrature(1, 10, 100)) < 8.0
 
 
-def test_minor_arc_scan_ratio(suite_rows):
-    assert suite_rows("circle")["minor_arcs/ratio"].status == "pass"
-
-
 def test_j_quadrature_even_split(monkeypatch):
     # the integrand is even, so the quadrature of v^3 over [0, T] doubles up;
     # compare against an explicit two-sided panel integration
@@ -354,7 +344,7 @@ def test_j_quadrature_even_split(monkeypatch):
     monkeypatch.setattr(circle, "_J_TRUNCATION", T)
     k = 2 * m + 1
     brk = np.unique(np.concatenate([np.arange(-int(T * k), int(T * k) + 1) / k, [-T, T]]))
-    two_sided = integrate_panels(lambda g: _sinc_sum(g, n, m) ** 3, brk, 1e-10, order=16)
+    two_sided = integrate_panels(lambda p: _sinc_sum(p.mid + p.half * p.u, n, m) ** 3, brk, 1e-10, order=16)
     res = circle.j_quadrature(1, 2, 2)
     assert res.value == pytest.approx(two_sided, rel=1e-9)
 
@@ -374,9 +364,10 @@ def test_j_quadrature_breakpoints(monkeypatch):
 
 
 def test_j_quadrature_leaves_numpy_ma_unimported():
-    # np.unique imports numpy.ma on its first call, 11-13 ms of a cold process
-    code = ("import sys; from conecount import circle; circle.j_quadrature(1, 2, 2); "
-            "print('numpy.ma' in sys.modules)")
+    # np.unique without return_inverse imports numpy.ma on its first call,
+    # 11-13 ms of a cold process; the triple-sine phase tables call np.unique
+    code = ("import sys; from conecount import circle, integrals; circle.j_quadrature(1, 2, 2); "
+            "integrals.triple_sine_quad(1.5, 1.8, 6.6); print('numpy.ma' in sys.modules)")
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(SRC), os.environ.get("PYTHONPATH", "")])}
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True)
     assert proc.stdout.strip() == "False"
@@ -384,14 +375,15 @@ def test_j_quadrature_leaves_numpy_ma_unimported():
 
 @pytest.mark.parametrize("q,X,Y", [(1, 10, 10), (2, 7, 3), (3, 10, 10), (1, 1, 10)])
 def test_j_quadrature_cube_by_multiplication(q, X, Y):
-    # v^3 as v * v * v rounds differently from v ** 3, but by far less
-    # than the quadrature's tolerance
+    # v^3 as v * v * v, with v from the parity rows on the level-0 panels,
+    # rounds differently from v ** 3 of the per-point recurrence, but by far
+    # less than the quadrature's tolerance
     n, m = X // q, Y
     k = 2 * m + 1
     T = circle._J_TRUNCATION
     brk = np.unique(np.concatenate([[0.0], np.arange(1, int(T * k) + 1) / k, [T]]))
-    pow_cubed = 2.0 * integrate_panels(lambda g: circle._sinc_sum(g, n, m) ** 3, brk[brk <= T], QUAD_TOLERANCE,
-                                       order=panel_order(3 * n))
+    pow_cubed = 2.0 * integrate_panels(lambda p: circle._sinc_sum(p.mid + p.half * p.u, n, m) ** 3, brk[brk <= T],
+                                       QUAD_TOLERANCE, order=panel_order(3 * n))
     assert circle.j_quadrature(q, X, Y).value == pytest.approx(pow_cubed, rel=1e-14, abs=0.0)
 
 

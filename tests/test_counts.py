@@ -1,3 +1,4 @@
+import bisect
 import functools
 import itertools
 import math
@@ -172,6 +173,14 @@ def test_box_cache_eviction_keeps_counts_exact(monkeypatch):
     monkeypatch.setattr(counts, "_mprime_z", functools.lru_cache(maxsize=None)(counts._mprime_z.__wrapped__))
     assert counts.mprime(10**6) == 529846752
     assert counts.n0_times4(10**6) == 245390400
+
+
+def test_smooth_length_is_the_least_smooth_number():
+    # the least 2^a 3^b 5^c >= max(n, 2), inside the first table (below
+    # 2^20) and past it
+    smooth = sorted(2**a * 3**b * 5**c for a in range(42) for b in range(27) for c in range(19))
+    for n in list(range(5000)) + [2**19 - 1, 2**20 - 1, 2**20, 2**20 + 1, 3**13 + 1, 5**9 - 1, 10**9, 2**40]:
+        assert counts._smooth_length(n) == smooth[bisect.bisect_left(smooth, max(n, 2))], n
 
 
 def test_near_overflow_row_raises(monkeypatch):

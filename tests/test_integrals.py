@@ -104,6 +104,20 @@ def test_triple_sine_quad_random_suite():
         assert abs(triple_sine_quad(*ws).value - triple_sine_closed(*ws)) < 1e-10, ws
 
 
+def _at_points(f):
+    """f of the points mid + half * u, as an integrand of ``integrate_panels``."""
+    return lambda p: f(p.mid + p.half * p.u)
+
+
+def _quad_call(module, quad, *args):
+    """(integrand, breakpoints, order) that ``quad(*args)`` hands integrate_panels."""
+    calls = []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(module, "integrate_panels", lambda f, brk, tol, *, order: calls.append((f, brk, order)) or 0.0)
+        quad(*args)
+    return calls[0]
+
+
 def _points(monkeypatch, module, quad, *args):
     """(integrand points, breakpoint panels) of one ``quad(*args)`` call."""
     points, panels = [], []
@@ -212,7 +226,7 @@ def test_integrate_panels_budget(monkeypatch):
     # a kink far from any breakpoint forces endless bisection
     monkeypatch.setattr(integrals, "_MAX_DEPTH", 3)
     with pytest.raises(ConvergenceError):
-        integrate_panels(lambda x: np.abs(x - 0.123456789), np.array([0.0, 1.0]),
+        integrate_panels(_at_points(lambda x: np.abs(x - 0.123456789)), np.array([0.0, 1.0]),
                          tolerance=1e-12, order=2)
 
 
@@ -222,7 +236,7 @@ def test_integrate_panels_tolerance_below_rounding():
     # tolerance 1e-9 split over 850 panels asks ~1e-12 of panels worth up
     # to ~1.5e6, below one ulp of their value, and must not make
     # convergence a matter of how the platform rounds
-    val = integrate_panels(lambda x: 1e4 * (1 + x * x), np.linspace(0, 50, 851), 1e-9, order=16)
+    val = integrate_panels(_at_points(lambda x: 1e4 * (1 + x * x)), np.linspace(0, 50, 851), 1e-9, order=16)
     assert val == pytest.approx(1e4 * (50 + 50**3 / 3), rel=1e-14)
 
 
@@ -232,36 +246,114 @@ def test_integrate_panels_bisects_a_narrow_bump():
     # to the width of the peak
     calls = []
 
-    def bump(x):
-        calls.append(x.size)
-        return 1.0 / (1e-4 + (x - 0.3) ** 2)
+    def bump(p):
+        calls.append(p.size)
+        return 1.0 / (1e-4 + (p.mid + p.half * p.u - 0.3) ** 2)
 
     val = integrate_panels(bump, np.array([0.0, 1.0]), integrals.QUAD_TOLERANCE, order=4)
     exact = 100.0 * (math.atan(70.0) + math.atan(30.0))
     assert abs(val - exact) <= integrals.QUAD_TOLERANCE
-    assert len(calls) > 2 * 2  # one integrand call per rule and level
+    assert len(calls) > 2  # one integrand call per level
 
 
-def _panel_values(monkeypatch, block_points):
-    """The accepted panel values of a 600-panel triple-sine integral at
-    orders 8 and 9 with the integrand called on blocks of ``block_points``."""
+def _panel_values(monkeypatch, block_points, f, brk, order):
+    """The accepted panel values of ``integrate_panels(f, brk)`` with the
+    integrand called on blocks of ``block_points`` points."""
     accepted = []
     fsum = math.fsum
     monkeypatch.setattr(integrals, "_BLOCK_POINTS", block_points)
     monkeypatch.setattr(math, "fsum", lambda v: accepted.append(list(v)) or fsum(v))
-    integrate_panels(lambda t: np.sin(1.3 * t) * np.sin(2.1 * t) * np.sin(0.7 * t) / t**3,
-                     np.linspace(1e-3, 400.0, 601), integrals.QUAD_TOLERANCE, order=integrals.panel_order(2))
+    integrate_panels(f, brk, integrals.QUAD_TOLERANCE, order=order)
     monkeypatch.undo()
     return accepted[0]
 
 
 @pytest.mark.parametrize("block_points", [1, 512, 1100])
 def test_integrate_panels_blocks_keep_the_bits(monkeypatch, block_points):
-    # blocks of one panel (block_points 1), of 64 and 56 (512) and of 137
-    # and 122 (1100), the last block of a level taking the rest, give every
-    # panel the bits of one block per level (10**6); a BLAS product in
-    # place of the row sum failed at 1 and 1100
-    assert _panel_values(monkeypatch, block_points) == _panel_values(monkeypatch, 10**6)
+    # blocks of one panel (block_points 1), of 30 (512) and of 64 (1100)
+    # for a per-point triple sine at orders 8 and 9 (17 points a panel), the
+    # last block of a level taking the rest, give every panel the bits of
+    # one block per level (10**6); a BLAS product in place of the row sum
+    # failed at 1 and 1100.  The triple-sine and J(q) integrands of the
+    # quadratures build their phase tables per block, from the half-widths
+    # and nodes alone.
+    triple = _quad_call(integrals, triple_sine_quad, 1.3, 2.1, 0.7)
+    for f, brk, order in [
+        (_at_points(lambda t: np.sin(1.3 * t) * np.sin(2.1 * t) * np.sin(0.7 * t) / t**3),
+         np.linspace(1e-3, 400.0, 601), integrals.panel_order(2)),
+        (triple[0], triple[1][:601], triple[2]),
+        _quad_call(circle, circle.j_quadrature, 1, 10, 10),
+    ]:
+        assert _panel_values(monkeypatch, block_points, f, brk, order) == \
+            _panel_values(monkeypatch, 10**6, f, brk, order)
+
+
+def _phase_gap(f, per_point, brk, order):
+    """The largest gap between the order-n and order-(n + 1) panel sums of
+    the phase-table integrand f and of the per-point one, on the panels of
+    ``brk`` and on their halves, relative to the largest per-point sum."""
+    a, b = brk[:-1], brk[1:]
+    mid = (a + b) / 2.0
+    a, b = np.concatenate([a, a, mid]), np.concatenate([b, mid, b])
+    phase = integrals._gl_sums(f, a, b, order, order + 1)
+    point = integrals._gl_sums(_at_points(per_point), a, b, order, order + 1)
+    return float((np.abs(phase - point).max(axis=1) / np.abs(point).max(axis=1)).max())
+
+
+def test_triple_sine_phase_tables_equal_the_per_point_sines():
+    # the 22 thm3 suite triples and three of the benchmark's range, whose
+    # frequencies split 10; measured gaps up to 1.1e-14
+    rng = random.Random(20)
+    triples = [(1, 1, 1), (2, 1, 1)] + [tuple(rng.uniform(0.5, 3.0) for _ in range(3)) for _ in range(20)]
+    for w1, w2, w3 in triples + [(0.2, 0.2, 9.6), (1.5, 1.8, 6.6), (3.3, 3.3, 3.4)]:
+        f, brk, order = _quad_call(integrals, triple_sine_quad, w1, w2, w3)
+
+        def per_point(t):
+            return np.sin(w1 * t) * np.sin(w2 * t) * np.sin(w3 * t) / (t * t * t)
+
+        assert _phase_gap(f, per_point, brk, order) <= 1e-13, (w1, w2, w3)
+
+
+def test_j_quadrature_parity_rows_equal_the_per_point_sums():
+    # the level-0 panels take the parity rows, their halves the per-point
+    # recurrence of circle._sinc_sum; measured gaps up to 5.8e-15
+    boxes = [(q, X, Y) for q in (1, 2, 3) for X in range(q, 11) for Y in range(1, 11)] + [(1, 10, 100)]
+    for q, X, Y in boxes:
+        f, brk, order = _quad_call(circle, circle.j_quadrature, q, X, Y)
+        n = X // q
+
+        def per_point(g):
+            v = circle._sinc_sum(g, n, Y)
+            return v * v * v
+
+        assert _phase_gap(f, per_point, brk, order) <= 1e-13, (q, X, Y)
+
+
+# sine and cosine elements per call with a sine per point: three sines at
+# each of the 89,190 points of triple_sine_quad(1.5, 1.8, 6.6), and a sine
+# and a cosine at each of the 77,088 points of j_quadrature(1, 10, 10)
+@pytest.mark.parametrize("module,quad,args,per_point", [
+    (integrals, triple_sine_quad, (1.5, 1.8, 6.6), 267_570),
+    (circle, circle.j_quadrature, (1, 10, 10), 154_176),
+], ids=["triple_sine", "j_quadrature"])
+def test_phase_tables_take_a_tenth_of_the_sines(monkeypatch, module, quad, args, per_point):
+    # measured 22,152 and 8,906: for the triple sine a sine and a cosine of
+    # w m per panel and of w h u per distinct half-width h of a block; for
+    # J(q) n sines per node for each block's parity rows, and a sine and a
+    # cosine per point of the bisected panels
+    counted = []
+
+    def counting(fn):
+        def call(x, *rest, **kwargs):
+            counted.append(np.size(x))
+            return fn(x, *rest, **kwargs)
+
+        return call
+
+    monkeypatch.setattr(np, "sin", counting(np.sin))
+    monkeypatch.setattr(np, "cos", counting(np.cos))
+    quad(*args)
+    assert sum(counted) < per_point / 10
 
 
 def test_si_of_an_array_is_si_of_each_element():
