@@ -404,8 +404,9 @@ def triple_sine_quad(w1: float, w2: float, w3: float) -> QuadResult:
     brk, order = oscillatory_panels(eps, T, omega)
 
     def integrand(p: Panels) -> np.ndarray:
-        # return_inverse keeps np.unique off its path that imports numpy.ma
-        halves, row = np.unique(p.half[:, 0], return_inverse=True)
+        # a set, not np.unique, whose first call adds 0.38 MB to the peak RSS
+        halves = np.array(sorted(set(p.half[:, 0].tolist())))
+        row = halves.searchsorted(p.half[:, 0])
         hu = halves[:, None] * p.u
 
         def sine(w):  # sin(w (m + h u)) = sin(w m) cos(w h u) + cos(w m) sin(w h u)

@@ -364,10 +364,9 @@ def test_j_quadrature_breakpoints(monkeypatch):
 
 
 def test_j_quadrature_leaves_numpy_ma_unimported():
-    # np.unique without return_inverse imports numpy.ma on its first call,
-    # 11-13 ms of a cold process; the triple-sine phase tables call np.unique
-    code = ("import sys; from conecount import circle, integrals; circle.j_quadrature(1, 2, 2); "
-            "integrals.triple_sine_quad(1.5, 1.8, 6.6); print('numpy.ma' in sys.modules)")
+    # np.unique imports numpy.ma on its first call, 11-13 ms of a cold process
+    code = ("import sys; from conecount import circle; circle.j_quadrature(1, 2, 2); "
+            "print('numpy.ma' in sys.modules)")
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(SRC), os.environ.get("PYTHONPATH", "")])}
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True)
     assert proc.stdout.strip() == "False"
