@@ -19,6 +19,12 @@ All identities are checked in exact rational arithmetic
 floating point, which is enough to blur an exactness claim.  Only G(t),
 which mixes in pi^2, is evaluated in floating point.
 
+F_rounded, the one routine that turns F into a float, gives float(F_closed(n))
+without rationals: the sums a, b of floor(2^128/j), floor(2^128/j^2) over j <= n
+put F(n) 2^128 in (v - 3n^2(n+1), v + 6n), v = (33n^2 - 21n) 2^127 - 3(n^2+n) b
++ 6a.  If both ends round alike, so does F(n); else F_closed decides (Ziv, ACM
+TOMS 17, 1991).  No n <= 10^4 needs that.
+
 The brute-force sums are literal term-by-term summations of the integer
 numerator over lcm(1..n)^d, done in int64 residues modulo fixed primes
 below 2^31 (one matmul per x1 block) and rebuilt once by the Chinese
@@ -40,10 +46,11 @@ from .errors import ResourceLimitError
 # take ~50 ms each and tu_sums(200) ~10 ms on one core of an x86-64 host.
 S_BRUTE_MAX_N = 100
 TU_BRUTE_MAX_N = 200
-# Cap on the exact harmonic sums: A(n) and B(n) take ~1.1 n bytes together,
-# and a cold F_closed(10**4) splits (0, 10**4] in ~0.09 s with a traced
-# peak of 0.25 MB (2-core x86-64 host).
+# Cap on the exact harmonic sums and F_rounded: A(n), B(n) take ~1.1 n bytes, a
+# cold F_closed(10**4) takes ~0.09 s (traced peak 0.25 MB) and
+# F_rounded(range(10**4 + 1)) ~25 ms (2-core x86-64 host).
 HARMONIC_EXACT_MAX_N = 10**4
+_FIX_BITS = 128  # fraction bits of F_rounded's sums
 # Cap on F_float and G_value: their table keeps 16 bytes per n, 16 MB at the
 # cap, which a cold F_float(10**6) builds in ~20 ms (2-core x86-64 host).
 # The suites ask for n <= 10**4 (the g_bound/log_grid row).
@@ -116,6 +123,32 @@ def F_closed(n: int) -> Fraction:
     A, B = _harmonic_exact(n)
     # grouped so that only one sum has two large denominators (those of A and B)
     return Fraction(33 * n * n - 21 * n, 2) - 3 * (n * n + n) * B + 6 * A
+
+
+def F_rounded(ns) -> list[float]:
+    """[float(F_closed(n)) for n in ns], bit for bit; an n that F_closed
+    refuses is refused before any sum."""
+    ns = list(ns)
+    if min(ns, default=0) < 0:
+        raise ValueError("n must be a nonnegative integer")
+    top = max(ns, default=0)
+    if top > HARMONIC_EXACT_MAX_N:
+        raise ResourceLimitError(f"exact harmonic sums capped at n <= {HARMONIC_EXACT_MAX_N}")
+    want, one = set(ns), 1 << _FIX_BITS
+    out, a, b = {0: 0.0}, 0, 0
+    for n in range(1, top + 1):
+        a += one // n
+        b += one // (n * n)
+        if n in want:
+            lo, hi = (end / one for end in _F_interval(n, a, b, one))
+            out[n] = lo if lo == hi else float(F_closed(n))
+    return [out[n] for n in ns]
+
+
+def _F_interval(n: int, a: int, b: int, one: int) -> tuple[int, int]:
+    """lo < F(n) one < hi, if a, b fall short of one A(n), one B(n) by [0, n)."""
+    v = (33 * n * n - 21 * n) * (one >> 1) - 3 * (n * n + n) * b + 6 * a
+    return v - 3 * n * n * (n + 1), v + 6 * n
 
 
 # Cumulative-sum table: _FLOAT_TABLE[:, n] = (A(n), B(n)) in floating point.

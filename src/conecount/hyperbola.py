@@ -45,7 +45,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .arith import arith_table
-from .closed_forms import F_closed, G_value
+from .closed_forms import F_rounded, G_value
 from .counts import m_fast, mprime
 
 
@@ -123,9 +123,10 @@ def xi_main_term(B: int) -> XiMainTerm:
     range (terms with q > l^2 have F = 0, and in the split they cancel
     exactly between the two parts), so direct and split agree to rounding;
     callers assert a 1e-9 relative gap.  floor(l^2/q) repeats across the
-    (l, q) terms, so the exact F is evaluated once per distinct value.
-    G(l^2/q) is evaluated on one array per l, by the scalar call's
-    operations, so every term has the bits of a term-by-term loop.
+    (l, q) terms, so F is rounded once per distinct value, by one
+    F_rounded call.  G(l^2/q) is evaluated on one array per l, by the
+    scalar call's operations, so every term has the bits of a
+    term-by-term loop.
     """
     L = quadratic_partition(B)
     if L < 2:
@@ -135,17 +136,15 @@ def xi_main_term(B: int) -> XiMainTerm:
     direct_terms = []
     c_terms = []
     g_terms = []
-    F: dict[int, float] = {}
+    ns = list({l * l // q for l in range(1, L) for q in range(1, l * l + 1)})
+    F = dict(zip(ns, F_rounded(ns)))
     for l in range(1, L):
         weight = 1.0 / l**4 - 1.0 / (l + 1.0) ** 4
         tele = 1.0 - (l / (l + 1.0)) ** 4
         G = G_value(l * l / np.arange(1, l * l + 1)).tolist()  # G(l^2 / q) for q = 1..l^2
         for q in range(1, l * l + 1):
             phi_q = int(table.phi[q])
-            n = l * l // q
-            if n not in F:
-                F[n] = float(F_closed(n))
-            direct_terms.append(4.0 * B * (phi_q / q) * F[n] * weight)
+            direct_terms.append(4.0 * B * (phi_q / q) * F[l * l // q] * weight)
             c_terms.append(c * B * (phi_q / q**3) * tele)
             g_terms.append(4.0 * B * (phi_q / q) * G[q - 1] * weight)
     return XiMainTerm(

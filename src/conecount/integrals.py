@@ -87,7 +87,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .closed_forms import F_closed, box_fn
+from .closed_forms import F_rounded, box_fn
 from .errors import ConvergenceError, ResourceLimitError
 
 _PI = math.pi
@@ -488,4 +488,4 @@ def j_closed(q: int, X: float, Y: float) -> float:
     if n <= 0:
         return 0.0
     m = math.floor(Y)
-    return (2 * m + 1) ** 2 * float(F_closed(n))
+    return (2 * m + 1) ** 2 * F_rounded([n])[0]

@@ -79,7 +79,8 @@ def test_main_term_examples():
 
 
 # float.hex(main_term_thm1(X, X)) before the exact F was shared between
-# the q with equal floor(X/q): the sharing must not move a bit
+# the q with equal floor(X/q) and rounded from fixed-point sums: neither
+# may move a bit
 _MAIN_TERM_HEX = {
     50: "0x1.60b0b903ed8c9p+28",
     491: "0x1.a74b54c2e95d6p+41",
@@ -90,15 +91,18 @@ _MAIN_TERM_HEX = {
 
 @pytest.mark.parametrize("X", sorted(_MAIN_TERM_HEX))
 def test_main_term_bit_for_bit_with_one_F_per_quotient(monkeypatch, X):
-    calls = []
+    rounded, exact, F_closed = [], [], closed_forms.F_closed
 
-    def counted(n):
-        calls.append(n)
-        return closed_forms.F_closed(n)
+    def counted_rounded(ns):
+        rounded.append(list(ns))
+        return closed_forms.F_rounded(ns)
 
-    monkeypatch.setattr(asymptotics, "F_closed", counted)
+    monkeypatch.setattr(asymptotics, "F_rounded", counted_rounded)
+    monkeypatch.setattr(closed_forms, "F_closed", lambda n: exact.append(n) or F_closed(n))
     assert float.hex(main_term_thm1(X, X)) == _MAIN_TERM_HEX[X]
-    assert len(calls) == len(set(calls)) <= 2 * math.isqrt(X) + 1
+    assert len(rounded) == 1  # one F_rounded call per main term
+    assert sorted(rounded[0]) == sorted({X // q for q in range(1, X + 1)})
+    assert exact == []  # the fixed-point interval settles every value
 
 
 def test_deviation_records():

@@ -143,6 +143,61 @@ def test_exact_table_grows_correctly_under_concurrent_requests():
     assert got == [F_closed(n) for n in targets]
 
 
+# every n <= 3000, then a stride up to the cap, the cap included
+_ROUNDED_NS = list(range(3001)) + list(range(3001, 10**4, 97)) + [10**4]
+
+
+def test_f_rounded_equals_the_rounded_exact_value():
+    harmonic_A.cache_clear()
+    try:
+        assert closed_forms.F_rounded(_ROUNDED_NS) == [float(F_closed(n)) for n in _ROUNDED_NS]
+    finally:
+        harmonic_A.cache_clear()
+
+
+def test_f_rounded_falls_back_when_the_interval_straddles(monkeypatch):
+    # at 64 fraction bits 392 of the n <= 3000 straddle a rounding boundary
+    calls = []
+    monkeypatch.setattr(closed_forms, "_FIX_BITS", 64)
+    monkeypatch.setattr(closed_forms, "F_closed", lambda n: calls.append(n) or F_closed(n))
+    try:
+        assert closed_forms.F_rounded(range(3001)) == [float(F_closed(n)) for n in range(3001)]
+    finally:
+        harmonic_A.cache_clear()
+    assert len(calls) > 100
+
+
+def test_f_rounded_interval_holds_the_extreme_floor_losses():
+    # each of a, b may fall short of one A(n), one B(n) by anything in [0, n)
+    one = 1 << closed_forms._FIX_BITS
+    for n in (1, 2, 3, 7, 60, 1000):
+        A, B = one * harmonic_A(n), one * harmonic_B(n)
+        target = one * F_closed(n)
+        for a in (math.floor(A), math.floor(A - n) + 1):
+            for b in (math.floor(B), math.floor(B - n) + 1):
+                lo, hi = closed_forms._F_interval(n, a, b, one)
+                assert lo < target < hi, (n, a, b)
+
+
+def test_f_rounded_keeps_order_and_duplicates(monkeypatch):
+    # each distinct n > 0 is rounded once
+    interval, rounded = closed_forms._F_interval, []
+    monkeypatch.setattr(closed_forms, "_F_interval", lambda n, *rest: rounded.append(n) or interval(n, *rest))
+    got = closed_forms.F_rounded([5, 2, 5, 0, 2])
+    assert got == [float(F_closed(n)) for n in (5, 2, 5, 0, 2)]
+    assert rounded == [2, 5]
+    assert closed_forms.F_rounded([]) == []
+
+
+def test_f_rounded_refuses_before_any_walk(monkeypatch):
+    # a walk would shift by None and raise TypeError
+    monkeypatch.setattr(closed_forms, "_FIX_BITS", None)
+    with pytest.raises(ResourceLimitError, match="capped at n <= 10000"):
+        closed_forms.F_rounded([3, 10**4 + 1])
+    with pytest.raises(ValueError, match="nonnegative"):
+        closed_forms.F_rounded([3, -1])
+
+
 def fresh_closed_forms():
     """A new instance of the module, whose float table starts empty."""
     spec = importlib.util.find_spec("conecount.closed_forms")

@@ -1,9 +1,9 @@
 """Source hygiene: every name a module imports is read somewhere in it,
 every module imports only what a plain install provides, no caller sets
 its own quadrature order, the quadrature sums no panel by a BLAS product,
-the exact box counts take no inverse transform, every committed benchmark
-record names what the benchmark measures, and every layer the benchmark
-traces exists."""
+the exact box counts take no inverse transform, only closed_forms turns
+the exact F into a float, every committed benchmark record names what the
+benchmark measures, and every layer the benchmark traces exists."""
 
 import ast
 import importlib
@@ -116,6 +116,26 @@ def test_box_counts_take_no_inverse_transform():
     # M(X, Y) is one forward rfft per batch under a Parseval rounding bound
     path = Path(conecount.__file__).parent / "counts.py"
     assert _inverse_transforms(ast.parse(path.read_text(), filename=str(path))) == []
+
+
+def _floats_of_exact_F(tree: ast.Module) -> list[str]:
+    """Calls ``float(F_closed(...))``: F rounded through Fraction arithmetic,
+    where closed_forms.F_rounded rounds it from fixed-point sums."""
+    calls = [n for n in ast.walk(tree) if isinstance(n, ast.Call) and _call_name(n) == "float"
+             and any(isinstance(a, ast.Call) and _call_name(a) == "F_closed" for a in n.args)]
+    return [f"line {n.lineno}: {ast.unparse(n)}" for n in calls]
+
+
+def test_float_of_exact_F_is_detected():
+    src = "x = float(F_closed(n))\ny = float(closed_forms.F_closed(n))\nz = F_closed(n)\nw = float(F_rounded([n])[0])\n"
+    assert _floats_of_exact_F(ast.parse(src)) == ["line 1: float(F_closed(n))", "line 2: float(closed_forms.F_closed(n))"]
+
+
+def test_only_closed_forms_rounds_the_exact_F():
+    # F_rounded is the one routine that turns F into a float
+    found = {p.name: _floats_of_exact_F(ast.parse(p.read_text(), filename=str(p)))
+             for p in MODULES if p.name != "closed_forms.py"}
+    assert {name: calls for name, calls in found.items() if calls} == {}
 
 
 ROOT = Path(__file__).resolve().parents[1]

@@ -87,7 +87,8 @@ def test_xi_main_term_example():
 
 
 # float.hex of (direct, c_part, g_part) before the exact F was shared
-# between the (l, q) with equal floor(l^2/q): the sharing must not move a bit
+# between the (l, q) with equal floor(l^2/q) and rounded from fixed-point
+# sums: neither may move a bit
 _XI_MAIN_HEX = {
     10**4: ("0x1.bbdddcd66ca92p+19", "0x1.3e26fd122e1e1p+20", "-0x1.80e03a9bdf261p+18"),
     10**6: ("0x1.22767c73d26ffp+27", "0x1.7b52647b795f7p+27", "-0x1.636fa01e9bbe2p+25"),
@@ -97,25 +98,18 @@ _XI_MAIN_HEX = {
 
 @pytest.mark.parametrize("B", sorted(_XI_MAIN_HEX))
 def test_xi_main_term_bit_for_bit_with_one_F_per_quotient(monkeypatch, B):
-    calls = []
+    rounded, exact, F_closed = [], [], closed_forms.F_closed
 
-    def counted(n):
-        calls.append(n)
-        return closed_forms.F_closed(n)
+    def counted_rounded(ns):
+        rounded.append(list(ns))
+        return closed_forms.F_rounded(ns)
 
-    monkeypatch.setattr(hyperbola, "F_closed", counted)
+    monkeypatch.setattr(hyperbola, "F_rounded", counted_rounded)
+    monkeypatch.setattr(closed_forms, "F_closed", lambda n: exact.append(n) or F_closed(n))
     m = xi_main_term(B)
     assert tuple(map(float.hex, (m.direct, m.c_part, m.g_part))) == _XI_MAIN_HEX[B]
     L = quadratic_partition(B)
     distinct = {l * l // q for l in range(1, L) for q in range(1, l * l + 1)}
-    assert len(calls) <= len(distinct)
-
-
-@pytest.mark.parametrize("B", [10**4, 10**6])
-def test_xi_main_split_agreement(suite_rows, B):
-    assert suite_rows("hyperbola")[f"xi_main/split_gap_B={B}"].status == "pass"
-
-
-@pytest.mark.parametrize("B", [10**4, 10**6])
-def test_xi_vs_main_term_deviation(suite_rows, B):
-    assert suite_rows("hyperbola")[f"xi_main/vs_xi_B={B}"].status == "pass"
+    assert len(rounded) == 1  # one F_rounded call per main term
+    assert sorted(rounded[0]) == sorted(distinct)
+    assert exact == []  # the fixed-point interval settles every value
