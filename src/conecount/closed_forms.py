@@ -17,7 +17,7 @@ which satisfies S(n) = F(n) identically.  Empty sums are 0, so F(0) = 0.
 All identities are checked in exact rational arithmetic
 (fractions.Fraction); at n = 60 the harmonic sums already lose ~1e-14 in
 floating point, which is enough to blur an exactness claim.  Only G(t),
-which mixes in pi^2, is evaluated in floating point.
+which mixes in pi^2, is evaluated in floating point, from F_rounded.
 
 F_rounded, the one routine that turns F into a float, gives float(F_closed(n))
 without rationals: the sums a, b of floor(2^128/j), floor(2^128/j^2) over j <= n
@@ -46,15 +46,12 @@ from .errors import ResourceLimitError
 # take ~50 ms each and tu_sums(200) ~10 ms on one core of an x86-64 host.
 S_BRUTE_MAX_N = 100
 TU_BRUTE_MAX_N = 200
-# Cap on the exact harmonic sums and F_rounded: A(n), B(n) take ~1.1 n bytes, a
-# cold F_closed(10**4) takes ~0.09 s (traced peak 0.25 MB) and
-# F_rounded(range(10**4 + 1)) ~25 ms (2-core x86-64 host).
+# Cap on the exact harmonic sums, F_rounded and G_value: A(n), B(n) take
+# ~1.1 n bytes, a cold F_closed(10**4) takes ~0.09 s (traced peak 0.25 MB) and
+# F_rounded(range(10**4 + 1)) ~25 ms (2-core x86-64 host).  The suites ask
+# for n <= 10**4 (the g_bound/log_grid row).
 HARMONIC_EXACT_MAX_N = 10**4
 _FIX_BITS = 128  # fraction bits of F_rounded's sums
-# Cap on F_float and G_value: their table keeps 16 bytes per n, 16 MB at the
-# cap, which a cold F_float(10**6) builds in ~20 ms (2-core x86-64 host).
-# The suites ask for n <= 10**4 (the g_bound/log_grid row).
-FLOAT_TABLE_MAX_N = 10**6
 
 #: Modes accepted by s_parts / tu_sums.
 MODES = ("brute", "closed")
@@ -151,54 +148,17 @@ def _F_interval(n: int, a: int, b: int, one: int) -> tuple[int, int]:
     return v - 3 * n * n * (n + 1), v + 6 * n
 
 
-# Cumulative-sum table: _FLOAT_TABLE[:, n] = (A(n), B(n)) in floating point.
-# A grown table replaces the old one in a single assignment, and each reader
-# takes one reference to it, so a thread never pairs rows of two sizes.
-_FLOAT_TABLE = np.zeros((2, 1))
-
-
-def _float_table(top: int) -> np.ndarray:
-    """The cached cumulative-sum table, grown to hold column ``top <= FLOAT_TABLE_MAX_N``."""
-    global _FLOAT_TABLE
-    if top > FLOAT_TABLE_MAX_N:
-        raise ResourceLimitError(f"float harmonic sums capped at n <= {FLOAT_TABLE_MAX_N}")
-    table = _FLOAT_TABLE
-    if top >= table.shape[1]:
-        j = np.arange(1, min(max(2 * table.shape[1], top + 1, 1024), FLOAT_TABLE_MAX_N + 1), dtype=float)
-        table = np.zeros((2, j.size + 1))
-        np.cumsum(1.0 / j, out=table[0, 1:])
-        np.cumsum(1.0 / (j * j), out=table[1, 1:])
-        _FLOAT_TABLE = table
-    return table
-
-
-def F_float(n):
-    """F(n) in floating point (for large n, where exact rationals are overkill).
-
-    ``n`` is an int, or an int array evaluated elementwise by the same
-    operations in the same order, so each entry has the scalar call's bits;
-    an int gives a Python float.  An n above FLOAT_TABLE_MAX_N raises
-    ResourceLimitError before the table grows.
-    """
-    m = np.asarray(n)
-    if m.min(initial=0) < 0:
-        raise ValueError("n must be a nonnegative integer")
-    A, B = _float_table(int(m.max(initial=0)))[:, m]
-    value = (16.5 - 3.0 * B) * m * m - (10.5 + 3.0 * B) * m + 6.0 * A
-    return value if m.ndim else float(value)
-
-
 def G_value(t):
-    """G(t) = F(floor(t)) - (33 - pi^2)/2 * t^2 for t > 0 (floating point).
+    """G(t) = F(floor(t)) - (33 - pi^2)/2 * t^2 for t > 0, F from F_rounded.
 
-    ``t`` is a float, or a float array evaluated elementwise as ``F_float`` is.
-    A t of FLOAT_TABLE_MAX_N + 1 or more is refused as F_float refuses its n.
+    ``t`` is a float, or a float array whose entries have the scalar call's
+    bits.  A t >= HARMONIC_EXACT_MAX_N + 1 is refused before any walk.
     """
     u = np.asarray(t, dtype=float)
     if not u.min(initial=1.0) > 0:  # false for a NaN too
         raise ValueError("t must be positive")
-    n = np.floor(np.minimum(u, FLOAT_TABLE_MAX_N + 1)).astype(np.int64)  # F_float refuses, int64 holds
-    value = F_float(n) - (33.0 - math.pi**2) / 2.0 * u * u
+    F = F_rounded(map(math.floor, np.minimum(u, HARMONIC_EXACT_MAX_N + 1).flat))  # refuses an infinite t too
+    value = np.reshape(F, u.shape) - (33.0 - math.pi**2) / 2.0 * u * u
     return value if u.ndim else float(value)
 
 

@@ -1,4 +1,3 @@
-import importlib.util
 import itertools
 import math
 import random
@@ -15,7 +14,6 @@ from hypothesis import strategies as st
 from conecount import closed_forms
 from conecount.closed_forms import (
     F_closed,
-    F_float,
     G_value,
     S_brute,
     harmonic_A,
@@ -43,26 +41,13 @@ def test_harmonic_recurrences(n):
     assert harmonic_B(n) - harmonic_B(n - 1) == Fraction(1, n * n)
 
 
-def test_f_values():
-    assert F_closed(0) == 0
-    assert F_closed(1) == 6
-    assert F_closed(2) == Fraction(63, 2)
-
-
-def test_f_float_tracks_exact():
-    for n in (1, 2, 17, 60, 200):
-        exact = float(F_closed(n))
-        assert abs(F_float(n) - exact) <= 1e-9 * max(1.0, abs(exact))
-
-
 def test_f_closed_cold_at_large_n():
     # a cold call at the cap splits (0, 10**4] once and keeps only A and B
     # at 10**4, ~11 kB of rationals
     harmonic_A.cache_clear()
     harmonic_B.cache_clear()
     try:
-        exact = float(F_closed(10**4))
-        assert abs(F_float(10**4) - exact) <= 1e-12 * abs(exact)
+        F_closed(10**4)
     finally:
         harmonic_A.cache_clear()
     with pytest.raises(ResourceLimitError):
@@ -198,51 +183,6 @@ def test_f_rounded_refuses_before_any_walk(monkeypatch):
         closed_forms.F_rounded([3, -1])
 
 
-def fresh_closed_forms():
-    """A new instance of the module, whose float table starts empty."""
-    spec = importlib.util.find_spec("conecount.closed_forms")
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
-def test_float_table_grows_correctly_under_concurrent_requests():
-    # a fresh module starts with an empty table, so the requests grow it
-    # several times while other threads read it
-    targets = [1000 * 2 ** (i % 8) for i in range(64)]
-    expected = [F_float(n) for n in targets]
-    switch = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        for _ in range(30):
-            with ThreadPoolExecutor(max_workers=8) as pool:
-                assert list(pool.map(fresh_closed_forms().F_float, targets, timeout=60)) == expected
-    finally:
-        sys.setswitchinterval(switch)
-
-
-def test_float_table_cap_refuses_before_growing():
-    # F_float(10**12) used to ask numpy for 7.3 TiB; a refused call leaves the table as it was
-    cap = closed_forms.FLOAT_TABLE_MAX_N
-    table = closed_forms._FLOAT_TABLE
-    for call in (lambda: F_float(10**12), lambda: F_float(np.array([3, cap + 1])),
-                 lambda: G_value(cap + 1.0), lambda: G_value(1e300)):
-        with pytest.raises(ResourceLimitError):
-            call()
-        assert closed_forms._FLOAT_TABLE is table
-
-
-def test_float_table_growth_stops_at_the_cap():
-    module = fresh_closed_forms()
-    module.FLOAT_TABLE_MAX_N = 5000
-    module.F_float(3000)
-    assert module.F_float(5000) == F_float(5000)  # doubling would have made 6002 columns
-    assert module._FLOAT_TABLE.shape == (2, 5001)
-    assert module.G_value(5000.5) == G_value(5000.5)
-    with pytest.raises(ResourceLimitError):
-        module.G_value(5001.0)
-
-
 def test_g_values():
     assert G_value(0.5) == pytest.approx(-(33 - math.pi**2) / 8, abs=1e-12)
     assert G_value(1.0) == pytest.approx(6 - (33 - math.pi**2) / 2, abs=1e-12)
@@ -254,7 +194,7 @@ def test_g_values():
 @pytest.mark.parametrize("t", [math.nan, np.array([2.0, math.nan, 3.0])])
 def test_g_value_rejects_nan(t):
     # nan <= 0 is false, so a NaN used to reach the int64 cast (RuntimeWarning)
-    # and fail in F_float as "n must be a nonnegative integer"
+    # and fail as "n must be a nonnegative integer"
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(ValueError, match="t must be positive"):
@@ -264,12 +204,33 @@ def test_g_value_rejects_nan(t):
 def test_float_forms_on_arrays_match_scalar_calls_bit_for_bit():
     ts = np.concatenate([np.logspace(-6, 4, 500), np.arange(1, 3001) - 1e-9, np.arange(1, 3001) + 1e-9])
     assert G_value(ts).tolist() == [G_value(float(t)) for t in ts]
-    ns = np.arange(0, 20000, 7)
-    assert F_float(ns).tolist() == [F_float(int(n)) for n in ns]
     with pytest.raises(ValueError):
         G_value(np.array([1.0, 0.0]))
-    with pytest.raises(ValueError):
-        F_float(np.array([3, -1]))
+
+
+def test_g_value_is_the_rounded_exact_f_minus_the_square():
+    # the report's g_bound/log_grid grid; F(n) = N(n) / L^2 exactly, with
+    # L = lcm(1..10**4) and integer sums of L^2/j and L^2/j^2 in N(n), so
+    # each quotient is float(F_closed(n)), the exact value rounded once
+    ts = np.concatenate([np.logspace(-6, 4, 2000), np.arange(1, 10001) - 1e-9, np.arange(1, 10001) + 1e-9])
+    ts = ts[(ts > 0) & (ts <= 1e4)]
+    L2 = math.lcm(*range(1, 10**4 + 1)) ** 2
+    a = b = 0
+    F = [0.0]
+    for n in range(1, 10**4 + 1):
+        a, b = a + L2 // n, b + L2 // (n * n)
+        F.append(((33 * n * n - 21 * n) * (L2 >> 1) - 3 * (n * n + n) * b + 6 * a) / L2)
+    assert F[60] == float(F_closed(60))
+    want = [F[math.floor(t)] - (33 - math.pi**2) / 2 * t * t for t in ts.tolist()]
+    assert G_value(ts).tolist() == want
+
+
+def test_g_value_refuses_before_any_walk(monkeypatch):
+    # a walk would shift by None and raise TypeError
+    monkeypatch.setattr(closed_forms, "_FIX_BITS", None)
+    for t in (10**4 + 1.0, 1e300, np.array([3.0, 10**4 + 1.0])):
+        with pytest.raises(ResourceLimitError, match="capped at n <= 10000"):
+            G_value(t)
 
 
 def test_s_brute_small():
