@@ -65,14 +65,14 @@ Every fast path has a naive enumeration oracle in this module.  The
 oracles share one kernel that uses no r(n): x runs over the shells
 max |x_i| = k, up to order and signs, and for each (x, y0) the (y1, y2)
 on the line x1 y1 + x2 y2 = -x0 y0 are counted in closed form, bucketed by
-how many of the six coordinates vanish (``_line_counts``).  Shells that
-share their y0 columns are counted in blocks of whole shells
-(``_kernel_hist``): all of M(X, Y) and P(X) is one group, and the pair
-table groups the shells k by Z // k.  Every vectorised pass takes a tile
-of at most ``_BLOCK_CELLS`` (x, y0) cells, so the kernel's memory does
-not grow with the box: a block that fits is one pass, a larger one is
-cut into slices of rows, and a box wider than a tile into slices of
-columns, each built when it is counted.  All counters fit
+how many of the six coordinates vanish (``_line_counts``).  The rows x
+of all shells are numbered in one sequence, and shells that share their
+y0 columns form one group (``_kernel_hist``): all of M(X, Y) and P(X) is
+one group, and the pair table groups the shells k by Z // k.  Every
+vectorised pass takes a tile of at most ``_BLOCK_CELLS`` (x, y0) cells,
+so the kernel's memory does not grow with the box: a group's rows are
+cut into tiles, and a box wider than a tile into slices of columns, each
+built when it is counted.  All counters fit
 comfortably in checked 64-bit range at the configured budgets; results
 are returned as Python ints and verified nonnegative and < 2^63 (an
 OverflowError is raised rather than wrapping).  A failed rounding bound
@@ -91,6 +91,7 @@ import threading
 from bisect import bisect_left
 from dataclasses import dataclass
 from functools import lru_cache, partial
+from itertools import repeat
 
 import numpy as np
 
@@ -153,34 +154,12 @@ def _checked(count) -> int:
 # ---------------------------------------------------------------------------
 
 # The tile: one _line_counts pass takes at most this many (x, y0) cells, at
-# about 100 bytes each while it runs.  A block takes whole x-shells while
-# its rows times its columns fit in one tile.  Timed on 2 cores (numpy
-# 2.4.6), one pass per block, at 2^10, 2^11, 2^12, 2^13, 2^14 and 2^16 cells:
-# m_naive(19, 8) took 2.5, 2.0, 1.5, 1.3, 1.4 and 1.4 ms, p_count(12) 1.1,
-# 0.84, 0.65, 0.52, 0.51 and 0.50 ms, and m_naive(26, 12) 5.6, 5.0, 4.6, 4.0,
-# 4.4 and 5.4 ms, its larger temporaries slowing the widest blocks.
+# about 100 bytes each while it runs, so the kernel's memory does not grow
+# with the box.  Timed on 2 cores (numpy 2.4.6) at 2^12, 2^13 and 2^14
+# cells: m_naive(19, 8) took 1.6, 1.4 and 1.7-2.2 ms, p_count(12) 0.7, 0.6
+# and 0.6 ms, m_naive(26, 12) 4.7, 4.0 and 5.1 ms, and the pair table at
+# Z = 38 7.1-8.7, 7.3 and 7.4-7.8 ms.
 _BLOCK_CELLS = 1 << 13
-
-
-def _shell_rows(ks: range, lo, hi):
-    """The x with max |x_i| = k for the k of ``ks``, up to order and signs,
-    as (x0, x1, k, weight, zeros), shell after shell.
-
-    Permuting the coordinates of x and y together, and flipping x_i and y_i
-    together, keep x.y, |y|, gcd(y) and the zero count.  So x runs over
-    0 <= x0 <= x1 <= x2 = k, weighted by its distinct orderings times its
-    2^(#nonzero x_i) sign patterns; ``zeros`` counts its zero coordinates.
-    The pairs lo <= hi of ``np.tril_indices`` come hi-major, so shell k is
-    their first (k+1)(k+2)/2 pairs (x0, x1) = (lo, hi).
-    """
-    k = np.arange(ks.start, ks.stop)
-    sizes = (k + 1) * (k + 2) // 2
-    ends = np.cumsum(sizes)
-    at = np.arange(ends[-1]) - np.repeat(ends - sizes, sizes)
-    x0, x1, k = lo[at], hi[at], np.repeat(k, sizes)
-    orderings = 6 // ((1 + (x0 == x1)) * (1 + (x1 == k)))  # 6, 3, or 1 when x0 = x1 = k
-    weight = orderings << (1 + (x0 > 0) + (x1 > 0))
-    return x0, x1, k, weight, (x0 == 0).astype(np.int64) + (x1 == 0)
 
 
 def _box_columns(q: int, ys: range):
@@ -232,58 +211,53 @@ def _line_counts(x0, x1, k, inv, y0, ym, wy) -> np.ndarray:
 
 
 def _kernel_hist(groups, top: int, primitive: bool = False) -> np.ndarray:
-    """The line counts of the x-shells k <= top, weighted and bucketed by
-    the total zero count of (x, y): a (5,) histogram, or (5, 2) with
+    """The line counts of the x-shells 1 <= k <= top, weighted and bucketed
+    by the total zero count of (x, y): a (5,) histogram, or (5, 2) with
     ``primitive``, whose second column keeps only the primitive x.
+
+    Permuting the coordinates of x and y together, and flipping x_i and y_i
+    together, keep x.y, |y|, gcd(y) and the zero count.  So x runs over
+    0 <= x0 <= x1 <= x2 = k, weighted by its distinct orderings times its
+    2^(#nonzero x_i) sign patterns.  These rows are numbered in one
+    sequence: shell k starts at row k(k+1)(k+2)/6, and its (x0, x1) are the
+    first (k+1)(k+2)/2 pairs lo <= hi of ``np.tril_indices(top + 1)``, which
+    come hi-major.  The same pairs read as (x1, k) give the inverses mod b
+    (``_reduced``), taken once per call: the k + 1 pairs of shell k start at
+    k(k+1)/2, and the pair (0, 0) of shell 0 is skipped.
 
     ``groups`` yields (ks, columns): a range of consecutive shells and the
     kernel columns they share (with ``primitive``, two weight columns).
-    Each group is cut into blocks of whole shells, as many as fit in one
-    tile of ``_BLOCK_CELLS`` cells and at least one, as ``_batches`` cuts
-    boxes.  Every block reads its rows from one ``np.tril_indices(top + 1)``.
+    Each group's rows are counted in tiles of at most ``_BLOCK_CELLS``
+    cells (at least one row), every tile built when it is counted.
     """
     lo, hi = np.tril_indices(top + 1)[::-1]
-    hist = np.zeros((5, 2) if primitive else 5, dtype=np.int64)
+    a, b, _ = _reduced(lo[1:], hi[1:])
+    # memoryviews yield Python ints one at a time, where .tolist() would hold them all
+    inv = np.fromiter(map(pow, memoryview(a), repeat(-1), memoryview(b)), np.int64, len(a))
+    del a, b
+    first = np.array([k * (k + 1) * (k + 2) // 6 for k in range(top + 2)])  # the first row of each shell
+    shape = (2,) if primitive else ()
+    by_zeros = np.zeros((3, 3, *shape), dtype=np.int64)
     for ks, columns in groups:
-        width, start, rows = len(columns[0]), ks.start, 0
-        for k in ks:
-            size = (k + 1) * (k + 2) // 2
-            if rows and (rows + size) * width > _BLOCK_CELLS:
-                hist += _block_hist(range(start, k), columns, lo, hi, primitive)
-                start, rows = k, 0
-            rows += size
-        hist += _block_hist(range(start, ks.stop), columns, lo, hi, primitive)
-    return hist
-
-
-def _block_hist(ks: range, columns, lo, hi, primitive: bool) -> np.ndarray:
-    """One block of ``_kernel_hist``: the shells ``ks`` at ``columns``, one
-    ``_line_counts`` pass per tile of rows (at least one row).
-
-    The inverses mod b are taken once for each (x1, k) of the block's
-    shells, from the pairs lo <= hi read as (x1, k): the k + 1 pairs of
-    shell k start at k (k+1)/2.
-    """
-    x0, x1, k, weight, zeros = _shell_rows(ks, lo, hi)
-    base, end = ks.start * (ks.start + 1) // 2, ks.stop * (ks.stop + 1) // 2
-    a, b, _ = _reduced(lo[base:end], hi[base:end])
-    inv = np.array([pow(u, -1, v) for u, v in zip(a.tolist(), b.tolist())], dtype=np.int64)
-    rows = (x0, x1, k, inv[k * (k + 1) // 2 + x1 - base])
-    if primitive:
-        weight = np.stack([weight, weight * (np.gcd(np.gcd(x0, x1), k) == 1)], axis=1)
-    # sum_i weight_i counts[i, j] into bucket zeros_i + j, the total zero
-    # count: one int64 product per tile by the indicator rows of
-    # zeros_i = 0, 1, 2 (np.add.at took 2-3 times as long)
-    indicator = (zeros == np.arange(3)[:, None]).astype(np.int64)
-    step = max(1, _BLOCK_CELLS // len(columns[0]))
-    by_zeros = 0
-    for i in range(0, len(k), step):
-        tile = slice(i, i + step)
-        counts = weight[tile, None] * _line_counts(*(v[tile] for v in rows), *columns)
-        by_zeros = by_zeros + indicator[:, tile] @ counts.reshape(len(counts), -1)
-    hist = np.zeros((5, *weight.shape[1:]), dtype=np.int64)
-    for z, row in enumerate(by_zeros.reshape(3, 3, *weight.shape[1:])):
-        hist[z : z + 3] += row
+        step = max(1, _BLOCK_CELLS // len(columns[0]))
+        stop = int(first[ks.stop])
+        for i in range(int(first[ks.start]), stop, step):
+            row = np.arange(i, min(i + step, stop))
+            k = np.searchsorted(first, row, side="right") - 1
+            at = row - first[k]
+            x0, x1 = lo[at], hi[at]
+            orderings = 6 // ((1 + (x0 == x1)) * (1 + (x1 == k)))  # 6, 3, or 1 when x0 = x1 = k
+            weight = orderings << (1 + (x0 > 0) + (x1 > 0))
+            if primitive:
+                weight = np.stack([weight, weight * (np.gcd(np.gcd(x0, x1), k) == 1)], axis=1)
+            counts = weight[:, None] * _line_counts(x0, x1, k, inv[k * (k + 1) // 2 + x1 - 1], *columns)
+            # sum_i weight_i counts[i, j] by zeros_i, the zero count of x, as one int64
+            # product by the indicator rows of zeros_i = 0, 1, 2 (np.add.at took 2-3 times as long)
+            zeros = (x0 == 0).astype(np.int64) + (x1 == 0)
+            by_zeros += np.tensordot((zeros == np.arange(3)[:, None]).astype(np.int64), counts, 1)
+    hist = np.zeros((5, *shape), dtype=np.int64)
+    for z, part in enumerate(by_zeros):
+        hist[z : z + 3] += part  # zeros_i + j, the total zero count
     return hist
 
 

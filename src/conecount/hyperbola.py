@@ -42,10 +42,8 @@ from __future__ import annotations
 import math
 from typing import NamedTuple
 
-import numpy as np
-
 from .arith import arith_table
-from .closed_forms import F_rounded, G_value
+from .closed_forms import F_rounded
 from .counts import m_fast, mprime
 
 
@@ -124,9 +122,9 @@ def xi_main_term(B: int) -> XiMainTerm:
     exactly between the two parts), so direct and split agree to rounding;
     callers assert a 1e-9 relative gap.  floor(l^2/q) repeats across the
     (l, q) terms, so F is rounded once per distinct value, by one
-    F_rounded call.  G(l^2/q) is evaluated on one array per l, by the
-    scalar call's operations, so every term has the bits of a
-    term-by-term loop.
+    F_rounded call, and G(l^2/q) = F(floor(l^2/q)) - (33 - pi^2)/2 (l^2/q)^2
+    reads the same table with ``G_value``'s operations, so every term has
+    the bits of a term-by-term loop.
     """
     L = quadratic_partition(B)
     if L < 2:
@@ -141,12 +139,12 @@ def xi_main_term(B: int) -> XiMainTerm:
     for l in range(1, L):
         weight = 1.0 / l**4 - 1.0 / (l + 1.0) ** 4
         tele = 1.0 - (l / (l + 1.0)) ** 4
-        G = G_value(l * l / np.arange(1, l * l + 1)).tolist()  # G(l^2 / q) for q = 1..l^2
         for q in range(1, l * l + 1):
             phi_q = int(table.phi[q])
-            direct_terms.append(4.0 * B * (phi_q / q) * F[l * l // q] * weight)
+            f, t = F[l * l // q], l * l / q
+            direct_terms.append(4.0 * B * (phi_q / q) * f * weight)
             c_terms.append(c * B * (phi_q / q**3) * tele)
-            g_terms.append(4.0 * B * (phi_q / q) * G[q - 1] * weight)
+            g_terms.append(4.0 * B * (phi_q / q) * (f - (33.0 - math.pi**2) / 2.0 * t * t) * weight)
     return XiMainTerm(
         direct=math.fsum(direct_terms),
         c_part=math.fsum(c_terms),

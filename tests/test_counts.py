@@ -360,13 +360,6 @@ def test_n_times4_first_heights():
     assert counts.n_times4(3) == 192
 
 
-@pytest.mark.parametrize("B", [1, 50, 500, 5000, 10**5])
-def test_boundary_decomposition(B):
-    h = counts.height_counts(B)
-    assert h.n_times4 - h.n0_times4 == h.W1 + h.W2 + h.W3 + h.W4
-    assert h.W4 == 24
-
-
 def test_w_counts_at_1():
     assert counts.w_counts(1) == (96, 24, 48, 24)
 
@@ -422,22 +415,25 @@ def test_pair_table_matches_literal_loop():
 
 def test_pair_oracles_walk_the_shells_once(monkeypatch):
     # run side by side, as library callers sharing the cache may run them, the
-    # three oracles still share one walk over the shells
+    # three oracles still pass each row x = (x0, x1, k) of the shells once
     B = 1500
+    Z = math.isqrt(B)
     walked = []
-    shell_rows = counts._shell_rows
+    line_counts = counts._line_counts
 
-    def counted(ks, lo, hi):
-        walked.extend(ks)
-        return shell_rows(ks, lo, hi)
+    def recorded(x0, x1, k, inv, *columns):
+        walked.extend(zip(x0.tolist(), x1.tolist(), k.tolist()))
+        return line_counts(x0, x1, k, inv, *columns)
 
     counts._pair_table.cache_clear()
-    monkeypatch.setattr(counts, "_shell_rows", counted)
+    monkeypatch.setattr(counts, "_line_counts", recorded)
     with ThreadPoolExecutor(max_workers=3) as pool:
         futures = [pool.submit(f, B) for f in (counts.mprime_naive, counts.n0_times4_naive, counts.n_w_naive)]
         for future in futures:
             future.result(timeout=60)
-    assert walked == list(range(1, math.isqrt(B) + 1))
+    rows = [(x0, x1, k) for x0 in range(Z + 1) for x1 in range(x0, Z + 1) for k in range(max(x1, 1), Z + 1)]
+    assert len(rows) == (Z + 1) * (Z + 2) * (Z + 3) // 6 - 1
+    assert sorted(walked) == rows
 
 
 def _oracle_values():
@@ -447,7 +443,7 @@ def _oracle_values():
             [counts.pair_zero_histogram(B).tolist() for B in range(1, 2001)])
 
 
-@pytest.mark.parametrize("cells", [512, 1 << 40], ids=["shell_per_block", "one_block"])
+@pytest.mark.parametrize("cells", [512, 1 << 40], ids=["tiles_cut_shells", "one_tile_per_group"])
 def test_kernel_blocks_leave_the_counts(cells, monkeypatch):
     # small tiles that cut most shells into slices of rows, and every group
     # one tile: the same counts as the default tiles, and the literal loop's
@@ -463,8 +459,8 @@ def test_kernel_blocks_leave_the_counts(cells, monkeypatch):
 
 def test_kernel_passes_fit_in_a_tile(monkeypatch):
     # columns that fit in a tile keep every _line_counts pass within
-    # _BLOCK_CELLS cells, a block that fits is one pass, and a box wider than
-    # a tile takes its y0 in slices of one tile each
+    # _BLOCK_CELLS cells, a group whose rows fit is one pass, and a box wider
+    # than a tile takes its y0 in slices of one tile each
     passes = []
     line_counts = counts._line_counts
 
@@ -496,13 +492,13 @@ def test_kernel_passes_fit_in_a_tile(monkeypatch):
     (lambda: counts._pair_table.__wrapped__(100), 1.85),
     (lambda: counts.m_naive(60, 60), 0.95),
     (lambda: counts.m_naive(1, 10**6), 0.97),
-    (lambda: counts._pair_table.__wrapped__(316), 5.93),
+    (lambda: counts._pair_table.__wrapped__(316), 3.16),
 ], ids=["m_naive(40,40)", "m_naive(60,9)", "m_naive(3,5000)", "pair_zero_histogram(10**4)",
         "m_naive(60,60)", "m_naive(1,10**6)", "pair_zero_histogram(10**5)"])
 def test_oracle_kernel_traced_peak(traced_peak, run, measured_mb):
-    # measured peaks plus 0.3 MB: the first four with one kernel pass per
-    # shell, the last three with tiles of _BLOCK_CELLS cells, whose
-    # temporaries do not grow with the box
+    # measured peaks plus 0.3 MB; the first four were measured with one
+    # kernel pass per shell and now read lower, the last three run in tiles
+    # of _BLOCK_CELLS cells, whose temporaries do not grow with the box
     counts.m_naive(2, 2)
     arith.arith_table(316)
     assert traced_peak(run) < measured_mb + 0.3
