@@ -33,9 +33,7 @@ remainder theorem, behind guards that refuse any sum that could overflow.
 
 from __future__ import annotations
 
-import bisect
 import math
-import threading
 from fractions import Fraction
 
 import numpy as np
@@ -46,26 +44,14 @@ from .errors import ResourceLimitError
 # take ~50 ms each and tu_sums(200) ~10 ms on one core of an x86-64 host.
 S_BRUTE_MAX_N = 100
 TU_BRUTE_MAX_N = 200
-# Cap on the exact harmonic sums, F_rounded and G_value: A(n), B(n) take
-# ~1.1 n bytes, a cold F_closed(10**4) takes ~0.09 s (traced peak 0.25 MB) and
-# F_rounded(range(10**4 + 1)) ~25 ms (2-core x86-64 host).  The suites ask
-# for n <= 10**4 (the g_bound/log_grid row).
+# Cap on the exact harmonic sums, F_rounded and G_value: A(n), B(n) take ~1.1 n bytes,
+# a cold F_closed(10**4) ~0.09 s (traced peak 0.25 MB), F_rounded(range(10**4 + 1))
+# ~25 ms (2-core x86-64 host).  The suites ask for n <= 10**4 (the g_bound/log_grid row).
 HARMONIC_EXACT_MAX_N = 10**4
 _FIX_BITS = 128  # fraction bits of F_rounded's sums
 
 #: Modes accepted by s_parts / tu_sums.
 MODES = ("brute", "closed")
-
-
-# Exact harmonic sums at the n callers asked for: _EXACT[n] = (A(n), B(n)),
-# _EXACT_KEYS the sorted keys.  A new n extends the largest cached m <= n by
-# one binary split of (m, n] (Haible & Papanikolaou 1998), so no entry for
-# each j <= n is kept and the recursion is log2(n - m) frames deep.  Both are
-# read and extended under a lock, since library callers that share the cache
-# may evaluate closed forms from several threads.
-_EXACT = {0: (Fraction(0), Fraction(0))}
-_EXACT_KEYS = [0]
-_EXACT_LOCK = threading.Lock()
 
 
 def _split(lo: int, hi: int, e: int) -> tuple[int, int]:
@@ -78,26 +64,25 @@ def _split(lo: int, hi: int, e: int) -> tuple[int, int]:
     return p1 * q2 + p2 * q1, q1 * q2
 
 
+# (A(n), B(n)) at each n > 0 asked for.  A new n adds one binary split of (m, n]
+# (Haible & Papanikolaou 1998) to the largest cached m < n, found in n - m steps
+# down from n.  Threads need no lock: a racing miss stores an equal, immutable pair.
+_SUMS: dict[int, tuple[Fraction, Fraction]] = {}
+
+
 def _harmonic_exact(n: int) -> tuple[Fraction, Fraction]:
     if n < 0:
         raise ValueError("n must be a nonnegative integer")
     if n > HARMONIC_EXACT_MAX_N:
         raise ResourceLimitError(f"exact harmonic sums capped at n <= {HARMONIC_EXACT_MAX_N}")
-    with _EXACT_LOCK:
-        if n not in _EXACT:
-            m = _EXACT_KEYS[bisect.bisect(_EXACT_KEYS, n) - 1]
-            A, B = _EXACT[m]
-            _EXACT[n] = (A + Fraction(*_split(m, n, 1)), B + Fraction(*_split(m, n, 2)))
-            bisect.insort(_EXACT_KEYS, n)
-        return _EXACT[n]
-
-
-def _clear_exact_cache() -> None:
-    """Drop every cached sum but A(0), B(0), freeing their memory."""
-    with _EXACT_LOCK:
-        _EXACT.clear()
-        _EXACT[0] = (Fraction(0), Fraction(0))
-        del _EXACT_KEYS[1:]
+    if n == 0:
+        return Fraction(0), Fraction(0)
+    sums = _SUMS.get(n)
+    if sums is None:
+        m = next(filter(_SUMS.__contains__, range(n - 1, 0, -1)), 0)
+        A, B = _harmonic_exact(m)
+        sums = _SUMS[n] = A + Fraction(*_split(m, n, 1)), B + Fraction(*_split(m, n, 2))
+    return sums
 
 
 def harmonic_A(n: int) -> Fraction:
@@ -112,7 +97,7 @@ def harmonic_B(n: int) -> Fraction:
 
 # For callers that reset the cache between timed calls: both functions read
 # one cache, so clearing either clears both.
-harmonic_A.cache_clear = harmonic_B.cache_clear = _clear_exact_cache
+harmonic_A.cache_clear = harmonic_B.cache_clear = _SUMS.clear
 
 
 def F_closed(n: int) -> Fraction:

@@ -43,13 +43,12 @@ def test_harmonic_recurrences(n):
 
 def test_f_closed_cold_at_large_n():
     # a cold call at the cap splits (0, 10**4] once and keeps only A and B
-    # at 10**4, ~11 kB of rationals
+    # at 10**4, ~11 kB of rationals; clearing either sum clears both
     harmonic_A.cache_clear()
+    F_closed(10**4)
+    assert list(closed_forms._SUMS) == [10**4]
     harmonic_B.cache_clear()
-    try:
-        F_closed(10**4)
-    finally:
-        harmonic_A.cache_clear()
+    assert not closed_forms._SUMS
     with pytest.raises(ResourceLimitError):
         F_closed(10**4 + 1)
 
@@ -98,8 +97,8 @@ def test_harmonic_sums_equal_sequential_fraction_sums():
 
 
 def test_f_closed_cold_traced_peak(traced_peak):
-    # 57.2 MB when a table kept A(j), B(j) for every j <= n; 0.25 MB with
-    # one binary split of (0, 10**4]
+    # one binary split of (0, 10**4] peaks at 0.25 MB; keeping A(j), B(j) for
+    # every j <= n would take ~57 MB
     harmonic_A.cache_clear()
     try:
         assert traced_peak(lambda: F_closed(10**4)) < 4.0
@@ -239,12 +238,6 @@ def test_s_brute_small():
     assert S_brute(5) == F_closed(5)
 
 
-def test_s_brute_equals_f_up_to_60():
-    prefix = s_brute_prefix(60)
-    for n in range(61):
-        assert prefix[n] == F_closed(n), f"triple-sum identity broken at n = {n}"
-
-
 def test_s_brute_cap():
     with pytest.raises(ResourceLimitError):
         S_brute(101)
@@ -255,23 +248,9 @@ def test_s_parts_n1():
     assert s_parts(1, "brute") == (9, 0, 1)
 
 
-@pytest.mark.parametrize("n", [1, 2, 3, 7, 13, 25, 40])
-def test_s_parts_brute_equals_closed(n):
-    brute = s_parts(n, "brute")
-    closed = s_parts(n, "closed")
-    assert brute == closed
-    # recombination with the full triple sum
-    assert brute[0] + 6 * brute[1] - 3 * brute[2] == F_closed(n)
-
-
 def test_tu_n1_all_zero():
     assert tu_sums(1, "closed") == (0, 0, 0, 0, 0)
     assert tu_sums(1, "brute") == (0, 0, 0, 0, 0)
-
-
-@pytest.mark.parametrize("n", [2, 3, 5, 10, 24, 40])
-def test_tu_brute_equals_closed(n):
-    assert tu_sums(n, "brute") == tu_sums(n, "closed")
 
 
 def _literal(n, d, c, keep=lambda *x: True):
