@@ -68,15 +68,15 @@ on the line x1 y1 + x2 y2 = -x0 y0 are counted in closed form, bucketed by
 how many of the six coordinates vanish (``_line_counts``).  The rows x
 of all shells are numbered in one sequence, and shells that share their
 y0 columns form one group (``_kernel_hist``): all of M(X, Y) and P(X) is
-one group, and the pair table groups the shells k by Z // k.  Every
-vectorised pass takes a tile of at most ``_BLOCK_CELLS`` (x, y0) cells,
-so the kernel's memory does not grow with the box: a group's rows are
-cut into tiles, and a box wider than a tile into slices of columns, each
-built when it is counted.  All counters fit
-comfortably in checked 64-bit range at the configured budgets; results
-are returned as Python ints and verified nonnegative and < 2^63 (an
-OverflowError is raised rather than wrapping).  A failed rounding bound
-raises FloatingPointError; there is no fallback path.
+one group, and the pair table splits |x| |y| <= Z at isqrt(Z) as M'
+does (``_pair_table``).  Every vectorised pass takes a tile of at most
+``_BLOCK_CELLS`` (x, y0) cells, so the kernel's memory does not grow
+with the box: a group's rows are cut into tiles, and a box wider than a
+tile into slices of columns, each built when it is counted.  All
+counters fit comfortably in checked 64-bit range at the configured
+budgets; results are returned as Python ints and verified nonnegative
+and < 2^63 (an OverflowError is raised rather than wrapping).  A failed
+rounding bound raises FloatingPointError; there is no fallback path.
 
 Counting functions are pure; the module-level caches only grow, except
 the box cache, which is emptied when a batch would take it past
@@ -101,8 +101,9 @@ from .errors import ResourceLimitError
 # Cost caps: the box kernel of m_naive and p_count visits about
 # (X+1)^3 (Y+1) / 6 (x, y0) cells at 70-100 ns each (2 cores, numpy 2.4.6:
 # 100 ns at (11, 10), 85 ns at (26, 12) and (60, 60)), so the cap is about
-# a second.  m_fast transforms a length-XY table by an FFT of length ~2XY,
-# O(XY log XY).
+# a second; the pair oracle's walk is capped by the cells of the box
+# (isqrt(Z), Z) that holds it.  m_fast transforms a length-XY table by an
+# FFT of length ~2XY, O(XY log XY).
 M_NAIVE_MAX_CELLS = 10**7
 M_FAST_MAX_XY = 200_000
 
@@ -266,11 +267,17 @@ def _kernel_hist(groups, top: int, primitive: bool = False) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
+def _check_cells(X: int, Y: int) -> None:
+    """Refuse a kernel walk held by the box (X, Y) of more than
+    ``M_NAIVE_MAX_CELLS`` (x, y0) cells, before any work."""
+    if (X + 1) ** 3 * (Y + 1) // 6 > M_NAIVE_MAX_CELLS:
+        raise ResourceLimitError(f"box kernel cells (X+1)^3 (Y+1)/6 > {M_NAIVE_MAX_CELLS}")
+
+
 def _box_hist(X: int, Y: int) -> np.ndarray:
     """Pairs x, y != 0 on the cone with |x| <= X, |y| <= Y, by zero count,
     the y0 columns in slices of one tile's width, each built when counted."""
-    if (X + 1) ** 3 * (Y + 1) // 6 > M_NAIVE_MAX_CELLS:
-        raise ResourceLimitError(f"box kernel cells (X+1)^3 (Y+1)/6 > {M_NAIVE_MAX_CELLS}")
+    _check_cells(X, Y)
     slices = (range(y, min(y + _BLOCK_CELLS, Y + 1)) for y in range(0, Y + 1, _BLOCK_CELLS))
     return _kernel_hist(((range(1, X + 1), _box_columns(Y, ys)) for ys in slices), X)
 
@@ -455,9 +462,11 @@ def box_count(X: int, Y: int) -> BoxCount:
 # ---------------------------------------------------------------------------
 
 
-def p_count(X: int) -> int:
+def p_count(X) -> int:
     """P(X): every integer solution with |coordinates| <= X, zeros allowed,
-    by the kernel of m_naive(X, X) under its cap: X <= 87."""
+    by the kernel of m_naive(X, X) under its cap: X <= 87.  A real bound is
+    floored."""
+    X = math.floor(X)
     if X < 1:
         raise ValueError("X must be >= 1")
     # plus x = 0 with every y, and y = 0 with every x != 0
@@ -640,7 +649,6 @@ def n_times4(B: int) -> int:
 # Naive oracles for the height-bounded counts
 # ---------------------------------------------------------------------------
 
-PAIR_ORACLE_MAX_B = 10**6  # enumeration cost grows like isqrt(B)^3
 _PAIR_LOCK = threading.Lock()  # oracles called from several threads at one B share one walk
 
 
@@ -664,10 +672,16 @@ def _pair_columns(ym: int, mertens: np.ndarray):
 
 @lru_cache(maxsize=None)
 def _pair_table(Z: int) -> np.ndarray:
+    """The hyperbola split of |x| |y| <= Z at s = isqrt(Z): min(|x|, |y|) <= s,
+    and swapping x and y keeps x.y, the zero count and both gcds.  So the
+    table is twice the shells k <= s at |y| <= Z // k, less the box
+    |x|, |y| <= s that both halves count."""
+    s = math.isqrt(Z)
     mertens = arith_table(Z).mertens
-    # the shells lo..hi of one run of Z // k share the box |y| <= Z // lo
-    groups = ((range(lo, hi + 1), _pair_columns(Z // lo, mertens)) for lo, hi in zip(*_blocks(Z)))
-    table = _kernel_hist(groups, Z, primitive=True).T.copy()
+    shells = ((range(k, k + 1), _pair_columns(Z // k, mertens)) for k in range(1, s + 1))
+    box = [(range(1, s + 1), _pair_columns(s, mertens))]
+    hist = 2 * _kernel_hist(shells, s, primitive=True) - _kernel_hist(box, s, primitive=True)
+    table = hist.T.copy()
     table.setflags(write=False)
     return table
 
@@ -677,15 +691,16 @@ def pair_zero_histogram(B: int) -> np.ndarray:
     read-only (2, 5) table: row 0 all pairs, row 1 the pairs with x and y
     both primitive, by how many of the six coordinates vanish (0..4).
 
-    One walk over the x-shells |x| = k <= isqrt(B) with |y| <= isqrt(B) // k
-    fills both rows; it is cached, keyed by isqrt(B).
+    One walk of the hyperbola split fills both rows (``_pair_table``); it
+    is cached, keyed by Z = isqrt(B), and refused by the cells of the box
+    (isqrt(Z), Z) that holds it before any sieve is built.
     """
     if B < 1:
         raise ValueError("B must be >= 1")
-    if B > PAIR_ORACLE_MAX_B:
-        raise ResourceLimitError(f"pair enumeration capped at B <= {PAIR_ORACLE_MAX_B}")
+    Z = math.isqrt(B)
+    _check_cells(math.isqrt(Z), Z)
     with _PAIR_LOCK:
-        return _pair_table(math.isqrt(B))
+        return _pair_table(Z)
 
 
 def mprime_naive(B: int) -> int:

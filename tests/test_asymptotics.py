@@ -23,6 +23,7 @@ from conecount.errors import ResourceLimitError
 def test_zeta3():
     assert abs(zeta3_value() - float(scipy_zeta(3.0))) < 1e-12
     assert 1.2020 < zeta3_value() < 1.2021
+    assert zeta3_value().hex() == "0x1.33ba004f00621p+0"  # the correctly rounded zeta(3)
     k = constants()
     assert k.zeta2 / k.zeta3 == pytest.approx(1.3684327776, abs=1e-9)
 

@@ -247,6 +247,10 @@ def test_p_count():
         assert counts.p_count(x) == counts.p_count_tiny(x)
     for x in (1, 2, 4, 8, 41):
         assert counts.p_count(x) >= counts.m_fast(x, x)
+    assert counts.p_count(2.0) == counts.p_count(2)  # real bounds are floored, as in m_naive
+    assert counts.p_count(3.7) == counts.p_count(3)
+    with pytest.raises(ValueError):
+        counts.p_count(0.9)
     with pytest.raises(ResourceLimitError):
         counts.p_count(88)  # the box kernel's cap: (X+1)^4 / 6 > 10^7 cells
 
@@ -373,9 +377,14 @@ def test_counts_depend_on_isqrt_only(B):
     assert counts.n_times4(B) == counts.n_times4(z * z)
 
 
-def test_pair_oracle_budget():
-    with pytest.raises(ResourceLimitError):
-        counts.pair_zero_histogram(10**7)
+def test_pair_oracle_budget(monkeypatch):
+    # the box kernel's cap on the box (isqrt(Z), Z) that holds the walk:
+    # Z = 1285 is the last Z it admits, refused past it before any sieve
+    assert counts.pair_zero_histogram(1_653_795)[0, 0] == counts.mprime(1_653_795)
+    monkeypatch.setattr(counts, "arith_table", lambda n: pytest.fail("a sieve was built"))
+    for B in (1_653_796, 10**7):
+        with pytest.raises(ResourceLimitError):
+            counts.pair_zero_histogram(B)
 
 
 @given(st.integers(1, 12), st.integers(1, 300))
@@ -413,11 +422,21 @@ def test_pair_table_matches_literal_loop():
         assert counts.pair_zero_histogram(B).tolist() == tables[math.isqrt(B)], B
 
 
+def test_pair_table_is_the_full_shell_walk():
+    # the hyperbola split gives the table of the walk over every shell
+    # k <= Z at |y| <= Z // k, its runs of one Z // k sharing their columns
+    for Z in [*range(1, 61), 100]:
+        mertens = arith.arith_table(Z).mertens
+        runs = ((range(lo, hi + 1), counts._pair_columns(Z // lo, mertens)) for lo, hi in zip(*counts._blocks(Z)))
+        assert counts._pair_table(Z).tolist() == counts._kernel_hist(runs, Z, primitive=True).T.tolist(), Z
+
+
 def test_pair_oracles_walk_the_shells_once(monkeypatch):
     # run side by side, as library callers sharing the cache may run them, the
-    # three oracles still pass each row x = (x0, x1, k) of the shells once
+    # three oracles still walk the split once: each row x = (x0, x1, k) of the
+    # shells k <= isqrt(Z) twice in all, once as a shell and once in the box
     B = 1500
-    Z = math.isqrt(B)
+    s = math.isqrt(math.isqrt(B))
     walked = []
     line_counts = counts._line_counts
 
@@ -431,9 +450,9 @@ def test_pair_oracles_walk_the_shells_once(monkeypatch):
         futures = [pool.submit(f, B) for f in (counts.mprime_naive, counts.n0_times4_naive, counts.n_w_naive)]
         for future in futures:
             future.result(timeout=60)
-    rows = [(x0, x1, k) for x0 in range(Z + 1) for x1 in range(x0, Z + 1) for k in range(max(x1, 1), Z + 1)]
-    assert len(rows) == (Z + 1) * (Z + 2) * (Z + 3) // 6 - 1
-    assert sorted(walked) == rows
+    rows = [(x0, x1, k) for x0 in range(s + 1) for x1 in range(x0, s + 1) for k in range(max(x1, 1), s + 1)]
+    assert len(rows) == (s + 1) * (s + 2) * (s + 3) // 6 - 1
+    assert sorted(walked) == sorted(rows * 2)
 
 
 def _oracle_values():
@@ -489,10 +508,10 @@ def test_kernel_passes_fit_in_a_tile(monkeypatch):
     (lambda: counts.m_naive(40, 40), 0.84),
     (lambda: counts.m_naive(60, 9), 0.96),
     (lambda: counts.m_naive(3, 5000), 0.60),
-    (lambda: counts._pair_table.__wrapped__(100), 1.85),
+    (lambda: counts._pair_table.__wrapped__(100), 0.75),
     (lambda: counts.m_naive(60, 60), 0.95),
     (lambda: counts.m_naive(1, 10**6), 0.97),
-    (lambda: counts._pair_table.__wrapped__(316), 3.16),
+    (lambda: counts._pair_table.__wrapped__(316), 0.83),
 ], ids=["m_naive(40,40)", "m_naive(60,9)", "m_naive(3,5000)", "pair_zero_histogram(10**4)",
         "m_naive(60,60)", "m_naive(1,10**6)", "pair_zero_histogram(10**5)"])
 def test_oracle_kernel_traced_peak(traced_peak, run, measured_mb):
