@@ -35,7 +35,7 @@ from functools import lru_cache
 from itertools import accumulate
 
 from .arith import arith_table
-from .closed_forms import F_rounded
+from .closed_forms import F_rounded, check_harmonic_n
 from .counts import m_fast, n_times4, w_counts
 from .errors import ResourceLimitError
 
@@ -130,6 +130,7 @@ def main_term_thm1(X: float, Y: float) -> float:
     if X < 1.5:
         raise ValueError("the expansion needs X >= 3/2")
     top = math.floor(X)
+    check_harmonic_n(top)
     phi = arith_table(top).phi
     ns = list({math.floor(X / q) for q in range(1, top + 1)})
     F = dict(zip(ns, F_rounded(ns)))

@@ -305,12 +305,9 @@ class MinorArcScan(NamedTuple):
 
 
 # kernel elements (samples times floor(X)) in one block of the minor-arc
-# scan.  minor_arc_scan(400, 400, 2000, 1) has a traced peak of 32.3 MB in
-# one block, 3.5 MB at 2^16, 1.6 MB at 2^14 and 1.4 MB at 2^12; at 2^14
-# 0.74 MB of it is the 12,232 interval starts and lengths that the sample
-# walk reads as Python floats, and 32 KB its sorted remainders and their
-# argsort.  At X = 30, 99 and 400, 2^14 was as fast as any size tried from
-# 2^12 to one block (best of 6 CPU times, 2-core x86-64 host).
+# scan.  minor_arc_scan(400, 400, 2000, 1) traces 32.0 MB in one block,
+# 3.3 MB at 2^16, 1.3 MB at 2^14 and 0.87 MB at 2^12; at X = 30, 99 and 400,
+# 2^14 was as fast as any size from 2^12 to one block (best of 6 CPU times).
 _SCAN_BLOCK = 2**14
 
 
@@ -318,9 +315,11 @@ def minor_arc_scan(X: float, Y: float, n_samples: int, seed: int) -> MinorArcSca
     """Sample |f| on the minor arcs (seeded, reproducible) and report the
     largest value against the scale (XY/Q) log Y.
 
-    The samples' kernel sums run in blocks of about ``_SCAN_BLOCK`` kernel
-    elements, keeping a running max of |f|, so memory stays at one block's
-    temporaries whatever n_samples and X.
+    The samples are uniform on the minor intervals, by inverse CDF: one
+    ``searchsorted`` in the cumulative interval lengths.  Their kernel sums
+    run in blocks of about ``_SCAN_BLOCK`` kernel elements, keeping a
+    running max of |f|, so memory stays at one block's temporaries
+    whatever n_samples and X.
     """
     if Y <= 1:
         raise ValueError("the minor-arc scale (XY/Q) log Y needs Y > 1")
@@ -328,29 +327,13 @@ def minor_arc_scan(X: float, Y: float, n_samples: int, seed: int) -> MinorArcSca
         raise ValueError("the minor-arc scan needs n_samples >= 1")
     diss = dissect(X, Y)
     starts, ends = minor_intervals(diss)
-    lengths = (ends - starts).tolist()
-    total = sum(lengths)  # left to right, as the one-sample walk subtracts
+    cum = np.cumsum(ends - starts)
     rng = random.Random(seed)
-    u = np.array([rng.random() * total for _ in range(n_samples)])
-    # all samples walk the intervals together, each through the same float
-    # subtractions as a one-sample scan; a remainder that rounding carries
-    # past every interval takes the last interval's right end.  The open
-    # remainders are kept sorted: rounding is monotone (a <= b gives
-    # fl(a - ln) <= fl(b - ln)), so subtracting the same ln from each keeps
-    # their order, and the samples that land in an interval (rest <= ln) are
-    # a prefix.  It is placed through the argsort and dropped, so each
-    # interval costs one comparison and one subtraction over the open samples.
-    alphas = np.full(n_samples, ends[-1])
-    order = np.argsort(u, kind="stable")
-    rest = u[order]
-    for a, ln in zip(starts.tolist(), lengths):
-        if rest[0] <= ln:
-            hit = rest.searchsorted(ln, "right")
-            alphas[order[:hit]] = a + rest[:hit]
-            order, rest = order[hit:], rest[hit:]
-            if not rest.size:
-                break
-        rest -= ln
+    u = np.array([rng.random() for _ in range(n_samples)]) * cum[-1]
+    # a draw on cum[j] takes interval j's right end; a draw below 1 gives
+    # u <= cum[-1] (rounding is monotone), so every draw lands in an interval
+    j = cum.searchsorted(u)
+    alphas = np.minimum(starts[j] + (u - np.append(0.0, cum)[j]), ends[j])
     # each sample's kernel sum is its own row, so blocks of rows give the same values
     x = np.arange(1, math.floor(X) + 1)
     rows = max(1, _SCAN_BLOCK // max(x.size, 1))

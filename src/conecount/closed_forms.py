@@ -70,11 +70,16 @@ def _split(lo: int, hi: int, e: int) -> tuple[int, int]:
 _SUMS: dict[int, tuple[Fraction, Fraction]] = {}
 
 
+def check_harmonic_n(n: int) -> None:
+    """Refuse an F argument past the cap; callers check their largest first."""
+    if n > HARMONIC_EXACT_MAX_N:
+        raise ResourceLimitError(f"exact harmonic sums capped at n <= {HARMONIC_EXACT_MAX_N}")
+
+
 def _harmonic_exact(n: int) -> tuple[Fraction, Fraction]:
     if n < 0:
         raise ValueError("n must be a nonnegative integer")
-    if n > HARMONIC_EXACT_MAX_N:
-        raise ResourceLimitError(f"exact harmonic sums capped at n <= {HARMONIC_EXACT_MAX_N}")
+    check_harmonic_n(n)
     if n == 0:
         return Fraction(0), Fraction(0)
     sums = _SUMS.get(n)
@@ -114,8 +119,7 @@ def F_rounded(ns) -> list[float]:
     if min(ns, default=0) < 0:
         raise ValueError("n must be a nonnegative integer")
     top = max(ns, default=0)
-    if top > HARMONIC_EXACT_MAX_N:
-        raise ResourceLimitError(f"exact harmonic sums capped at n <= {HARMONIC_EXACT_MAX_N}")
+    check_harmonic_n(top)
     want, one = set(ns), 1 << _FIX_BITS
     out, a, b = {0: 0.0}, 0, 0
     for n in range(1, top + 1):

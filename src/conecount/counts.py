@@ -412,6 +412,11 @@ def _batches(boxes):
         yield batch
 
 
+def _check_xy(xy: int) -> None:
+    if xy > M_FAST_MAX_XY:
+        raise ResourceLimitError(f"m_fast FFT square capped at X*Y <= {M_FAST_MAX_XY}")
+
+
 def _count_boxes(boxes) -> list[int]:
     """M(X, Y) for each box (X, Y) of ``boxes``, in order.
 
@@ -426,8 +431,7 @@ def _count_boxes(boxes) -> list[int]:
     keys = [(X, Y) if X <= Y else (Y, X) for X, Y in boxes]
     known = {box: 0 if box[0] == 0 else _BOXES.get(box) for box in keys}
     todo = sorted((box for box, count in known.items() if count is None), key=lambda b: (b[0] * b[1], b))
-    if todo and todo[-1][0] * todo[-1][1] > M_FAST_MAX_XY:
-        raise ResourceLimitError(f"m_fast FFT square capped at X*Y <= {M_FAST_MAX_XY}")
+    _check_xy(todo[-1][0] * todo[-1][1] if todo else 0)
     for batch in _batches(todo):
         rows = np.zeros((len(batch), 1 + max(X * Y for X, Y in batch)), dtype=np.int32)  # r(n) <= 2 min(X, Y)
         for row, (X, Y) in zip(rows, batch):
@@ -552,7 +556,9 @@ def _mprime_z(z: int) -> int:
 
     s = isqrt(z): the pairs with |x| <= s, those with |y| <= s (as many,
     M being symmetric), less those with both.  Its 2s + 1 boxes are
-    counted in one call, which also counts the uncached ones."""
+    counted in one call, which also counts the uncached ones; the widest,
+    (1, z), refuses a z past the box cap before the list is built."""
+    _check_xy(z)
     s = math.isqrt(z)
     q = [z // k for k in range(1, s + 1)]
     got = _count_boxes([*zip(range(1, s + 1), q), *zip(range(s), q), (s, s)])
@@ -578,11 +584,13 @@ def n0_times4(B: int) -> int:
 
     with M' a function of z = isqrt(B) alone and (z // n) // m = z // (nm).
     One block walk over c weighs each M'(z // c) by a difference of prefix
-    sums of the Dirichlet square mu*mu.  Exact integer identity.
+    sums of the Dirichlet square mu*mu.  Exact integer identity.  M'(z),
+    the c = 1 term, is read first: a z past the box cap builds no sieve.
     """
     if B < 1:
         raise ValueError("B must be >= 1")
     z = math.isqrt(B)
+    _mprime_z(z)
     return _checked(_block_sum(_mprime_z, arith_table(z).mu_square, z))
 
 
@@ -624,10 +632,11 @@ def _w_counts_z(Z: int) -> tuple[int, int, int, int]:
 def height_counts(B: int) -> HeightCounts:
     """M', 4N0, the hyperplane counts W1..W4 and 4N = 4N0 + W1 + W2 + W3 + W4.
 
-    The 4N0 walk starts at c = 1, so M'(B) is cached by the time it is read.
+    4N0 comes first: a B past the box cap builds no sieve, and M'(B) is
+    cached by the time it is read.
     """
-    w1, w2, w3, w4 = w_counts(B)
     n0 = n0_times4(B)
+    w1, w2, w3, w4 = w_counts(B)
     return HeightCounts(
         B=B,
         mprime=mprime(B),

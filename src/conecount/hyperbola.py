@@ -43,7 +43,7 @@ import math
 from typing import NamedTuple
 
 from .arith import arith_table
-from .closed_forms import F_rounded
+from .closed_forms import F_rounded, check_harmonic_n
 from .counts import m_fast, mprime
 
 
@@ -129,6 +129,7 @@ def xi_main_term(B: int) -> XiMainTerm:
     L = quadratic_partition(B)
     if L < 2:
         return XiMainTerm(direct=0.0, c_part=0.0, g_part=0.0)
+    check_harmonic_n((L - 1) ** 2)
     table = arith_table((L - 1) ** 2)
     c = 66.0 - 2.0 * math.pi**2
     direct_terms = []

@@ -337,11 +337,11 @@ def _si_mid(t: np.ndarray) -> np.ndarray:
 def si(t):
     """Si t = int_0^t sin(a)/a da, accurate to better than 1e-12.
 
-    Accepts a scalar or an ndarray; nonnegative arguments only.
+    Accepts a scalar or an ndarray; finite nonnegative arguments only.
     """
     arr = np.asarray(t, dtype=float)
-    if np.any(arr < 0):
-        raise ValueError("si is defined here for t >= 0")
+    if not np.all((arr >= 0) & (arr < math.inf)):  # false for a NaN too
+        raise ValueError("si is defined here for finite t >= 0")
     scalar = arr.ndim == 0
     x = np.atleast_1d(arr)
     out = np.empty_like(x)

@@ -56,6 +56,16 @@ def test_sieve_cap_refuses_before_building(monkeypatch):
         counts.w_counts((arith.SIEVE_MAX_LIMIT + 1) ** 2)
 
 
+def test_main_term_refused_past_the_harmonic_cap_before_any_sieve(monkeypatch):
+    # the largest F argument is floor(X); main_term_thm1(5 * 10**6, 3) ran
+    # 3.5 s before F_rounded refused it
+    assert asymptotics.main_term_thm1(10**4, 3) > 0
+    monkeypatch.setattr(asymptotics, "arith_table", _refuse_sieve)
+    for X in (10**4 + 1, 5 * 10**6):
+        with pytest.raises(ResourceLimitError, match="capped at n <= 10000"):
+            asymptotics.main_term_thm1(X, 3)
+
+
 def test_singular_series_monotone_bounded():
     k = constants()
     prev = 0.0

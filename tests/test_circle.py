@@ -1,3 +1,5 @@
+import bisect
+import itertools
 import math
 import os
 import random
@@ -200,22 +202,18 @@ def test_minor_arc_scan_deterministic():
 
 
 def _scan_per_sample(X, Y, n_samples, seed):
-    """The minor-arc scan as a scalar loop, each sample walking the intervals
-    in turn; returns the scan and its samples."""
+    """The minor-arc scan as a scalar loop, each sample placed by bisection
+    in the running sums of the interval lengths; returns the scan and its
+    samples."""
     Q, _, intervals = _dissect_oracle(X, Y)
-    lengths = [b - a for a, b in intervals]
-    total = sum(lengths)
+    cum = list(itertools.accumulate(b - a for a, b in intervals))
     rng = random.Random(seed)
     alphas = np.empty(n_samples)
-    for i in range(n_samples):
-        u = rng.random() * total
-        for (a, b), ln in zip(intervals, lengths):
-            if u <= ln:
-                alphas[i] = a + u
-                break
-            u -= ln
-        else:  # rounding carried the remainder past every interval
-            alphas[i] = intervals[-1][1]
+    for k in range(n_samples):
+        u = rng.random() * cum[-1]
+        i = bisect.bisect_left(cum, u)
+        a, b = intervals[i]
+        alphas[k] = min(a + (u - (cum[i - 1] if i else 0.0)), b)
     vals = np.abs(circle.kernel_sum(alphas, np.arange(1, math.floor(X) + 1), math.floor(Y), 1.0))
     scale = (X * Y / Q) * math.log(Y)
     m = float(vals.max())
@@ -265,13 +263,13 @@ def _draws(values):
     [0.5] * 7,  # all tied
     [0.0, 0.3, 0.3, 0.9, 0.3, 0.0, 0.9],  # ties, and draws on the first start
     [i / 64 for i in range(63, 0, -1)],  # descending
-    [1.0 - 2.0**-53],  # past every interval by rounding at (40, 40)
+    [1.0 - 2.0**-53],  # the largest draw
     [0.25, 1.0 - 2.0**-53, 0.75, 1.0 - 2.0**-53, 1e-17],
 ])
 @pytest.mark.parametrize("X,Y", [(40, 40), (31, 117)])
 def test_minor_arc_scan_sorted_walk_on_chosen_draws(X, Y, values, monkeypatch):
-    # the scan walks its draws in sorted order; each must still land where
-    # the one-sample walk puts it
+    # the scan places all its draws by one lookup; each must land where the
+    # scalar bisection puts it
     monkeypatch.setattr(circle.random, "Random", _draws(values))
     n = len(values)
     assert _scan_recording_samples(monkeypatch, X, Y, n, 1) == _scan_per_sample(X, Y, n, 1)
@@ -279,8 +277,8 @@ def test_minor_arc_scan_sorted_walk_on_chosen_draws(X, Y, values, monkeypatch):
 
 @pytest.mark.parametrize("X,Y", [(40, 40), (110, 100)])
 def test_minor_arc_scan_draw_on_an_interval_end(X, Y, monkeypatch):
-    # a remainder equal to the interval's length (u <= ln) lands on its right
-    # end, not in the next interval
+    # a draw equal to the first interval's length lands on its right end,
+    # not in the next interval
     _, _, intervals = _dissect_oracle(X, Y)
     lengths = [b - a for a, b in intervals]
     v = lengths[0] / sum(lengths)
@@ -291,18 +289,42 @@ def test_minor_arc_scan_draw_on_an_interval_end(X, Y, monkeypatch):
     assert alphas[0] == intervals[0][0] + lengths[0]
 
 
-def test_minor_arc_scan_sample_past_every_interval(monkeypatch):
-    # at (40, 40) the largest draw's remainder outlives the 128 subtractions by
-    # rounding (~4e-16 left over); such a sample takes the last right end
+@pytest.mark.parametrize("X,Y", [(36, 36), (110, 100)])
+def test_minor_arc_scan_clamps_to_the_interval_end(X, Y, monkeypatch):
+    # start + (cum[j] - cum[j-1]) rounds past end for some j here; a draw on
+    # cum[j] is clamped to that end
+    starts, ends = circle.minor_intervals(circle.dissect(X, Y))
+    cum = np.cumsum(ends - starts)
+    over = [j for j in range(1, len(cum)) if starts[j] + (cum[j] - cum[j - 1]) > ends[j]
+            and cum[j] / cum[-1] * cum[-1] == cum[j]]
+    assert over
+    monkeypatch.setattr(circle.random, "Random", _draws([cum[j] / cum[-1] for j in over]))
+    scan, alphas = _scan_recording_samples(monkeypatch, X, Y, len(over), 1)
+    assert (scan, alphas) == _scan_per_sample(X, Y, len(over), 1)
+    assert alphas == ends[over].tolist()
+
+
+def test_minor_arc_scan_largest_draw_lands_in_the_last_interval(monkeypatch):
+    # 1 - 2^-53 times the total length rounds to at most the total, so the
+    # largest draw lands in the last interval, at most on its right end
     class LargestDraw(random.Random):
         def random(self):
             return 1.0 - 2.0**-53
 
     monkeypatch.setattr(circle.random, "Random", LargestDraw)
-    scan = circle.minor_arc_scan(40, 40, 5, 1)
-    end = circle.minor_intervals(circle.dissect(40, 40))[1][-1]
-    assert math.isfinite(scan.max_abs_f)
-    assert scan.max_abs_f == abs(circle.f_eval(end, 40, 40))
+    _, alphas = _scan_recording_samples(monkeypatch, 40, 40, 5, 1)
+    starts, ends = circle.minor_intervals(circle.dissect(40, 40))
+    assert all(starts[-1] < a <= ends[-1] for a in alphas)
+
+
+@pytest.mark.parametrize("X,Y", [(30, 30), (36, 36), (50, 50), (71, 71), (101, 101), (120, 120), (36, 101), (120, 30)])
+def test_minor_arc_samples_lie_in_their_intervals(X, Y, monkeypatch):
+    # at the benchmark's sizes every sample lies in [start, end] of an
+    # interval (the first end at or above it)
+    _, alphas = _scan_recording_samples(monkeypatch, X, Y, 2000, X + Y)
+    starts, ends = circle.minor_intervals(circle.dissect(X, Y))
+    i = np.searchsorted(ends, alphas)
+    assert np.all((starts[i] <= alphas) & (alphas <= ends[i]))
 
 
 @pytest.mark.parametrize("X,Y", [(4, 1), (40, 1), (40, 0.5)])
@@ -322,9 +344,8 @@ def test_minor_arc_scan_rejects_no_samples(n, monkeypatch):
 
 
 def test_minor_arc_scan_traced_peak(traced_peak):
-    # 32.3 MB with the 2000 x 400 kernel grid in one block, 1.6 MB in blocks
-    # of 2^14 elements: 0.74 MB of it the walk's 12,232 interval starts and
-    # lengths, 32 KB its sorted remainders and their argsort
+    # 32.0 MB with the 2000 x 400 kernel grid in one block, 1.3 MB in blocks
+    # of 2^14 elements
     assert traced_peak(lambda: circle.minor_arc_scan(400, 400, 2000, report.RunConfig().seed)) < 10.0
 
 

@@ -387,6 +387,25 @@ def test_pair_oracle_budget(monkeypatch):
             counts.pair_zero_histogram(B)
 
 
+@pytest.mark.parametrize("count,B", [
+    (counts.mprime, (counts.M_FAST_MAX_XY + 1) ** 2),
+    (counts.mprime, 10**18),  # its 2s + 1 box list traced about 10 MB
+    (counts.mprime, 10**30),  # its box list ran the process out of memory
+    (counts.n0_times4, 10**13),  # built a 2^22 sieve first (27.5 s)
+    (counts.height_counts, 10**13),
+], ids=["mprime-edge", "mprime-1e18", "mprime-1e30", "n0_times4-1e13", "height_counts-1e13"])
+def test_height_counts_past_the_box_cap_refused_before_any_work(count, B, monkeypatch, traced_peak):
+    # the widest box of M'(z) is (1, z), with XY = z, so a z past the box
+    # cap is refused before any sieve or box list is built
+    monkeypatch.setattr(counts, "arith_table", lambda n: pytest.fail("a sieve was built"))
+
+    def refused():
+        with pytest.raises(ResourceLimitError, match=rf"capped at X\*Y <= {counts.M_FAST_MAX_XY}$"):
+            count(B)
+
+    assert traced_peak(refused) < 1.0
+
+
 @given(st.integers(1, 12), st.integers(1, 300))
 @settings(max_examples=25, deadline=None)
 def test_m_naive_matches_m_fast_on_thin_boxes(X, Y):

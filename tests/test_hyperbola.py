@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from conecount import closed_forms, hyperbola
 from conecount.counts import m_fast, mprime
+from conecount.errors import ResourceLimitError
 from conecount.hyperbola import (
     quadratic_partition,
     sandwich,
@@ -100,3 +101,13 @@ def test_xi_main_term_bit_for_bit_with_one_F_per_quotient(monkeypatch, B):
     assert len(rounded) == 1  # one F_rounded call per main term
     assert sorted(rounded[0]) == sorted(distinct)
     assert exact == []  # the fixed-point interval settles every value
+
+
+def test_xi_main_term_refused_past_the_harmonic_cap_before_any_sieve(monkeypatch):
+    # the largest F argument is (L - 1)^2; xi_main_term(10**22) (L = 563)
+    # ran 63 s before F_rounded refused it
+    assert xi_main_term(101**8).split > 0  # L = 101: (L - 1)^2 = 10^4
+    monkeypatch.setattr(hyperbola, "arith_table", lambda n: pytest.fail("a sieve was built"))
+    for B in (101**8 + 1, 10**20, 10**22):
+        with pytest.raises(ResourceLimitError, match="capped at n <= 10000"):
+            xi_main_term(B)

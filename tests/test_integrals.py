@@ -1,5 +1,6 @@
 import math
 import random
+import warnings
 
 import numpy as np
 import pytest
@@ -53,8 +54,13 @@ def test_si_asymptotic_remainder():
 
 
 def test_si_rejects_negatives():
-    with pytest.raises(ValueError):
-        si(-1.0)
+    # and NaN and infinite t: si(nan) used to return nan, and si(inf) nan
+    # with two RuntimeWarnings
+    for t in (-1.0, math.nan, math.inf, np.array([1.0, math.nan, 2.0])):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="finite t >= 0"):
+                si(t)
 
 
 @given(st.floats(-50, 50, allow_nan=False))
