@@ -19,16 +19,13 @@ Two read-only tables drive the fast counting engine:
     adds r(1..XY) into it in place instead: the batched box counts fill
     their int32 rows that way, with no table per box.
 
-Both tables are built once, single threaded, and are immutable afterwards
-(``mu_square`` is filled on first read, from mu alone, so every fill agrees);
-concurrent readers are safe, and a lock makes growing the shared sieve a
-single build however many threads ask for it at once.
+Both tables are built once and are immutable afterwards (``mu_square``
+is filled on first read, from mu alone, so every fill agrees).
 """
 
 from __future__ import annotations
 
 import math
-import threading
 from array import array
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -109,7 +106,6 @@ def build_arith_tables(limit: int) -> ArithTable:
 
 
 _shared: ArithTable | None = None
-_shared_lock = threading.Lock()
 
 
 def arith_table(limit: int) -> ArithTable:
@@ -122,10 +118,9 @@ def arith_table(limit: int) -> ArithTable:
     global _shared
     if limit > SIEVE_MAX_LIMIT:
         raise ResourceLimitError(f"sieve request {limit} exceeds the cap {SIEVE_MAX_LIMIT}")
-    with _shared_lock:
-        if _shared is None or _shared.limit < limit:
-            _shared = build_arith_tables(1 << max(10, (limit - 1).bit_length()))
-        return _shared
+    if _shared is None or _shared.limit < limit:
+        _shared = build_arith_tables(1 << max(10, (limit - 1).bit_length()))
+    return _shared
 
 
 def r_direct(n: int, X: int, Y: int) -> int:

@@ -87,7 +87,6 @@ from __future__ import annotations
 
 import math
 import operator
-import threading
 from bisect import bisect_left
 from dataclasses import dataclass
 from functools import lru_cache, partial
@@ -658,9 +657,6 @@ def n_times4(B: int) -> int:
 # Naive oracles for the height-bounded counts
 # ---------------------------------------------------------------------------
 
-_PAIR_LOCK = threading.Lock()  # oracles called from several threads at one B share one walk
-
-
 def _pair_columns(ym: int, mertens: np.ndarray):
     """Kernel columns for both rows of the pair table at |y| <= ym.
 
@@ -708,8 +704,7 @@ def pair_zero_histogram(B: int) -> np.ndarray:
         raise ValueError("B must be >= 1")
     Z = math.isqrt(B)
     _check_cells(math.isqrt(Z), Z)
-    with _PAIR_LOCK:
-        return _pair_table(Z)
+    return _pair_table(Z)
 
 
 def mprime_naive(B: int) -> int:

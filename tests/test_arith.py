@@ -1,14 +1,10 @@
 import math
-import sys
-import time
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conecount import arith
 from conecount.arith import build_arith_tables, build_r_table, r_direct
 from conecount.errors import ResourceLimitError
 
@@ -29,29 +25,6 @@ def test_mertens_is_cumsum_of_mu():
         assert TABLE.mertens[n] == total, n
     assert [int(TABLE.mertens[n]) for n in (1, 10, 100, 1000)] == [1, -1, 1, 2]
     assert not TABLE.mertens.flags.writeable
-
-
-def test_shared_sieve_grows_once_under_concurrent_requests(monkeypatch):
-    builds = []
-
-    def counting_build(limit):
-        builds.append(limit)
-        time.sleep(0.05)  # hold the build open so racing threads would overlap it
-        return build_arith_tables(limit)
-
-    monkeypatch.setattr(arith, "_shared", None)
-    monkeypatch.setattr(arith, "build_arith_tables", counting_build)
-    switch = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        with ThreadPoolExecutor(max_workers=8) as pool:
-            tables = list(pool.map(arith.arith_table, [3000] * 32, timeout=60))
-    finally:
-        sys.setswitchinterval(switch)
-    assert builds == [4096]
-    assert all(t is tables[0] for t in tables)
-    assert arith.arith_table(4096) is tables[0] and builds == [4096]
-    assert arith.arith_table(4097).limit == 8192 and builds == [4096, 8192]
 
 
 def test_zero_limit_rejected():

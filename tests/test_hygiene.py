@@ -2,8 +2,9 @@
 every module imports only what a plain install provides, no caller sets
 its own quadrature order, the quadrature sums no panel by a BLAS product,
 the exact box counts take no inverse transform, only closed_forms turns
-the exact F into a float, every committed benchmark record names what the
-benchmark measures, and every layer the benchmark traces exists."""
+the exact F into a float, the circle kernels share one Dirichlet-kernel
+routine, every committed benchmark record names what the benchmark
+measures, and every layer the benchmark traces exists."""
 
 import ast
 import importlib
@@ -136,6 +137,44 @@ def test_only_closed_forms_rounds_the_exact_F():
     found = {p.name: _floats_of_exact_F(ast.parse(p.read_text(), filename=str(p)))
              for p in MODULES if p.name != "closed_forms.py"}
     assert {name: calls for name, calls in found.items() if calls} == {}
+
+
+def _callers(tree: ast.Module, called) -> dict[str, list[str]]:
+    """For each top-level function, the calls in it (nested functions
+    included) for which ``called(call)`` holds."""
+    found = {}
+    for fn in tree.body:
+        if isinstance(fn, ast.FunctionDef):
+            calls = [ast.unparse(n) for n in ast.walk(fn) if isinstance(n, ast.Call) and called(n)]
+            if calls:
+                found[fn.name] = calls
+    return found
+
+
+def _numpy_trig(call: ast.Call) -> bool:
+    """``np.sin``, ``np.cos`` or ``np.exp``."""
+    f = call.func
+    return isinstance(f, ast.Attribute) and getattr(f.value, "id", None) == "np" and f.attr in ("sin", "cos", "exp")
+
+
+def test_numpy_trig_callers_are_detected():
+    src = ("def f(a):\n    return np.sin(a) + math.sin(a)\n"
+           "def g(a):\n    def h(b):\n        return np.exp(1j * b)\n    return h(a)\n"
+           "def k(a):\n    return kernel_sum(a, 3, 2, 1.0) + np.cosh(a)\n")
+    tree = ast.parse(src)
+    assert _callers(tree, _numpy_trig) == {"f": ["np.sin(a)"], "g": ["np.exp(1j * b)"]}
+    assert _callers(tree, lambda c: _call_name(c) == "kernel_sum") == {"k": ["kernel_sum(a, 3, 2, 1.0)"]}
+
+
+def test_circle_kernels_share_one_routine():
+    # every Dirichlet-kernel sum goes through kernel_sum, so its period
+    # reduction and its near-integer branch hold for all of them; the sinc
+    # sum of v_q and the J(q) integrand take their own sines
+    path = Path(conecount.__file__).parent / "circle.py"
+    tree = ast.parse(path.read_text(), filename=str(path))
+    assert set(_callers(tree, _numpy_trig)) == {"kernel_sum", "_sinc_sum", "j_quadrature"}
+    kernel_callers = set(_callers(tree, lambda c: _call_name(c) == "kernel_sum"))
+    assert {"f_eval", "g_q_eval", "w_q_eval", "sym_kernel", "minor_arc_scan"} <= kernel_callers
 
 
 ROOT = Path(__file__).resolve().parents[1]
