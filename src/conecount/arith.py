@@ -1,26 +1,18 @@
-"""Sieved arithmetic functions and the divisor-pair coefficient table.
-
-Two read-only tables drive the fast counting engine:
+"""Sieved arithmetic functions and the in-place divisor-pair row fill.
 
   * ArithTable -- Euler totient phi(n), Moebius mu(n) and the Mertens
     sums M(n) = mu(1) + ... + mu(n) for n <= limit, filled by a single
     linear sieve pass.  The Mertens sums weigh each floor-division block
     of a Moebius sum by one difference M(hi) - M(lo - 1); the prefix sums
     ``mu_square`` of the Dirichlet square mu*mu, filled from mu on first
-    read, weigh the blocks of 4N0 the same way.
-    ``arith_table`` is the one shared cache every module reads:
-    it keeps one table and regrows it to the next power of two (at least
+    read (so every fill agrees), weigh the blocks of 4N0 the same way.
+    ``arith_table`` is the one shared cache every module reads: it keeps
+    one immutable table and regrows it to the next power of two (at least
     1024) when a request outgrows it.
-  * r          -- the int64 array ``build_r_table(X, Y)``, whose entry n is
-    #{(x, y) : xy = n, 1 <= |x| <= X, 1 <= |y| <= Y} for 1 <= n <= X*Y.
-    For n >= 1 the two factors share a sign, so
-    r(n) = 2 * #{d | n : d <= X, n/d <= Y}; entry 0 holds 0, since r(0)
-    is never used.  Given a row ``out``, ``build_r_table(X, Y, out=out)``
-    adds r(1..XY) into it in place instead: the batched box counts fill
-    their int32 rows that way, with no table per box.
-
-Both tables are built once and are immutable afterwards (``mu_square``
-is filled on first read, from mu alone, so every fill agrees).
+  * r          -- ``build_r_table(X, Y, out)`` adds r(n) = #{(x, y) : xy = n,
+    1 <= |x| <= X, 1 <= |y| <= Y} = 2 #{d | n : d <= X, n/d <= Y} (the
+    factors share a sign) into out[n - 1], 1 <= n <= X*Y: the batched box
+    counts fill their zeroed int32 rows that way, with no table per box.
 """
 
 from __future__ import annotations
@@ -34,8 +26,6 @@ import numpy as np
 
 from .errors import ResourceLimitError
 
-# Largest X*Y an r-table will allocate (int64 entries; ~160 MB at the cap).
-R_TABLE_MAX_ENTRIES = 20_000_000
 # Largest limit the shared sieve will cover.
 SIEVE_MAX_LIMIT = 10**7
 
@@ -139,33 +129,17 @@ def r_direct(n: int, X: int, Y: int) -> int:
     return 2 * count
 
 
-def build_r_table(X: int, Y: int, out: np.ndarray | None = None) -> np.ndarray:
-    """The read-only int64 array r[0..X*Y] of r(n), with r[0] = 0; or, given
-    a row ``out``, r(n) added into out[n - 1] for 1 <= n <= X*Y, in place.
+def build_r_table(X: int, Y: int, out: np.ndarray) -> None:
+    """Add r(n) into out[n - 1] for 1 <= n <= X*Y, in place.
 
     Fast fill: for each d <= min(X, Y) one slice-add puts 2 at every
     multiple d*m with m <= max(X, Y) (r is symmetric in X, Y).  ``out`` must
-    be zero on 0..XY-1, of an integer dtype wide enough for 2 min(X, Y); it
-    is returned.  Without ``out`` the entries are 64-bit, and the whole
-    table is refused (never truncated) when X*Y exceeds the memory budget.
+    be zero on 0..XY-1, of an integer dtype wide enough for 2 min(X, Y).
     """
     if X < 1 or Y < 1:
         raise ValueError("box bounds must be positive integers")
-    row = out
-    if out is None:
-        total = X * Y
-        if total > R_TABLE_MAX_ENTRIES:
-            raise ResourceLimitError(
-                f"r-table with X*Y = {total} entries exceeds the budget of {R_TABLE_MAX_ENTRIES}"
-            )
-        table = np.zeros(total + 1, dtype=np.int64)
-        row = table[1:]
     X, Y = min(X, Y), max(X, Y)
-    two = row.dtype.type(2)  # a scalar of the row's own dtype adds faster than a Python int
+    two = out.dtype.type(2)  # a scalar of the row's own dtype adds faster than a Python int
     for d in range(1, X + 1):
-        multiples = row[d - 1 : d * Y : d]
+        multiples = out[d - 1 : d * Y : d]
         multiples += two
-    if out is not None:
-        return out
-    table.setflags(write=False)
-    return table

@@ -127,6 +127,8 @@ def main_term_thm1(X: float, Y: float) -> float:
     list of one term per q is held (at X = 2239 the call traces 17 kB,
     against 94 kB with one).
     """
+    if Y < 0:
+        raise ValueError("box bounds must be nonnegative")
     if X < 1.5:
         raise ValueError("the expansion needs X >= 3/2")
     top = math.floor(X)
@@ -236,7 +238,7 @@ def height_zeta_truncated(s: float, height_cutoff: int) -> float:
         sum_{h<=cutoff} (4N(h^2) - 4N((h-1)^2)) h^(-2s),
 
     summed in ascending h.  Requires s > 1 (abscissa of convergence)."""
-    if s <= 1.0:
+    if not s > 1.0:
         raise ValueError("the series needs s > 1")
     if height_cutoff < 1:
         raise ValueError("cutoff must be >= 1")
@@ -255,7 +257,7 @@ def height_zeta_tail_bound(s: float, height_cutoff: int, horizon: int) -> float:
     """Bound on the series increment between cutoff and a larger horizon,
     from the counted pairs alone.  Requires s > 1 and
     1 <= cutoff < horizon <= HEIGHT_ZETA_MAX_CUTOFF."""
-    if s <= 1.0:
+    if not s > 1.0:
         raise ValueError("the series needs s > 1")
     if not 1 <= height_cutoff < horizon <= HEIGHT_ZETA_MAX_CUTOFF:
         raise ValueError(f"need 1 <= cutoff < horizon <= {HEIGHT_ZETA_MAX_CUTOFF}")

@@ -52,15 +52,16 @@ from __future__ import annotations
 
 import cmath
 import math
+import operator
 import random
 from typing import NamedTuple
 
 import numpy as np
 
-from .arith import build_r_table
+from .arith import arith_table
 from .calibration import Calibration
 from .errors import ResourceLimitError
-from .integrals import QUAD_TOLERANCE, QuadResult, integrate_panels, panel_order
+from .integrals import QuadResult, integrate_panels, panel_order
 
 _SIN_EPS = 1.0e-8
 _NEAR_SIN = 1.0e-3  # a rotated |sin(pi a x)| below this takes the term from its reduced argument
@@ -116,11 +117,13 @@ def kernel_sum(alpha, n: int, m: int, drop: float):
 
 def sym_kernel(theta: float, Y: float) -> float:
     """sum_{1<=|y|<=Y} e(theta y), i.e. the Dirichlet kernel minus the y = 0 term."""
+    _check_box(Y)
     return float(kernel_sum(theta, 1, math.floor(Y), 1.0)) / 2.0
 
 
 def f_eval(alpha: float, X: float, Y: float) -> float:
     """f(alpha) over the box |x| <= X, |y| <= Y (a kernel walk of floor(X) steps)."""
+    _check_box(X, Y)
     m = math.floor(Y)
     if m < 1:
         return 0.0
@@ -132,10 +135,16 @@ def _check_q(q: int) -> None:
         raise ValueError("q must be a positive integer")
 
 
+def _check_box(*bounds: float) -> None:
+    if min(bounds) < 0:
+        raise ValueError("box bounds must be nonnegative")
+
+
 def g_q_eval(alpha: float, q: int, X: float, Y: float) -> float:
     """The part of f(alpha) with q not dividing x: the sum over x <= X less
     the sum over the multiples x = q x' at (q alpha) x' (exactly 0 for q = 1)."""
     _check_q(q)
+    _check_box(X, Y)
     m = math.floor(Y)
     return float(kernel_sum(alpha, math.floor(X), m, 1.0) - kernel_sum(q * alpha, math.floor(X / q), m, 1.0))
 
@@ -148,6 +157,7 @@ def f_star_eval(beta: float, q: int, X: float, Y: float) -> float:
 def w_q_eval(gamma: float, q: int, X: float, Y: float) -> float:
     """w_q(gamma) = sum over 0 < |x| <= X/q of the full Dirichlet kernel at gamma x."""
     _check_q(q)
+    _check_box(X, Y)
     return float(kernel_sum(gamma, math.floor(X / q), math.floor(Y), 0.0))
 
 
@@ -192,6 +202,7 @@ def _sinc_sum(gamma: float | np.ndarray, n: int, m: int) -> float | np.ndarray:
 def v_q_eval(gamma: float, q: int, X: float, Y: float) -> float:
     """v_q(gamma): the w_q sum with sin(pi gamma x) replaced by pi gamma x."""
     _check_q(q)
+    _check_box(X, Y)
     return float(_sinc_sum(float(gamma), math.floor(X / q), math.floor(Y)))
 
 
@@ -246,14 +257,25 @@ def minor_intervals(d: Dissection) -> tuple[np.ndarray, np.ndarray]:
 
 
 # ---------------------------------------------------------------------------
-# Mean square of f via the divisor-pair table
+# Mean square of f by gcd blocks
 # ---------------------------------------------------------------------------
 
 
 def l2_via_r(X: int, Y: int) -> int:
-    """int_0^1 |f|^2 = #{xy = uv in the box} = 2 sum_{n>=1} r(n)^2, exactly."""
-    r = build_r_table(X, Y)
-    return int(2 * np.dot(r[1:], r[1:]))
+    """int_0^1 |f|^2 = #{xy = uv in the box} = 2 sum_{n>=1} r(n)^2, exactly:
+    8 sum_{m<=n} c(m) floor(X/m) floor(Y/m), n = min(X, Y), c(1) = 1 and
+    c(m) = 2 phi(m) (8 sign choices; x = g a, u = g c with gcd(a, c) = 1
+    force y = c t, v = a t, and 2 phi(m) coprime (a, c) have max m > 1).
+    Each int64 term is at most 2XY/m, so the sum stays below 2XY(1 + ln n);
+    a box where 2XY(1 + n.bit_length()) reaches 2^63 is refused first."""
+    _check_box(X, Y)
+    X, Y = operator.index(X), operator.index(Y)  # numpy ints too, as Python ints
+    n = min(X, Y)
+    if 2 * X * Y * (1 + n.bit_length()) >= 2**63:
+        raise OverflowError(f"the int64 sum of l2_via_r({X}, {Y}) could wrap")
+    phi = arith_table(n).phi[1 : n + 1]
+    m = np.arange(1, n + 1)
+    return 8 * (int((2 * phi * (X // m) * (Y // m)).sum()) - X * Y)
 
 
 # ---------------------------------------------------------------------------
@@ -415,6 +437,7 @@ def j_quadrature(q: int, X: float, Y: float) -> QuadResult:
     panel sum to 5.8e-15 of the largest.
     """
     _check_q(q)
+    _check_box(X, Y)
     if q > X:
         return QuadResult(value=0.0, tail_bound=0.0)
     n = math.floor(X / q)
@@ -445,7 +468,7 @@ def j_quadrature(q: int, X: float, Y: float) -> QuadResult:
         c *= v
         return c
 
-    body = integrate_panels(v_cubed, brk, QUAD_TOLERANCE, order=panel_order(3 * n))
+    body = integrate_panels(v_cubed, brk, order=panel_order(3 * n))
     c_log = Calibration.v_decay_constant * max(math.log(X), 1.0)
     tail = c_log**3 / (T * T)
     return QuadResult(value=2.0 * body, tail_bound=tail)

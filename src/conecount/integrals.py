@@ -201,7 +201,6 @@ def _gl_sums(f: Callable[[Panels], np.ndarray], a: np.ndarray, b: np.ndarray, *o
 def integrate_panels(
     f: Callable[[Panels], np.ndarray],
     breakpoints: np.ndarray,
-    tolerance: float,
     *,
     order: int,
 ) -> float:
@@ -212,16 +211,17 @@ def integrate_panels(
     share no node).  A panel whose two estimates differ by at most its
     share contributes the order ``order + 1`` value; any other panel is
     bisected and both rules run on each half, over at most ``_MAX_DEPTH``
-    levels of panels (the given panels are the first).  A panel's share is ``tolerance *
-    (b - a) / total_len``, floored at ``50 eps |G|``, the rounding level of
-    its order ``order + 1`` value G.  The accepted panel values are added
-    by ``math.fsum``, which rounds the exact sum once, so the result does
-    not depend on the order the panels converge in.  The integrand is
-    called with a ``Panels`` on blocks of ``max(1, _BLOCK_POINTS // (2 order
-    + 1))`` panels, the nodes of both rules in one row, so its
-    temporaries, and so peak memory, stay at one block's size however many
-    panels a level holds; each panel's values are added by a
-    numpy row sum, which rounds every row alone, so no block moves a bit.
+    levels of panels (the given panels are the first).  A panel's share,
+    ``QUAD_TOLERANCE * (b - a) / total_len`` read at each call, is floored
+    at ``50 eps |G|``, the rounding level of its order ``order + 1`` value
+    G.  The accepted panel values are added by ``math.fsum``, which rounds
+    the exact sum once, so the result does not depend on the order the
+    panels converge in.  The integrand is called with a ``Panels`` on
+    blocks of ``max(1, _BLOCK_POINTS // (2 order + 1))`` panels, the nodes
+    of both rules in one row, so its temporaries, and so peak memory, stay
+    at one block's size however many panels a level holds; each panel's
+    values are added by a numpy row sum, which rounds every row alone, so
+    no block moves a bit.
 
     Raises ConvergenceError when some panel of the last level still misses
     its share.  Because of the floor this means the integrand is not
@@ -256,7 +256,7 @@ def integrate_panels(
             raise ConvergenceError("panel bisection budget exhausted")
         lo, hi = _gl_sums(f, a, b, order, order + 1)
         share = np.maximum(
-            tolerance * np.maximum((b - a) / total_len, 1e-300),
+            QUAD_TOLERANCE * np.maximum((b - a) / total_len, 1e-300),
             _ROUNDING_FLOOR * np.abs(hi),
         )
         done = np.abs(hi - lo) <= share
@@ -428,7 +428,7 @@ def triple_sine_quad(w1: float, w2: float, w3: float) -> QuadResult:
         v /= t * t * t
         return v
 
-    body = integrate_panels(integrand, brk, QUAD_TOLERANCE, order=order)
+    body = integrate_panels(integrand, brk, order=order)
     head = _triple_sine_small_t((w1, w2, w3), eps)
     tail_bound = 1.0 / (T * T)
     return QuadResult(value=2.0 * (head + body), tail_bound=tail_bound)
@@ -469,7 +469,7 @@ def si_cubed_quad(cfg: QuadratureConfig | None = None) -> QuadResult:
         s = si(t)
         return s * s * s / (t * t * t)
 
-    body = integrate_panels(integrand, brk, QUAD_TOLERANCE, order=order)
+    body = integrate_panels(integrand, brk, order=order)
     head = eps - eps**3 / 18.0 + (77.0 / 27000.0) * eps**5
     tail = (_PI / 2.0) ** 3 / (2.0 * T * T)
     # |Si t - pi/2| <= 1.1/t for t >= 100 bounds the dropped oscillatory part
@@ -486,8 +486,8 @@ def j_closed(q: int, X: float, Y: float) -> float:
     """J(q) = (2 floor(Y) + 1)^2 * F(floor(X/q)); zero whenever q > X."""
     if q < 1:
         raise ValueError("q must be a positive integer")
+    if X < 0 or Y < 0:
+        raise ValueError("box bounds must be nonnegative")
     n = math.floor(X / q)
-    if n <= 0:
-        return 0.0
     m = math.floor(Y)
     return (2 * m + 1) ** 2 * F_rounded([n])[0]

@@ -1,9 +1,18 @@
 import functools
 import tracemalloc
 
+import numpy as np
 import pytest
 
+from conecount.arith import build_r_table
 from conecount.report import CheckRecord, run_suite
+
+
+def r_row(X: int, Y: int) -> np.ndarray:
+    """r(0..XY) as a zeroed int64 row filled in place by ``build_r_table`` (r(0) stays 0)."""
+    row = np.zeros(X * Y + 1, dtype=np.int64)
+    build_r_table(X, Y, out=row[1:])
+    return row
 
 
 @pytest.fixture(scope="session")

@@ -169,8 +169,9 @@ def test_height_zeta():
     v100 = height_zeta_truncated(2.0, 100)
     v200 = height_zeta_truncated(2.0, 200)
     assert 0.0 <= v200 - v100 <= height_zeta_tail_bound(2.0, 100, 200)
-    with pytest.raises(ValueError):
-        height_zeta_truncated(1.0, 10)
+    for s in (1.0, math.nan):
+        with pytest.raises(ValueError):
+            height_zeta_truncated(s, 10)
     with pytest.raises(ResourceLimitError):
         height_zeta_truncated(2.0, 10**6)
 
@@ -180,6 +181,7 @@ def test_height_zeta():
     (2.0, 100, 100),
     (0.5, 10, 20),  # a divergent series: the bound came out finite
     (1.0, 10, 20),
+    (math.nan, 10, 20),  # NaN used to pass the s > 1 check and return nan
     (2.0, 0, 20),
     (2.0, 10, asymptotics.HEIGHT_ZETA_MAX_CUTOFF + 1),
 ])

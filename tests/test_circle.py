@@ -9,12 +9,17 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from conecount import circle, report
+from conecount import arith, circle, integrals, report
 from conecount.arith import build_arith_tables
+from conecount.asymptotics import main_term_thm1
 from conecount.calibration import Calibration
 from conecount.counts import m_fast
-from conecount.integrals import QUAD_TOLERANCE, integrate_panels, j_closed, panel_order
+from conecount.errors import ResourceLimitError
+from conecount.integrals import integrate_panels, j_closed, panel_order
+from conftest import r_row
 
 SRC = Path(circle.__file__).resolve().parents[1]
 
@@ -210,6 +215,50 @@ def test_l2(suite_rows):
         assert circle.l2_via_r(x, 5) == circle.l2_naive(x, 5)
 
 
+@given(st.integers(1, 200), st.integers(1, 200))
+@example(1, 10**4)
+@example(447, 447)
+@example(300, 3333)
+@example(np.int64(30), np.int64(40))
+@settings(max_examples=60, deadline=None)
+def test_l2_blocks_match_the_r_table_dot(X, Y):
+    # the gcd blocks of l2_via_r against 2 sum r(n)^2 of an in-place-filled row
+    r = r_row(X, Y)
+    assert circle.l2_via_r(X, Y) == 2 * int(np.dot(r, r))
+
+
+def test_l2_via_r_traced_peak(traced_peak):
+    # O(min(X, Y)) arrays: 8.0 MB with the int64 table r(0..XY)
+    assert traced_peak(lambda: circle.l2_via_r(1000, 1000)) < 0.5
+
+
+@pytest.mark.parametrize("X, Y, error", [(10**9, 10**10, OverflowError), (2 * 10**7, 2 * 10**7, ResourceLimitError)])
+def test_l2_via_r_refuses_before_any_sieve(X, Y, error, monkeypatch):
+    # a sum that could wrap int64, and a min(X, Y) past the sieve cap
+    monkeypatch.setattr(arith, "_shared", None)
+    monkeypatch.setattr(arith, "build_arith_tables", lambda limit: pytest.fail("built a sieve"))
+    with pytest.raises(error):
+        circle.l2_via_r(X, Y)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: circle.w_q_eval(0.1, 1, 5, -1),
+    lambda: circle.f_star_eval(0.1, 1, 5, -2),
+    lambda: circle.f_eval(0.1, -3, 4),
+    lambda: circle.g_q_eval(0.1, 2, 5, -2),
+    lambda: circle.sym_kernel(0.2, -1),
+    lambda: circle.v_q_eval(0.1, 1, 5, -1),
+    lambda: j_closed(1, 3, -1),
+    lambda: circle.j_quadrature(1, 3, -1),
+    lambda: main_term_thm1(3, -2),
+], ids=["w_q", "f_star", "f", "g_q", "sym_kernel", "v_q", "j_closed", "j_quadrature", "main_term_thm1"])
+def test_negative_box_bounds_are_refused(call):
+    # each used to return a value its literal oracle contradicts (an empty
+    # box, or the Y of a squared or odd kernel read with its sign)
+    with pytest.raises(ValueError, match="box bounds must be nonnegative"):
+        call()
+
+
 def test_minor_arc_scan_deterministic():
     a = circle.minor_arc_scan(40, 40, 300, 7)
     b = circle.minor_arc_scan(40, 40, 300, 7)
@@ -392,7 +441,9 @@ def test_j_quadrature_even_split(monkeypatch):
     monkeypatch.setattr(circle, "_J_TRUNCATION", T)
     k = 2 * m + 1
     brk = np.unique(np.concatenate([np.arange(-int(T * k), int(T * k) + 1) / k, [-T, T]]))
-    two_sided = integrate_panels(lambda p: _sinc_sum(p.mid + p.half * p.u, n, m) ** 3, brk, 1e-10, order=16)
+    with monkeypatch.context() as mp:
+        mp.setattr(integrals, "QUAD_TOLERANCE", 1e-10)
+        two_sided = integrate_panels(lambda p: _sinc_sum(p.mid + p.half * p.u, n, m) ** 3, brk, order=16)
     res = circle.j_quadrature(1, 2, 2)
     assert res.value == pytest.approx(two_sided, rel=1e-9)
 
@@ -401,7 +452,7 @@ def test_j_quadrature_breakpoints(monkeypatch):
     # the zeros j / (2m + 1) of v_q on [0, T], with no sort: the same floats
     # as sorting them together with 0 and T and keeping those <= T
     seen = []
-    monkeypatch.setattr(circle, "integrate_panels", lambda f, brk, tol, order: seen.append(brk) or 0.0)
+    monkeypatch.setattr(circle, "integrate_panels", lambda f, brk, order: seen.append(brk) or 0.0)
     T = circle._J_TRUNCATION
     for m in range(201):
         circle.j_quadrature(1, 2, m)
@@ -430,7 +481,7 @@ def test_j_quadrature_cube_by_multiplication(q, X, Y):
     T = circle._J_TRUNCATION
     brk = np.unique(np.concatenate([[0.0], np.arange(1, int(T * k) + 1) / k, [T]]))
     pow_cubed = 2.0 * integrate_panels(lambda p: circle._sinc_sum(p.mid + p.half * p.u, n, m) ** 3, brk[brk <= T],
-                                       QUAD_TOLERANCE, order=panel_order(3 * n))
+                                       order=panel_order(3 * n))
     assert circle.j_quadrature(q, X, Y).value == pytest.approx(pow_cubed, rel=1e-14, abs=0.0)
 
 

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from conecount import arith, counts
 from conecount.arith import build_arith_tables, build_r_table
 from conecount.errors import ResourceLimitError
+from conftest import r_row
 
 
 def test_m_naive_examples():
@@ -66,7 +67,7 @@ def test_m_fast_structure(X, Y):
 
 def m_literal(X, Y):
     """M(X, Y) from the coefficient identity with the literal integer convolution."""
-    pos = build_r_table(X, Y)[1:]
+    pos = r_row(X, Y)[1:]
     return 6 * int(np.dot(np.convolve(pos, pos)[: X * Y - 1], pos[1:]))
 
 
@@ -198,7 +199,7 @@ def m_bigint(X, Y):
     """M(X, Y) with r*r from one Python big-int square (Kronecker
     substitution): r(0..XY) packed into 32-bit slots, whose coefficients
     (r*r)(c) <= ||r||_2^2 < 2^32 then carry into no neighbour."""
-    r = build_r_table(X, Y)
+    r = r_row(X, Y)
     assert int(np.dot(r, r)) < 2**32
     packed = int.from_bytes(r.astype("<u4").tobytes(), "little")
     square = np.frombuffer((packed * packed).to_bytes(8 * r.size, "little"), dtype="<u4")

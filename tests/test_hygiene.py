@@ -3,8 +3,9 @@ every module imports only what a plain install provides, no caller sets
 its own quadrature order, the quadrature sums no panel by a BLAS product,
 the exact box counts take no inverse transform, only closed_forms turns
 the exact F into a float, the circle kernels share one Dirichlet-kernel
-routine, every committed benchmark record names what the benchmark
-measures, and every layer the benchmark traces exists."""
+routine, only the box counter fills an r-table, every committed
+benchmark record names what the benchmark measures, and every layer the
+benchmark traces exists."""
 
 import ast
 import importlib
@@ -61,9 +62,9 @@ def _literal_orders(tree: ast.Module) -> list[str]:
 
 
 def test_literal_order_is_detected():
-    src = "integrate_panels(f, brk, tol, order=4)\nintegrals.integrate_panels(f, brk, tol, order=6 + 3 * n)\n"
+    src = "integrate_panels(f, brk, order=4)\nintegrals.integrate_panels(f, brk, order=6 + 3 * n)\n"
     assert _literal_orders(ast.parse(src)) == ["line 1: order=4", "line 2: order=6 + 3 * n"]
-    assert _literal_orders(ast.parse("integrate_panels(f, brk, tol, order=panel_order(3 * n))")) == []
+    assert _literal_orders(ast.parse("integrate_panels(f, brk, order=panel_order(3 * n))")) == []
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
@@ -175,6 +176,15 @@ def test_circle_kernels_share_one_routine():
     assert set(_callers(tree, _numpy_trig)) == {"kernel_sum", "_sinc_sum", "j_quadrature"}
     kernel_callers = set(_callers(tree, lambda c: _call_name(c) == "kernel_sum"))
     assert {"f_eval", "g_q_eval", "w_q_eval", "sym_kernel", "minor_arc_scan"} <= kernel_callers
+
+
+def test_r_table_fill_has_one_caller():
+    # the box counter fills its rows in place; nothing else in the package
+    # builds a divisor-pair table (the mean square takes gcd blocks instead)
+    callers = {f"{path.stem}.{fn}" for path in MODULES
+               for fn in _callers(ast.parse(path.read_text(), filename=str(path)),
+                                  lambda c: _call_name(c) == "build_r_table")}
+    assert callers == {"counts._count_boxes"}
 
 
 ROOT = Path(__file__).resolve().parents[1]

@@ -119,7 +119,7 @@ def _quad_call(module, quad, *args):
     """(integrand, breakpoints, order) that ``quad(*args)`` hands integrate_panels."""
     calls = []
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(module, "integrate_panels", lambda f, brk, tol, *, order: calls.append((f, brk, order)) or 0.0)
+        mp.setattr(module, "integrate_panels", lambda f, brk, *, order: calls.append((f, brk, order)) or 0.0)
         quad(*args)
     return calls[0]
 
@@ -231,9 +231,9 @@ def test_si_cubed_config_validation():
 def test_integrate_panels_budget(monkeypatch):
     # a kink far from any breakpoint forces endless bisection
     monkeypatch.setattr(integrals, "_MAX_DEPTH", 3)
+    monkeypatch.setattr(integrals, "QUAD_TOLERANCE", 1e-12)
     with pytest.raises(ConvergenceError):
-        integrate_panels(_at_points(lambda x: np.abs(x - 0.123456789)), np.array([0.0, 1.0]),
-                         tolerance=1e-12, order=2)
+        integrate_panels(_at_points(lambda x: np.abs(x - 0.123456789)), np.array([0.0, 1.0]), order=2)
 
 
 def test_integrate_panels_tolerance_below_rounding():
@@ -242,7 +242,7 @@ def test_integrate_panels_tolerance_below_rounding():
     # tolerance 1e-9 split over 850 panels asks ~1e-12 of panels worth up
     # to ~1.5e6, below one ulp of their value, and must not make
     # convergence a matter of how the platform rounds
-    val = integrate_panels(_at_points(lambda x: 1e4 * (1 + x * x)), np.linspace(0, 50, 851), 1e-9, order=16)
+    val = integrate_panels(_at_points(lambda x: 1e4 * (1 + x * x)), np.linspace(0, 50, 851), order=16)
     assert val == pytest.approx(1e4 * (50 + 50**3 / 3), rel=1e-14)
 
 
@@ -256,7 +256,7 @@ def test_integrate_panels_bisects_a_narrow_bump():
         calls.append(p.size)
         return 1.0 / (1e-4 + (p.mid + p.half * p.u - 0.3) ** 2)
 
-    val = integrate_panels(bump, np.array([0.0, 1.0]), integrals.QUAD_TOLERANCE, order=4)
+    val = integrate_panels(bump, np.array([0.0, 1.0]), order=4)
     exact = 100.0 * (math.atan(70.0) + math.atan(30.0))
     assert abs(val - exact) <= integrals.QUAD_TOLERANCE
     assert len(calls) > 2  # one integrand call per level
@@ -269,7 +269,7 @@ def _panel_values(monkeypatch, block_points, f, brk, order):
     fsum = math.fsum
     monkeypatch.setattr(integrals, "_BLOCK_POINTS", block_points)
     monkeypatch.setattr(math, "fsum", lambda v: accepted.append(list(v)) or fsum(v))
-    integrate_panels(f, brk, integrals.QUAD_TOLERANCE, order=order)
+    integrate_panels(f, brk, order=order)
     monkeypatch.undo()
     return accepted[0]
 
