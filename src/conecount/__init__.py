@@ -10,9 +10,11 @@ scale.  Every fast path has an independent brute-force oracle.
 from .arith import ArithTable, build_arith_tables, build_r_table, r_direct
 from .asymptotics import (
     ConstantSet,
+    DeviationParts,
     DeviationRecord,
     boundary_check,
     constants,
+    deviation_parts_thm1,
     deviation_thm1,
     fit_theorem2,
     height_zeta_truncated,

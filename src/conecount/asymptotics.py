@@ -35,6 +35,7 @@ from functools import lru_cache
 from itertools import accumulate
 
 from .arith import arith_table
+from .circle import l2_via_r
 from .closed_forms import F_rounded, check_harmonic_n
 from .counts import m_fast, n_times4, w_counts
 from .errors import ResourceLimitError
@@ -156,6 +157,55 @@ def deviation_thm1(X: int, Y: int) -> DeviationRecord:
         main=main,
         scale=scale,
         deviation=abs(exact - main) / scale,
+    )
+
+
+@dataclass(frozen=True)
+class DeviationParts:
+    """M(X, Y) - main term split into counted parts, each over the scale s
+    of ``deviation_thm1``: deviation = H - E1 - E0 + R, signed."""
+
+    inputs: tuple
+    scale: float
+    deviation: float
+    E0: float
+    E1: float
+    H: float
+    R: float
+
+
+def deviation_parts_thm1(X: int, Y: int) -> DeviationParts:
+    """(M - main)/s and its parts, for x zero-free and s the scale of
+    ``deviation_thm1``:
+
+      * E0 = 8 X^3 counts y = 0;
+      * E1 = 6 X ``l2_via_r(X, Y)`` counts the y with one zero coordinate
+        (3 places for it, 2X values of the x_i it meets, and x_j y_j =
+        -x_k y_k counted by the mean square of f);
+      * A = M + E1 + E0 counts every y in the closed box;
+      * H = (A(X, Y) - A(X, Y - 1)) / 2 is half the points on its faces;
+      * R = A - main - H is the remainder.
+
+    M, E0, E1 and A are exact integers, so only main, R and the divisions
+    by s round.
+    """
+    if Y <= 1:
+        raise ValueError("the deviation parts need Y > 1: H reads A(X, Y - 1), and the scale log Y")
+    m = m_fast(X, Y)
+    e0 = 8 * X**3
+    e1 = 6 * X * l2_via_r(X, Y)
+    a = m + e1 + e0
+    h = (a - (m_fast(X, Y - 1) + 6 * X * l2_via_r(X, Y - 1) + e0)) / 2
+    main = main_term_thm1(X, Y)
+    scale = (X * Y) ** 1.5 * _log_scale(X) * math.log(Y)
+    return DeviationParts(
+        inputs=(X, Y),
+        scale=scale,
+        deviation=(m - main) / scale,
+        E0=e0 / scale,
+        E1=e1 / scale,
+        H=h / scale,
+        R=(a - main - h) / scale,
     )
 
 

@@ -115,19 +115,26 @@ def kernel_sum(alpha, n: int, m: int, drop: float):
     return (2.0 * (far + near - n * drop)).reshape(np.shape(alpha))
 
 
+def _real(v):
+    """A float for a 0-d result (a scalar argument), else the array itself."""
+    return float(v) if v.ndim == 0 else v
+
+
 def sym_kernel(theta: float, Y: float) -> float:
     """sum_{1<=|y|<=Y} e(theta y), i.e. the Dirichlet kernel minus the y = 0 term."""
     _check_box(Y)
     return float(kernel_sum(theta, 1, math.floor(Y), 1.0)) / 2.0
 
 
-def f_eval(alpha: float, X: float, Y: float) -> float:
-    """f(alpha) over the box |x| <= X, |y| <= Y (a kernel walk of floor(X) steps)."""
+def f_eval(alpha, X: float, Y: float):
+    """f(alpha) over the box |x| <= X, |y| <= Y (a kernel walk of floor(X)
+    steps): a float for a scalar alpha, an array of alpha's shape for an
+    array, each entry the bits of its scalar call, as for every kernel below."""
     _check_box(X, Y)
     m = math.floor(Y)
     if m < 1:
-        return 0.0
-    return float(kernel_sum(alpha, math.floor(X), m, 1.0))
+        return _real(np.zeros(np.shape(alpha)))
+    return _real(kernel_sum(alpha, math.floor(X), m, 1.0))
 
 
 def _check_q(q: int) -> None:
@@ -140,25 +147,26 @@ def _check_box(*bounds: float) -> None:
         raise ValueError("box bounds must be nonnegative")
 
 
-def g_q_eval(alpha: float, q: int, X: float, Y: float) -> float:
+def g_q_eval(alpha, q: int, X: float, Y: float):
     """The part of f(alpha) with q not dividing x: the sum over x <= X less
     the sum over the multiples x = q x' at (q alpha) x' (exactly 0 for q = 1)."""
     _check_q(q)
     _check_box(X, Y)
     m = math.floor(Y)
-    return float(kernel_sum(alpha, math.floor(X), m, 1.0) - kernel_sum(q * alpha, math.floor(X / q), m, 1.0))
+    alpha = np.asarray(alpha, dtype=float)
+    return _real(kernel_sum(alpha, math.floor(X), m, 1.0) - kernel_sum(q * alpha, math.floor(X / q), m, 1.0))
 
 
-def f_star_eval(beta: float, q: int, X: float, Y: float) -> float:
+def f_star_eval(beta, q: int, X: float, Y: float):
     """f*_q(beta): x restricted to multiples of q (rescaled), y = 0 row kept."""
-    return w_q_eval(q * beta, q, X, Y)
+    return w_q_eval(q * np.asarray(beta, dtype=float), q, X, Y)
 
 
-def w_q_eval(gamma: float, q: int, X: float, Y: float) -> float:
+def w_q_eval(gamma, q: int, X: float, Y: float):
     """w_q(gamma) = sum over 0 < |x| <= X/q of the full Dirichlet kernel at gamma x."""
     _check_q(q)
     _check_box(X, Y)
-    return float(kernel_sum(gamma, math.floor(X / q), math.floor(Y), 0.0))
+    return _real(kernel_sum(gamma, math.floor(X / q), math.floor(Y), 0.0))
 
 
 def _sinc_sum(gamma: float | np.ndarray, n: int, m: int) -> float | np.ndarray:
@@ -199,11 +207,11 @@ def _sinc_sum(gamma: float | np.ndarray, n: int, m: int) -> float | np.ndarray:
     return np.where(tiny, taylor, 2.0 * total / np.where(tiny, 1.0, pg))
 
 
-def v_q_eval(gamma: float, q: int, X: float, Y: float) -> float:
+def v_q_eval(gamma, q: int, X: float, Y: float):
     """v_q(gamma): the w_q sum with sin(pi gamma x) replaced by pi gamma x."""
     _check_q(q)
     _check_box(X, Y)
-    return float(_sinc_sum(float(gamma), math.floor(X / q), math.floor(Y)))
+    return _real(_sinc_sum(np.asarray(gamma, dtype=float), math.floor(X / q), math.floor(Y)))
 
 
 # ---------------------------------------------------------------------------

@@ -90,7 +90,7 @@ import operator
 from bisect import bisect_left
 from dataclasses import dataclass
 from functools import lru_cache, partial
-from itertools import repeat
+from itertools import chain, repeat
 
 import numpy as np
 
@@ -100,8 +100,8 @@ from .errors import ResourceLimitError
 # Cost caps: the box kernel of m_naive and p_count visits about
 # (X+1)^3 (Y+1) / 6 (x, y0) cells at 70-100 ns each (2 cores, numpy 2.4.6:
 # 100 ns at (11, 10), 85 ns at (26, 12) and (60, 60)), so the cap is about
-# a second; the pair oracle's walk is capped by the cells of the box
-# (isqrt(Z), Z) that holds it.  m_fast transforms a length-XY table by an
+# a second; the pair oracle's walk is capped by an upper bound on its own
+# cells (``_check_pair_cells``).  m_fast transforms a length-XY table by an
 # FFT of length ~2XY, O(XY log XY).
 M_NAIVE_MAX_CELLS = 10**7
 M_FAST_MAX_XY = 200_000
@@ -675,6 +675,28 @@ def _pair_columns(ym: int, mertens: np.ndarray):
     return tuple(np.concatenate(col) for col in zip(*parts))
 
 
+def _check_pair_cells(Z: int) -> None:
+    """Refuse ``_pair_table(Z)`` past ``M_NAIVE_MAX_CELLS`` (x, y0) cells,
+    before any sieve is built.  Its two walks take the (k+1)(k+2)/2 rows of
+    each shell k <= s = isqrt(Z) against the columns of
+    ``_pair_columns(Z // k)``, and the rows of shells 1..s against those of
+    ``_pair_columns(s)``.  The columns are counted over every block of
+    ``_blocks``, q + 1 for a block of quotient q, as if no Mertens
+    difference vanished: an upper bound that needs no sieve.  Each walk's
+    first block (q = Z // k, or s) is added and checked before the rest
+    are listed, so a Z far past the cap is refused at its first shell."""
+    s = math.isqrt(Z)
+    shells = (((k + 1) * (k + 2) // 2, Z // k) for k in range(1, s + 1))
+    box = ((s + 1) * (s + 2) * (s + 3) // 6 - 1, s)
+    cells = 0
+    for rows, ym in chain(shells, [box]):
+        cells += rows * (ym + 1)
+        if cells <= M_NAIVE_MAX_CELLS:
+            cells += rows * sum(ym // lo + 1 for lo in _blocks(ym)[0][1:])
+        if cells > M_NAIVE_MAX_CELLS:
+            raise ResourceLimitError(f"pair oracle cells > {M_NAIVE_MAX_CELLS}")
+
+
 @lru_cache(maxsize=None)
 def _pair_table(Z: int) -> np.ndarray:
     """The hyperbola split of |x| |y| <= Z at s = isqrt(Z): min(|x|, |y|) <= s,
@@ -697,13 +719,13 @@ def pair_zero_histogram(B: int) -> np.ndarray:
     both primitive, by how many of the six coordinates vanish (0..4).
 
     One walk of the hyperbola split fills both rows (``_pair_table``); it
-    is cached, keyed by Z = isqrt(B), and refused by the cells of the box
-    (isqrt(Z), Z) that holds it before any sieve is built.
+    is cached, keyed by Z = isqrt(B), and refused by an upper bound on the
+    cells it walks before any sieve is built (``_check_pair_cells``).
     """
     if B < 1:
         raise ValueError("B must be >= 1")
     Z = math.isqrt(B)
-    _check_cells(math.isqrt(Z), Z)
+    _check_pair_cells(Z)
     return _pair_table(Z)
 
 

@@ -16,10 +16,13 @@ Closed forms implemented here:
 
 Each improper integral is evaluated as (value over [eps, T]) plus an
 analytic tail, and is reported as a QuadResult carrying the value and a
-tail/residual bound.  The report's rows compare the value against the
-fixed tolerances of ``Calibration`` (1e-6) and do not read the bound; at
-the default truncation T = 1e4 it is 1/T^2 = 1e-8 for the triple sine and
-about 1e-9 for the cubed Si, far inside those tolerances.
+tail/residual bound.  The triple sine's tail past T = 200 is exact, four
+integral sines by product to sum, so its bound is only that tail's own
+error: Si's 1e-12 times the squared frequencies, and rounding, 3e-12 at
+(1, 1, 1).  The cubed Si's tail past its default T = 1e4 is the leading
+term of an expansion, bounded by about 1e-9.  The report's rows compare
+the value against the fixed tolerances of ``Calibration`` (1e-6) and do
+not read the bound.
 
 Quadrature is fixed-order Gauss-Legendre on panels.  Each panel is
 integrated by the rules of order n and n + 1 from 2n + 1 integrand values,
@@ -28,11 +31,12 @@ et al. 1983); a panel keeps the order n + 1 value when the two differ by
 at most its share of the tolerance, and is bisected otherwise.  The order
 follows what one panel holds: a panel spanning H half-periods pi/Omega of
 its integrand's top frequency Omega is integrated at n = 6 + H
-(``panel_order``).  The
-triple-sine integrand (Omega = w1 + w2 + w3) and the cubed-Si integrand
-(Omega = 3) are entire, so [eps, T] is cut into equal panels of
-H = 16 half-periods each (``oscillatory_panels``), and the rare panel that
-n = 22 does not resolve is bisected.  The J(q) integrand v_q(gamma)^3
+(``panel_order``); the rules come from the Legendre recurrence
+(``_gl_nodes``), without numpy.polynomial.  The triple-sine integrand
+(Omega = w1 + w2 + w3) and the cubed-Si integrand (Omega = 3) are
+entire, so [eps, T] is cut into equal panels of H = 16 half-periods each
+(``oscillatory_panels``), and the rare panel that n = 22 does not resolve
+is bisected.  The J(q) integrand v_q(gamma)^3
 (``circle.j_quadrature``) has its panels cut at the zeros
 j/(2 floor(Y) + 1) of the outer sine, and each holds up to
 H = 3 floor(X/q) half-periods of the cube: n = 6 + 3 floor(X/q).  A
@@ -51,20 +55,9 @@ The integrand protocol: ``_gl_sums`` calls the integrand once per block of
 panels with a ``Panels``, the midpoints m and half-widths h as columns and
 the reference nodes u of both rules as a row, and the integrand returns
 its values at the points m + h u, one row per panel.  A plain integrand
-(the cubed Si, the sinc of the Si table) forms t = m + h u in one line.
-The triple-sine integrand reads the phases instead: by angle addition
-
-    sin(w (m + h u)) = sin(w m) cos(w h u) + cos(w m) sin(w h u),
-
-so it takes a sine and a cosine of w m once per panel and of w h u once
-per distinct half-width of the block, a tenth of the sines of one per
-point.  The equal panels of a level have few distinct half-widths (12 to
-15 among the ~2,000 of a benchmark triple, which differ only in their last
-bits), and bisection halves them all alike, so this holds at every level.
-The points m + h u, and so the factor 1/t^3, are formed exactly as before;
-only the sines round differently, by the rounding of w m against that of
-w t (their panel sums agree to 1.1e-14 of the largest).  The J(q)
-integrand's parity rows (``circle.j_quadrature``) use the same protocol.
+(the triple sine, the cubed Si, the sinc of the Si table) forms
+t = m + h u in one line; the J(q) integrand's parity rows
+(``circle.j_quadrature``) read the nodes u alone.
 
 The sine integral uses three regimes, each with truncation error below
 1e-13:  the Maclaurin series for t <= 2 (terms fall below 1e-17 by k = 13);
@@ -112,16 +105,20 @@ _HALF_PERIODS = 16
 # and cubed-Si calls take the unblocked time (best of 10-30, 2-core x86-64
 # host), at 4096 up to 15% more.
 _BLOCK_POINTS = 8192
+# where triple_sine_quad's panels end and its closed-form tail begins
+_TRIPLE_SINE_TRUNCATION = 200.0
 # Cap on the panels oscillatory_panels cuts, checked before any is made:
-# triple_sine_quad(1, 1, 5024) cuts 999,891 in ~2.8 s with a traced peak of
-# 51 MB, and si_cubed_quad at T = 1.6e7 cuts 954,930 in ~3.5 s (2-core
-# x86-64 host).  The suites and the benchmark cut at most ~2,000.
+# triple_sine_quad(1, 1, 251298) cuts 999,887 in ~4.3 s with a traced peak
+# of 57 MB, and si_cubed_quad at T = 1.6e7 cuts 954,930 in ~3.5 s (2-core
+# x86-64 host).  The suites and the benchmark cut at most ~600.
 MAX_PANELS = 10**6
 
 
 @dataclass(frozen=True)
 class QuadratureConfig:
-    """Truncation point of the improper integrals."""
+    """Truncation point of the cubed-Si integral (``si_cubed_quad``); the
+    triple sine ends its panels at ``_TRIPLE_SINE_TRUNCATION`` and adds
+    its tail past there exactly."""
 
     truncation: float = 1.0e4
 
@@ -138,12 +135,36 @@ class QuadResult(NamedTuple):
     tail_bound: float
 
 
+def _legendre(n: int, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(P_n(x), P_n'(x)) by the three-term recurrence
+    (k + 1) P_{k+1} = (2k + 1) x P_k - k P_{k-1}, for x inside (-1, 1)."""
+    prev, p = np.ones_like(x), x
+    for k in range(1, n):
+        prev, p = p, ((2 * k + 1) * x * p - k * prev) / (k + 1)
+    return p, n * (prev - x * p) / (1.0 - x * x)
+
+
 # J(q) integrates at order 6 + 3 floor(X/q), so one order per floor(X/q)
-# besides the fixed ones: a rule costs 0.1-0.5 ms to build up to order 37
+# besides the fixed ones: a rule takes 0.04 ms to build at order 6, 0.10 at
+# 23 and 0.19 at 37, against 0.10, 0.27 and 0.44 for numpy's leggauss, whose
+# first call also imports numpy.polynomial (best of 50, 2-core x86-64 host)
 @lru_cache(maxsize=128)
 def _gl_nodes(order: int):
-    x, w = np.polynomial.legendre.leggauss(order)
-    return x, w
+    """The Gauss-Legendre rule of ``order`` points on [-1, 1] (Golub and
+    Welsch, Math. Comp. 23, 1969): the nodes are the eigenvalues of the
+    symmetric Jacobi matrix of the Legendre recurrence, off-diagonal
+    k / sqrt(4k^2 - 1), polished by one Newton step on P_n; the weights are
+    2 / ((1 - x^2) P_n'^2), P_n' from the same recurrence pass as the step
+    (as numpy's ``leggauss`` takes it), and both are symmetrised about 0.
+    Nodes and weights lie within 1e-14 of numpy's ``leggauss`` for orders
+    1 to 64 (measured up to 5.2e-15)."""
+    k = np.arange(1.0, order)
+    off = k / np.sqrt(4.0 * k * k - 1.0)
+    x = np.linalg.eigvalsh(np.diag(off, 1) + np.diag(off, -1))
+    p, dp = _legendre(order, x)
+    x = x - p / dp
+    w = 2.0 / ((1.0 - x * x) * dp * dp)
+    return (x - x[::-1]) / 2.0, (w + w[::-1]) / 2.0
 
 
 def panel_order(half_periods: int) -> int:
@@ -235,12 +256,12 @@ def integrate_panels(
     the panel's true error is 2.4e-6.  The package's callers meet the
     precondition with integrands that are entire, so any panel will do:
     ``triple_sine_quad`` and ``si_cubed_quad`` integrate
-    sin(w1 t) sin(w2 t) sin(w3 t)/t^3 and (Si t)^3/t^3 over [eps, T] on
-    the equal panels of ``oscillatory_panels`` (the computed Si changes
-    regime at t = 2 and 40 inside panels, where it steps by under 1e-15,
-    far below a panel's share), and ``circle.j_quadrature``
-    integrates v_q^3 on panels cut at the zeros j/(2 floor(Y) + 1) of its
-    outer sine.
+    sin(w1 t) sin(w2 t) sin(w3 t)/t^3 over [eps, 200] and (Si t)^3/t^3
+    over [eps, T] on the equal panels of ``oscillatory_panels`` (the
+    computed Si changes regime at t = 2 and 40 inside panels, where it
+    steps by under 1e-15, far below a panel's share), and
+    ``circle.j_quadrature`` integrates v_q^3 on panels cut at the zeros
+    j/(2 floor(Y) + 1) of its outer sine.
     """
     pts = np.asarray(breakpoints, dtype=float)
     if pts.size < 2:
@@ -273,6 +294,7 @@ def integrate_panels(
 # Sine integral
 # ---------------------------------------------------------------------------
 
+_SI_ERROR = 1.0e-12  # the absolute error bound of si
 _SI_SERIES_CUT = 2.0
 _SI_ASYMPTOTIC_CUT = 40.0
 _SI_SERIES_TERMS = 14
@@ -335,7 +357,7 @@ def _si_mid(t: np.ndarray) -> np.ndarray:
 
 
 def si(t):
-    """Si t = int_0^t sin(a)/a da, accurate to better than 1e-12.
+    """Si t = int_0^t sin(a)/a da, accurate to better than ``_SI_ERROR`` = 1e-12.
 
     Accepts a scalar or an ndarray; finite nonnegative arguments only.
     """
@@ -387,51 +409,74 @@ def _triple_sine_small_t(w: tuple[float, float, float], eps: float) -> float:
     return w1 * w2 * w3 * (eps - sq * eps**3 / 18.0 + c4 * eps**5 / 5.0)
 
 
-def triple_sine_quad(w1: float, w2: float, w3: float) -> QuadResult:
-    """The triple-sine integral by panel quadrature.
+def _triple_sine_tail(w: tuple[float, float, float], T: float) -> QuadResult:
+    """2 int_T^inf sin(w1 t) sin(w2 t) sin(w3 t)/t^3 dt in closed form, and
+    a bound on its error.
 
-    The integrand is even, so 2 * int_0^T is computed, T the default
-    ``QuadratureConfig`` truncation, on the equal panels of
-    ``oscillatory_panels`` for the top frequency Omega = w1 + w2 + w3;
-    |t| < eps = min(1e-3, 0.03/Omega) uses the even Maclaurin branch, whose
-    first dropped term is below w1 w2 w3 eps (Omega eps)^6 / 5040, and the
-    tail beyond T is bounded by 2 int_T^inf t^-3 dt = 1/T^2.  A top
-    frequency that needs more than ``MAX_PANELS`` panels raises
-    ResourceLimitError.
+    By product to sum, sin a sin b sin c = (1/4) [sin(a+b-c) + sin(a-b+c)
+    + sin(-a+b+c) - sin(a+b+c)], and for omega > 0, by parts twice,
+
+        int_T^inf sin(omega t)/t^3 dt = sin(omega T)/(2 T^2)
+            + omega cos(omega T)/(2 T) - (omega^2/2) (pi/2 - Si(omega T));
+
+    a negative omega flips its term's sign, and omega = 0 gives 0.  The
+    four Si come from one ``si`` call.
+
+    The bound: each Si is within ``_SI_ERROR`` (``si``), which the factor
+    omega^2/2, times 1/4 and 2, turns into omega^2 _SI_ERROR / 4 per term.
+    The rest is rounding, eps the float64 machine epsilon.  Rounding omega T
+    moves sin and cos by at most eps |omega| T and Si by at most eps
+    (|Si'(x)| x <= 1), so the three parts by at most eps |omega|/(2T),
+    eps omega^2/2 and eps omega^2/2; each operation adds at most 4 eps of
+    the parts' sizes 1/(2T^2), |omega|/(2T) and omega^2 pi/4; and the
+    rounding eps (w1 + w2 + w3) of omega itself moves the tail, whose
+    derivative in omega is at most 1/T, by eps (w1 + w2 + w3)/T.  Half of
+    all this is below 4 eps (1/T^2 + (|omega| + w1 + w2 + w3)/T + omega^2)
+    per term.
+    """
+    w1, w2, w3 = w
+    omega = np.array([w1 + w2 - w3, w1 - w2 + w3, -w1 + w2 + w3, w1 + w2 + w3])
+    sign = np.sign(omega) * np.array([1.0, 1.0, 1.0, -1.0])
+    a = np.abs(omega)
+    aT = a * T
+    parts = np.sin(aT) / (2.0 * T * T) + a * np.cos(aT) / (2.0 * T) - (a * a / 2.0) * (_PI / 2.0 - si(aT))
+    eps = np.finfo(float).eps
+    bound = a * a * _SI_ERROR / 4.0 + 4.0 * eps * (1.0 / (T * T) + (a + (w1 + w2 + w3)) / T + a * a)
+    return QuadResult(value=math.fsum(sign * parts) / 2.0, tail_bound=math.fsum(bound))
+
+
+def triple_sine_quad(w1: float, w2: float, w3: float) -> QuadResult:
+    """The triple-sine integral by panel quadrature and a closed-form tail.
+
+    The integrand is even, so 2 int_0^inf is computed: over
+    [eps, ``_TRIPLE_SINE_TRUNCATION``] on the equal panels of
+    ``oscillatory_panels`` for the top frequency Omega = w1 + w2 + w3,
+    point by point; |t| < eps = min(1e-3, 0.03/Omega) by the even
+    Maclaurin branch, whose first dropped term is below
+    w1 w2 w3 eps (Omega eps)^6 / 5040; and the tail past the truncation
+    exactly, in Si (``_triple_sine_tail``), whose error bound is the
+    ``tail_bound`` reported.  A top frequency that needs more than
+    ``MAX_PANELS`` panels raises ResourceLimitError.
     """
     _check_frequencies(w1, w2, w3)
     omega = w1 + w2 + w3
     eps = min(1.0e-3, 0.03 / omega)
-    T = QuadratureConfig().truncation
+    T = _TRIPLE_SINE_TRUNCATION
     brk, order = oscillatory_panels(eps, T, omega)
 
     def integrand(p: Panels) -> np.ndarray:
-        # a set, not np.unique, whose first call adds 0.38 MB to the peak RSS
-        halves = np.array(sorted(set(p.half[:, 0].tolist())))
-        row = halves.searchsorted(p.half[:, 0])
-        hu = halves[:, None] * p.u
-
-        def sine(w):  # sin(w (m + h u)) = sin(w m) cos(w h u) + cos(w m) sin(w h u)
-            wm, whu = w * p.mid, w * hu
-            s = np.cos(whu)[row]
-            s *= np.sin(wm)
-            c = np.sin(whu)[row]
-            c *= np.cos(wm)
-            s += c
-            return s
-
-        # in place, so a block holds at most four arrays of its points
-        v = sine(w1)
-        v *= sine(w2)
-        v *= sine(w3)
         t = p.mid + p.half * p.u
+        # in place, so a block holds at most three arrays of its points
+        v = np.sin(w1 * t)
+        v *= np.sin(w2 * t)
+        v *= np.sin(w3 * t)
         v /= t * t * t
         return v
 
     body = integrate_panels(integrand, brk, order=order)
     head = _triple_sine_small_t((w1, w2, w3), eps)
-    tail_bound = 1.0 / (T * T)
-    return QuadResult(value=2.0 * (head + body), tail_bound=tail_bound)
+    tail = _triple_sine_tail((w1, w2, w3), T)
+    return QuadResult(value=2.0 * (head + body) + tail.value, tail_bound=tail.tail_bound)
 
 
 # ---------------------------------------------------------------------------

@@ -320,6 +320,23 @@ def _suite_thm1(cfg: RunConfig) -> list[Check]:
         return max(b / a for a, b in zip(devs, devs[1:]))
 
     checks.append(bound_check("deviation/trend_factor", "(20,20)->(40,40)->(60,60)", trend, 2.0))
+
+    # each box's parts are computed once, by whichever row needs them first
+    parts = cache(asymptotics.deviation_parts_thm1)
+    part_pairs = cfg.pair_grid([(20, 20), (20, 100), (40, 40), (60, 60), (100, 100), (200, 200), (400, 400)])
+    for (x, y) in part_pairs:
+        def run_parts(x=x, y=y):
+            p = parts(x, y)
+            return (f"(M-main)/s={_fmt(p.deviation)}",
+                    f"E0/s={_fmt(p.E0)},E1/s={_fmt(p.E1)},H/s={_fmt(p.H)},R/s={_fmt(p.R)}", "record", True)
+
+        checks.append(Check(check_id=f"deviation_parts/X={x},Y={y}", input=f"X={x},Y={y}", run=run_parts))
+
+    def parts_gap():
+        return max(abs(p.H - p.E1 - p.E0 + p.R - p.deviation) for p in (parts(x, y) for x, y in part_pairs))
+
+    checks.append(bound_check("deviation_parts/sum", "H - E1 - E0 + R = (M - main)/s, every parts box",
+                              parts_gap, 1e-12))
     return checks
 
 
@@ -409,17 +426,17 @@ def _suite_circle(cfg: RunConfig) -> list[Check]:
                    lambda: all(circle.l2_via_r(x, y) <= CAL.l2_bound_constant * x * y * max(math.log(x), 1.0)
                                for x in (1, 2, 5, 10, 30, 60, 100) for y in (x, 100))),
         bound_check("wv/proximity", "|gamma| <= 1/(2X) sampled",
-                    lambda: max(abs(circle.w_q_eval(g, q, X, Y) - circle.v_q_eval(g, q, X, Y))
-                                / (CAL.wv_proximity_constant * g * X * X / (q * q))
-                                for (q, X, Y) in _SWEEP_BOXES for g in np.linspace(1e-9, 1 / (2 * X), 120)),
+                    lambda: max(np.max(np.abs(circle.w_q_eval(g, q, X, Y) - circle.v_q_eval(g, q, X, Y))
+                                       / (CAL.wv_proximity_constant * g * X * X / (q * q)))
+                                for (q, X, Y) in _SWEEP_BOXES for g in [np.linspace(1e-9, 1 / (2 * X), 120)]),
                     1.0),
         bound_check("v/sup_bound", "gamma sampled",
-                    lambda: max(abs(circle.v_q_eval(g, q, X, Y)) / (CAL.v_sup_constant * X * Y / q)
-                                for (q, X, Y) in _SWEEP_BOXES for g in np.linspace(1e-7, 0.5, 150)),
+                    lambda: max(np.max(np.abs(circle.v_q_eval(np.linspace(1e-7, 0.5, 150), q, X, Y)))
+                                / (CAL.v_sup_constant * X * Y / q) for (q, X, Y) in _SWEEP_BOXES),
                     1.0),
         bound_check("v/decay_bound", "gamma sampled",
-                    lambda: max(abs(circle.v_q_eval(g, q, X, Y)) * g / (CAL.v_decay_constant * math.log(X))
-                                for (q, X, Y) in _DECAY_BOXES for g in np.logspace(-6, -0.31, 150)),
+                    lambda: max(np.max(np.abs(circle.v_q_eval(g, q, X, Y)) * g / (CAL.v_decay_constant * math.log(X)))
+                                for (q, X, Y) in _DECAY_BOXES for g in [np.logspace(-6, -0.31, 150)]),
                     1.0),
         bound_check("minor_arcs/ratio", f"X=Y=40, n=1000, seed={cfg.seed}",
                     lambda: circle.minor_arc_scan(40, 40, 1000, cfg.seed).ratio,
@@ -450,18 +467,25 @@ _KERNEL_PAIRS = (
 
 
 def _kernel_worst(fast, oracle, alphas) -> float:
-    """max |Re oracle - fast| over four boxes with X, Y <= 8 and the given alphas."""
-    return max(abs(oracle(a, X=X, Y=Y).real - fast(a, X=X, Y=Y))
-               for (X, Y) in [(2, 2), (3, 5), (8, 8), (5, 8)] for a in alphas)
+    """max |Re oracle - fast| over four boxes with X, Y <= 8 and the given
+    alphas, the fast kernel called once per box on all of them."""
+    return max(abs(oracle(a, X=X, Y=Y).real - v)
+               for (X, Y) in [(2, 2), (3, 5), (8, 8), (5, 8)]
+               for a, v in zip(alphas, fast(np.array(alphas), X=X, Y=Y).tolist()))
 
 
 def _decomposition_slack() -> float:
-    """max of |f(a/q + b) - f*_q(b) - g_q(a/q + b)| - (2X + 1) over major-arc samples."""
-    return max(
-        abs(circle.f_eval(center + beta, X, Y) - circle.f_star_eval(beta, q, X, Y)
-            - circle.g_q_eval(center + beta, q, X, Y)) - (2 * X + 1)
-        for (X, Y) in [(6, 8), (8, 8)] for q, center, half_width in _major_arcs(X, Y)
-        for beta in (t * half_width for t in (-0.7, 0.0, 0.9)))
+    """max of |f(a/q + b) - f*_q(b) - g_q(a/q + b)| - (2X + 1) over major-arc
+    samples: f once per box, f*_q and g_q once per arc."""
+    worst = []
+    for (X, Y) in [(6, 8), (8, 8)]:
+        d = circle.dissect(X, Y)
+        beta = np.multiply.outer(d.half_width, [-0.7, 0.0, 0.9])
+        alpha = d.center[:, None] + beta
+        f = circle.f_eval(alpha, X, Y)
+        worst += [np.max(np.abs(f[i] - circle.f_star_eval(beta[i], q, X, Y) - circle.g_q_eval(alpha[i], q, X, Y)))
+                  - (2 * X + 1) for i, q in enumerate(d.q.tolist())]
+    return float(max(worst))
 
 
 def _major_arcs(X: float, Y: float):

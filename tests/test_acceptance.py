@@ -21,9 +21,9 @@ four pairs (signed -10.88, -3.24, -9.08, -8.07), and the exact prefactor
 (2 floor(Y)+1)^2 in place of 4Y^2 widens the gap (-17.13, -5.04, -13.42,
 -11.66), so that replacement does not explain it.  The deviation splits
 exactly into counted parts, M - main = H - E1 - E0 + R (y = 0, y with one
-zero coordinate, half the boundary faces, and a remainder): the README
-section "Calibration constants" defines the parts and gives their
-measured sizes.
+zero coordinate, half the boundary faces, and a remainder): the ``thm1``
+rows ``deviation_parts/X=..,Y=..`` report them, and the README section
+"Calibration constants" defines them.
 """
 
 import math
@@ -158,7 +158,7 @@ def test_whole_report_every_row_once(suite_records):
     # every check runs, so no row can drop out of the report unnoticed, and
     # a row outside every criterion cannot turn ``fail`` unnoticed either
     records = [r for suite in SUITE_NAMES if suite != "all" for r in suite_records(suite)]
-    assert len(records) == 263
+    assert len(records) == 271
     assert len({(r.suite, r.check_id) for r in records}) == len(records)
     assert {r.status for r in records} <= {"pass", "fail"}
     assert {(r.suite, r.check_id) for r in records if r.status == "fail"} == KNOWN_FAILURES

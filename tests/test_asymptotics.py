@@ -1,12 +1,14 @@
+import itertools
 import math
 
 import pytest
 from scipy.special import zeta as scipy_zeta
 
-from conecount import arith, asymptotics, closed_forms, counts
+from conecount import arith, asymptotics, circle, closed_forms, counts
 from conecount.asymptotics import (
     boundary_check,
     constants,
+    deviation_parts_thm1,
     deviation_thm1,
     fit_residual_trend,
     fit_theorem2,
@@ -129,6 +131,65 @@ def test_deviation_scale_needs_y_above_one():
     # log Y = 0 at Y = 1 would divide by zero
     with pytest.raises(ValueError, match="Y > 1"):
         deviation_thm1(5, 1)
+
+
+def _closed_box_literal(X, Y):
+    """#{x zero-free, |x_i| <= X; |y_i| <= Y; x.y = 0}, every y, by a literal loop."""
+    xs = [v for v in range(-X, X + 1) if v]
+    ys = range(-Y, Y + 1)
+    return sum(1 for x in itertools.product(xs, repeat=3) for y in itertools.product(ys, repeat=3)
+               if x[0] * y[0] + x[1] * y[1] + x[2] * y[2] == 0)
+
+
+@pytest.mark.parametrize("X,Y", [(2, 2), (3, 2), (2, 4), (3, 3)])
+def test_deviation_parts_count_the_closed_box(X, Y):
+    # A = M + E1 + E0 is every y of the closed box, and H half of what the
+    # faces max |y_i| = Y add to it
+    p = deviation_parts_thm1(X, Y)
+    s = p.scale
+    assert p.E0 * s == pytest.approx(8 * X**3, rel=1e-15)
+    assert (p.deviation * s + main_term_thm1(X, Y) + p.E1 * s + p.E0 * s) == pytest.approx(
+        _closed_box_literal(X, Y), rel=1e-13)
+    assert 2 * p.H * s == pytest.approx(_closed_box_literal(X, Y) - _closed_box_literal(X, Y - 1), rel=1e-13)
+
+
+# (M - main)/s, E1/s, E0/s, H/s, R/s to three places, as measured when the
+# parts were first split out (``l2_via_r`` for E1)
+_PARTS = {
+    (20, 20): (-10.877, 18.185, 0.891, 7.635, 0.564),
+    (20, 100): (-3.238, 5.636, 0.052, 2.221, 0.229),
+    (40, 40): (-9.084, 14.780, 0.588, 5.430, 0.854),
+    (60, 60): (-8.071, 13.299, 0.477, 5.231, 0.474),
+    (100, 100): (-7.735, 11.806, 0.377, 3.500, 0.948),
+}
+
+
+@pytest.mark.parametrize("X,Y", list(_PARTS))
+def test_deviation_parts_values(X, Y):
+    p = deviation_parts_thm1(X, Y)
+    assert [round(v, 3) for v in (p.deviation, p.E1, p.E0, p.H, p.R)] == list(_PARTS[X, Y])
+    assert abs(p.deviation) == deviation_thm1(X, Y).deviation
+    assert p.E1 == 6 * X * circle.l2_via_r(X, Y) / p.scale
+    assert abs(p.H - p.E1 - p.E0 + p.R - p.deviation) <= 1e-13
+
+
+def test_deviation_parts_rows(suite_rows):
+    # one record row per box, the four criterion pairs and X = Y up to 400,
+    # and one pass/fail row for the sum; criterion 05's rows keep failing
+    rows = suite_rows("thm1")
+    boxes = [(20, 20), (20, 100), (40, 40), (60, 60), (100, 100), (200, 200), (400, 400)]
+    parts = {i: r for i, r in rows.items() if i.startswith("deviation_parts/X=")}
+    assert sorted(parts) == sorted(f"deviation_parts/X={x},Y={y}" for x, y in boxes)
+    assert {r.status for r in parts.values()} == {"pass"}
+    assert parts["deviation_parts/X=20,Y=20"].actual.startswith("E0/s=0.891")
+    assert parts["deviation_parts/X=20,Y=20"].expected.startswith("(M-main)/s=-10.877")
+    assert rows["deviation_parts/sum"].status == "pass"
+    assert {rows[f"deviation/X={x},Y={y}"].status for x, y in boxes[:4]} == {"fail"}
+
+
+def test_deviation_parts_need_y_above_one():
+    with pytest.raises(ValueError, match="Y > 1"):
+        deviation_parts_thm1(5, 1)
 
 
 def test_fit_two_points_interpolates():

@@ -65,6 +65,24 @@ def test_kernel_sum_on_an_array_is_f_eval_bit_for_bit():
         assert [float(v) for v in many] == [circle.f_eval(a, X, Y) for a in alphas]
 
 
+@pytest.mark.parametrize("name,kernel", [
+    ("f", circle.f_eval),
+    ("g", lambda a, X, Y: circle.g_q_eval(a, 3, X, Y)),
+    ("fstar", lambda a, X, Y: circle.f_star_eval(a, 2, X, Y)),
+    ("w", lambda a, X, Y: circle.w_q_eval(a, 2, X, Y)),
+    ("v", lambda a, X, Y: circle.v_q_eval(a, 2, X, Y)),
+], ids=lambda v: v if isinstance(v, str) else "")
+def test_kernels_on_arrays_are_their_scalar_calls_bit_for_bit(name, kernel):
+    # the circle suite passes each sampled grid in one call; a scalar gives
+    # a float, an array an array of its shape, entry by entry the same bits
+    alphas = np.array(ALPHAS + [0.0123, 0.5 + 1e-12, 1e-10, 7.75, 1 / 7 + 1e-9])
+    for X, Y in [(1, 0.5), (2, 2), (8, 6), (20, 30), (60, 25)]:
+        scalars = [kernel(float(a), X, Y) for a in alphas]
+        assert all(type(v) is float for v in scalars), name
+        assert kernel(alphas, X, Y).tolist() == scalars, (name, X, Y)
+        assert kernel(alphas.reshape(3, 4), X, Y).tolist() == np.reshape(scalars, (3, 4)).tolist(), (name, X, Y)
+
+
 @pytest.mark.parametrize("X,Y", [(40, 40), (20, 80), (60, 25)])
 def test_kernels_near_rationals_match_the_literal_oracles(X, Y):
     # at alpha = a/q + delta, q <= X, the kernel's denominator sin(pi alpha x)

@@ -378,12 +378,14 @@ def test_counts_depend_on_isqrt_only(B):
 
 
 def test_pair_oracle_budget(monkeypatch):
-    # the box kernel's cap on the box (isqrt(Z), Z) that holds the walk:
-    # Z = 1285 is the last Z it admits, refused past it before any sieve
-    assert counts.pair_zero_histogram(1_653_795)[0, 0] == counts.mprime(1_653_795)
+    # the box kernel's cap on an upper bound of the split's own cells (every
+    # block of _pair_columns): Z = 2529 is the last Z it admits, 9,994,376
+    # cells against the 8,423,601 it walks (0.56 s), refused past it before
+    # any sieve; the box (isqrt(Z), Z) stopped at Z = 1285
+    assert counts.pair_zero_histogram(6_400_899)[0, 0] == counts.mprime(6_400_899)
     monkeypatch.setattr(counts, "arith_table", lambda n: pytest.fail("a sieve was built"))
-    for B in (1_653_796, 10**7):
-        with pytest.raises(ResourceLimitError):
+    for B in (6_400_900, 10**7, 10**30):
+        with pytest.raises(ResourceLimitError, match="pair oracle cells"):
             counts.pair_zero_histogram(B)
 
 

@@ -1,11 +1,11 @@
 """Source hygiene: every name a module imports is read somewhere in it,
 every module imports only what a plain install provides, no caller sets
-its own quadrature order, the quadrature sums no panel by a BLAS product,
-the exact box counts take no inverse transform, only closed_forms turns
-the exact F into a float, the circle kernels share one Dirichlet-kernel
-routine, only the box counter fills an r-table, every committed
-benchmark record names what the benchmark measures, and every layer the
-benchmark traces exists."""
+its own quadrature order, the quadrature sums no panel by a BLAS product
+and builds no rule through numpy.polynomial, the exact box counts take no
+inverse transform, only closed_forms turns the exact F into a float, the
+circle kernels share one Dirichlet-kernel routine, only the box counter
+fills an r-table, every committed benchmark record names what the
+benchmark measures, and every layer the benchmark traces exists."""
 
 import ast
 import importlib
@@ -99,6 +99,28 @@ def test_quadrature_sums_panels_by_rows():
     # the blocks a level is cut into cannot move a bit
     path = Path(conecount.__file__).parent / "integrals.py"
     assert _blas_products(ast.parse(path.read_text(), filename=str(path))) == []
+
+
+def _polynomial_uses(tree: ast.Module) -> list[str]:
+    """Imports of numpy.polynomial and attribute reads ``.polynomial``."""
+    found = [n for n in ast.walk(tree)
+             if isinstance(n, ast.Attribute) and n.attr == "polynomial"
+             or isinstance(n, ast.Import) and any(a.name.startswith("numpy.polynomial") for a in n.names)
+             or isinstance(n, ast.ImportFrom) and (n.module or "").startswith("numpy.polynomial")]
+    return [f"line {n.lineno}: {ast.unparse(n)}" for n in sorted(found, key=lambda n: n.lineno)]
+
+
+def test_polynomial_use_is_detected():
+    src = "x, w = np.polynomial.legendre.leggauss(5)\nimport numpy.polynomial\nfrom numpy.polynomial import legendre\n"
+    assert _polynomial_uses(ast.parse(src)) == [
+        "line 1: np.polynomial", "line 2: import numpy.polynomial", "line 3: from numpy.polynomial import legendre"]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_module_uses_numpy_polynomial(path):
+    # the Gauss-Legendre rules come from the Legendre recurrence, so no run
+    # imports numpy.polynomial (9 modules) or builds a rule through it
+    assert _polynomial_uses(ast.parse(path.read_text(), filename=str(path))) == []
 
 
 def _inverse_transforms(tree: ast.Module) -> list[str]:

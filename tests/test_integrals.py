@@ -38,7 +38,7 @@ def test_si_against_reference_all_regimes():
         ]
     )
     ref = sici(ts)[0]
-    assert np.max(np.abs(si(ts) - ref)) < 1e-12
+    assert np.max(np.abs(si(ts) - ref)) < integrals._SI_ERROR
 
 
 def test_si_monotone_up_to_pi():
@@ -110,6 +110,18 @@ def test_triple_sine_quad_random_suite():
         assert abs(triple_sine_quad(*ws).value - triple_sine_closed(*ws)) < 1e-10, ws
 
 
+@pytest.mark.parametrize("order", range(1, 65))
+def test_gauss_legendre_rule_matches_numpy(order):
+    # numpy's leggauss only as the oracle: nodes and weights within 1e-14
+    # (measured up to 5.2e-15), and the rule exact on every monomial up to
+    # degree 2n - 1
+    x, w = integrals._gl_nodes(order)
+    ref_x, ref_w = np.polynomial.legendre.leggauss(order)
+    assert np.max(np.abs(x - ref_x)) <= 1e-14 and np.max(np.abs(w - ref_w)) <= 1e-14
+    for d in range(2 * order):
+        assert abs(math.fsum(w * x**d) - (0.0 if d % 2 else 2.0 / (d + 1))) <= 1e-14, d
+
+
 def _at_points(f):
     """f of the points mid + half * u, as an integrand of ``integrate_panels``."""
     return lambda p: f(p.mid + p.half * p.u)
@@ -144,11 +156,11 @@ def _points(monkeypatch, module, quad, *args):
 
 @pytest.mark.parametrize("ws", [(1, 2, 7), (0.2, 0.2, 9.6)])
 def test_triple_sine_quad_evaluation_budget(monkeypatch, ws):
-    # ~2,000 equal panels of 16 half-periods of the top frequency
-    # w1 + w2 + w3 = 10, at orders 22 and 23 (45 points) with few
-    # bisections: measured 90,090 and 90,180 points per call, against
-    # 256,437 and 297,225 on panels cut at every zero of each sine
-    assert _points(monkeypatch, integrals, triple_sine_quad, *ws)[0] <= 100_000
+    # 40 equal panels of 16 half-periods of the top frequency
+    # w1 + w2 + w3 = 10 over [eps, 200], at orders 22 and 23 (45 points),
+    # four of them bisected: measured 1,980 points per call for both,
+    # against about 90,000 when the panels ran to T = 1e4
+    assert _points(monkeypatch, integrals, triple_sine_quad, *ws)[0] <= 2_000
 
 
 def test_si_cubed_quad_evaluation_budget(monkeypatch):
@@ -164,11 +176,11 @@ def test_si_cubed_quad_evaluation_budget(monkeypatch):
      (100, 100, 100), (0.5, 0.5, 600)],
 )
 def test_triple_sine_quad_extremes(ws):
-    # a top frequency of 0.15 puts [eps, T] on 30 panels, the first ones
-    # longer than the whole region where the integrand is large; 60 puts
-    # it on ~12,000 short panels and 601 on ~120,000; with the small-t
-    # branch cut at 1e-3 whatever the frequency, 300 and 601 missed the
-    # closed form by 3.9e-6 and 4.0e-7
+    # a top frequency of 0.15 puts [eps, 200] on one panel, longer than
+    # the whole region where the integrand is large; 60 puts it on 239
+    # short panels and 601 on 2,392; with the small-t branch cut at 1e-3
+    # whatever the frequency, 300 and 601 missed the closed form by 3.9e-6
+    # and 4.0e-7
     res = triple_sine_quad(*ws)
     assert abs(res.value - triple_sine_closed(*ws)) <= res.tail_bound + integrals.QUAD_TOLERANCE
 
@@ -176,7 +188,12 @@ def test_triple_sine_quad_extremes(ws):
 @pytest.mark.parametrize("quad", [lambda: triple_sine_quad(1, 1, 1e6),
                                   lambda: si_cubed_quad(QuadratureConfig(truncation=1e12))])
 def test_oscillatory_panels_capped(quad, monkeypatch):
-    # ~2e8 and ~6e10 panels, refused before a breakpoint is made
+    # ~4.0e6 and ~6e10 panels, refused before a breakpoint is made; the
+    # triple sine's panels end at its truncation 200, which still asks for
+    # more than the cap (at 50 it would ask for 994,721, which the cap admits)
+    omega = 1 + 1 + 1e6
+    T = integrals._TRIPLE_SINE_TRUNCATION
+    assert T / (integrals._HALF_PERIODS * math.pi / omega) > integrals.MAX_PANELS
     monkeypatch.setattr(integrals, "integrate_panels", None)
     monkeypatch.setattr(np, "linspace", None)
     with pytest.raises(ResourceLimitError, match="panels capped"):
@@ -280,14 +297,12 @@ def test_integrate_panels_blocks_keep_the_bits(monkeypatch, block_points):
     # for a per-point triple sine at orders 8 and 9 (17 points a panel), the
     # last block of a level taking the rest, give every panel the bits of
     # one block per level (10**6); a BLAS product in place of the row sum
-    # failed at 1 and 1100.  The triple-sine and J(q) integrands of the
-    # quadratures build their phase tables per block, from the half-widths
-    # and nodes alone.
-    triple = _quad_call(integrals, triple_sine_quad, 1.3, 2.1, 0.7)
+    # failed at 1 and 1100.  The J(q) integrand builds its parity rows per
+    # block, from the half-widths and nodes alone.
     for f, brk, order in [
         (_at_points(lambda t: np.sin(1.3 * t) * np.sin(2.1 * t) * np.sin(0.7 * t) / t**3),
          np.linspace(1e-3, 400.0, 601), integrals.panel_order(2)),
-        (triple[0], triple[1][:601], triple[2]),
+        _quad_call(integrals, triple_sine_quad, 1.3, 2.1, 0.7),
         _quad_call(circle, circle.j_quadrature, 1, 10, 10),
     ]:
         assert _panel_values(monkeypatch, block_points, f, brk, order) == \
@@ -296,7 +311,7 @@ def test_integrate_panels_blocks_keep_the_bits(monkeypatch, block_points):
 
 def _phase_gap(f, per_point, brk, order):
     """The largest gap between the order-n and order-(n + 1) panel sums of
-    the phase-table integrand f and of the per-point one, on the panels of
+    the parity-row integrand f and of the per-point one, on the panels of
     ``brk`` and on their halves, relative to the largest per-point sum."""
     a, b = brk[:-1], brk[1:]
     mid = (a + b) / 2.0
@@ -306,18 +321,73 @@ def _phase_gap(f, per_point, brk, order):
     return float((np.abs(phase - point).max(axis=1) / np.abs(point).max(axis=1)).max())
 
 
-def test_triple_sine_phase_tables_equal_the_per_point_sines():
+def _triple_sine_body(ws, a, b):
+    """2 int_a^b sin(w1 t) sin(w2 t) sin(w3 t)/t^3 dt, point by point, on
+    panels of 4 half-periods of the top frequency at the order that
+    ``oscillatory_panels`` gives 16: on its own panels the order-23 values
+    are off by up to 1e-8 of the integrand's size, 1.2e-12 over [20, 50]
+    at (0.2, 0.2, 9.6), each within its share of the tolerance."""
+    w1, w2, w3 = ws
+    omega = w1 + w2 + w3
+    brk = np.linspace(a, b, math.ceil((b - a) / (4 * math.pi / omega)) + 1)
+    order = integrals.panel_order(integrals._HALF_PERIODS)
+    return 2.0 * integrate_panels(
+        _at_points(lambda t: np.sin(w1 * t) * np.sin(w2 * t) * np.sin(w3 * t) / (t * t * t)), brk, order=order)
+
+
+@pytest.mark.parametrize("ws", [(1, 1, 1), (2, 1, 1), (1, 1, 2), (1, 1, 2.01), (1.5, 1.8, 6.6), (0.2, 0.2, 9.6)])
+def test_triple_sine_tail_joins_any_truncation(ws):
+    # quad[eps, T1] + tail(T1) = quad[eps, T1] + quad[T1, T2] + tail(T2) =
+    # quad[eps, T2] + tail(T2): the closed-form tail is exact at every T, a
+    # zero frequency (1, 1, 2) included, and (1, 1, 2.01) puts |omega| T of
+    # its smallest frequency on Si's series and panel regimes; measured
+    # gaps up to 8.3e-15
+    for T1, T2 in [(20.0, 50.0), (20.0, 1000.0), (50.0, 200.0), (200.0, 1000.0)]:
+        near = integrals._triple_sine_tail(ws, T1).value
+        far = _triple_sine_body(ws, T1, T2) + integrals._triple_sine_tail(ws, T2).value
+        assert abs(near - far) <= 1e-12, (ws, T1, T2)
+
+
+def test_triple_sine_quad_reads_its_truncation(monkeypatch):
+    # the whole call at another truncation moves only by the panel
+    # quadrature's own error, whose tolerance is shared by length over
+    # [eps, T]: measured up to 6.5e-12 over T = 20..1000
+    ws = (0.2, 0.2, 9.6)
+    values = []
+    for T in (20.0, 50.0, 200.0, 1000.0):
+        monkeypatch.setattr(integrals, "_TRIPLE_SINE_TRUNCATION", T)
+        values.append(triple_sine_quad(*ws).value)
+    assert max(values) - min(values) <= 4 * integrals.QUAD_TOLERANCE
+
+
+@pytest.mark.parametrize("ws", [(1, 1, 2), (3.3, 3.3, 3.4), (0.01, 0.5, 0.5), (100, 100, 100), (0.5, 0.5, 600)])
+def test_triple_sine_tail_bound_covers_the_tail(ws):
+    # the same product-to-sum tail with scipy's Si in place of si: the gap
+    # is si's error and the rounding that tail_bound bounds
+    T = integrals._TRIPLE_SINE_TRUNCATION
+    w1, w2, w3 = ws
+    terms = []
+    for sign, omega in [(1, w1 + w2 - w3), (1, w1 - w2 + w3), (1, -w1 + w2 + w3), (-1, w1 + w2 + w3)]:
+        a = abs(omega)
+        part = (math.sin(a * T) / (2 * T * T) + a * math.cos(a * T) / (2 * T)
+                - a * a / 2 * (math.pi / 2 - sici(a * T)[0]))
+        terms.append(sign * math.copysign(1.0, omega) * part if omega else 0.0)
+    tail = integrals._triple_sine_tail(ws, T)
+    assert abs(tail.value - math.fsum(terms) / 2) <= tail.tail_bound <= 1e-6
+
+
+def test_triple_sine_integrand_is_the_per_point_product():
     # the 22 thm3 suite triples and three of the benchmark's range, whose
-    # frequencies split 10; measured gaps up to 1.1e-14
+    # frequencies split 10: the integrand handed to the panels is
+    # sin(w1 t) sin(w2 t) sin(w3 t)/t^3 at each point, bit for bit
     rng = random.Random(20)
     triples = [(1, 1, 1), (2, 1, 1)] + [tuple(rng.uniform(0.5, 3.0) for _ in range(3)) for _ in range(20)]
     for w1, w2, w3 in triples + [(0.2, 0.2, 9.6), (1.5, 1.8, 6.6), (3.3, 3.3, 3.4)]:
         f, brk, order = _quad_call(integrals, triple_sine_quad, w1, w2, w3)
-
-        def per_point(t):
-            return np.sin(w1 * t) * np.sin(w2 * t) * np.sin(w3 * t) / (t * t * t)
-
-        assert _phase_gap(f, per_point, brk, order) <= 1e-13, (w1, w2, w3)
+        a, b = brk[:-1], brk[1:]
+        p = integrals.Panels(((a + b) / 2.0)[:, None], ((b - a) / 2.0)[:, None], integrals._gl_nodes(order)[0])
+        t = p.mid + p.half * p.u
+        assert np.array_equal(f(p), np.sin(w1 * t) * np.sin(w2 * t) * np.sin(w3 * t) / (t * t * t)), (w1, w2, w3)
 
 
 def test_j_quadrature_parity_rows_equal_the_per_point_sums():
@@ -335,18 +405,14 @@ def test_j_quadrature_parity_rows_equal_the_per_point_sums():
         assert _phase_gap(f, per_point, brk, order) <= 1e-13, (q, X, Y)
 
 
-# sine and cosine elements per call with a sine per point: three sines at
-# each of the 89,190 points of triple_sine_quad(1.5, 1.8, 6.6), and a sine
-# and a cosine at each of the 77,088 points of j_quadrature(1, 10, 10)
+# sine and cosine elements per call with a sine per point: a sine and a
+# cosine at each of the 77,088 points of j_quadrature(1, 10, 10)
 @pytest.mark.parametrize("module,quad,args,per_point", [
-    (integrals, triple_sine_quad, (1.5, 1.8, 6.6), 267_570),
     (circle, circle.j_quadrature, (1, 10, 10), 154_176),
-], ids=["triple_sine", "j_quadrature"])
+], ids=["j_quadrature"])
 def test_phase_tables_take_a_tenth_of_the_sines(monkeypatch, module, quad, args, per_point):
-    # measured 22,152 and 8,906: for the triple sine a sine and a cosine of
-    # w m per panel and of w h u per distinct half-width h of a block; for
-    # J(q) n sines per node for each block's parity rows, and a sine and a
-    # cosine per point of the bisected panels
+    # measured 8,906: n sines per node for each block's parity rows, and a
+    # sine and a cosine per point of the bisected panels
     counted = []
 
     def counting(fn):

@@ -93,6 +93,9 @@ def test_cli_pair_grid_override():
     rep = run_suite("thm1", RunConfig(grid=("20x100",)))
     dev_rows = [r for r in rep.records if r.check_id.startswith("deviation/X=")]
     assert [r.input for r in dev_rows] == ["X=20,Y=100"]
+    # the deviation parts follow the same grid
+    part_rows = [r for r in rep.records if r.check_id.startswith("deviation_parts/X=")]
+    assert [r.input for r in part_rows] == ["X=20,Y=100"]
 
 
 @pytest.mark.parametrize("suite,grid,item", [
