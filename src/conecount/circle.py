@@ -234,6 +234,7 @@ class Dissection(NamedTuple):
 def dissect(X: float, Y: float) -> Dissection:
     """Every coprime a/q, 1 <= a <= q <= Q, with its arc, as arrays sorted by
     a/q, verified pairwise disjoint and inside the window [delta, 1 + delta]."""
+    _check_box(X, Y)
     if X * Y < 4:
         raise ValueError("dissection needs X*Y >= 4 so that Q >= 1")
     Q = 0.5 * math.sqrt(X * Y)
@@ -297,6 +298,7 @@ def _nonzero(n: int) -> list[int]:
 
 def l2_naive(X: int, Y: int) -> int:
     """Quadruple-loop count of xy = uv in the box (tiny boxes only)."""
+    _check_box(X, Y)
     if X * X * Y > 10**6:
         raise ResourceLimitError("l2_naive is for tiny boxes")
     xs = _nonzero(X)

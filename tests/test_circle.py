@@ -269,7 +269,10 @@ def test_l2_via_r_refuses_before_any_sieve(X, Y, error, monkeypatch):
     lambda: j_closed(1, 3, -1),
     lambda: circle.j_quadrature(1, 3, -1),
     lambda: main_term_thm1(3, -2),
-], ids=["w_q", "f_star", "f", "g_q", "sym_kernel", "v_q", "j_closed", "j_quadrature", "main_term_thm1"])
+    lambda: circle.dissect(-3, -3),
+    lambda: circle.l2_naive(-2, 3),
+], ids=["w_q", "f_star", "f", "g_q", "sym_kernel", "v_q", "j_closed", "j_quadrature", "main_term_thm1",
+        "dissect", "l2_naive"])
 def test_negative_box_bounds_are_refused(call):
     # each used to return a value its literal oracle contradicts (an empty
     # box, or the Y of a squared or odd kernel read with its sign)

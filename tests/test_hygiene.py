@@ -3,9 +3,10 @@ every module imports only what a plain install provides, no caller sets
 its own quadrature order, the quadrature sums no panel by a BLAS product
 and builds no rule through numpy.polynomial, the exact box counts take no
 inverse transform, only closed_forms turns the exact F into a float, the
-circle kernels share one Dirichlet-kernel routine, only the box counter
-fills an r-table, every committed benchmark record names what the
-benchmark measures, and every layer the benchmark traces exists."""
+circle kernels share one Dirichlet-kernel routine, only integrate_panels
+applies the Gauss-Legendre panel rules, only the box counter fills an
+r-table, every committed benchmark record names what the benchmark
+measures, and every layer the benchmark traces exists."""
 
 import ast
 import importlib
@@ -198,6 +199,15 @@ def test_circle_kernels_share_one_routine():
     assert set(_callers(tree, _numpy_trig)) == {"kernel_sum", "_sinc_sum", "j_quadrature"}
     kernel_callers = set(_callers(tree, lambda c: _call_name(c) == "kernel_sum"))
     assert {"f_eval", "g_q_eval", "w_q_eval", "sym_kernel", "minor_arc_scan"} <= kernel_callers
+
+
+def test_panel_rules_serve_only_integrate_panels():
+    # the sine integral takes no quadrature: the Gauss-Legendre panel sums
+    # serve integrands through integrate_panels alone
+    callers = {f"{path.stem}.{fn}" for path in MODULES
+               for fn in _callers(ast.parse(path.read_text(), filename=str(path)),
+                                  lambda c: _call_name(c) == "_gl_sums")}
+    assert callers == {"integrals.integrate_panels"}
 
 
 def test_r_table_fill_has_one_caller():

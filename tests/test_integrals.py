@@ -1,5 +1,6 @@
 import math
 import random
+import sys
 import warnings
 
 import numpy as np
@@ -29,16 +30,32 @@ def test_si_endpoints():
 
 
 def test_si_against_reference_all_regimes():
+    # the series (t <= 2), the fraction at depth 84 (2 < t <= 60) and at
+    # depth 6 (60 < t <= 2^55), each edge from both sides, and pi/2 past
+    # 2^55; measured 6.7e-16 at most on this grid
+    edges = [2.0, 60.0, 2.0**55]
     ts = np.concatenate(
         [
             np.linspace(1e-9, 2.0, 300),
-            np.linspace(2.0 + 1e-9, 40.0, 400),
-            np.linspace(40.0 + 1e-9, 1e5, 400),
-            [2.0, 40.0, math.pi, 100.0],
+            np.linspace(2.0, 2.5, 200),
+            np.linspace(2.5, 60.0, 400),
+            np.linspace(55.0, 65.0, 200),
+            np.geomspace(60.0, 1e7, 400),
+            [np.nextafter(e, 0.0) for e in edges] + [np.nextafter(e, math.inf) for e in edges],
+            [2.0**55 * 2, 1e20, 1e160, 1e300, math.pi, 100.0],
         ]
     )
     ref = sici(ts)[0]
     assert np.max(np.abs(si(ts) - ref)) < integrals._SI_ERROR
+
+
+def test_si_past_two_to_the_55_is_pi_over_two():
+    # the fraction's squares would overflow from t ~ 1.3e154
+    for t in (2.0**55 * (1 + 2**-52), 1e160, 1e300, sys.float_info.max):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert si(t) == math.pi / 2
+            assert si(np.array([t, 3.0]))[0] == math.pi / 2
 
 
 def test_si_monotone_up_to_pi():
@@ -340,7 +357,7 @@ def test_triple_sine_tail_joins_any_truncation(ws):
     # quad[eps, T1] + tail(T1) = quad[eps, T1] + quad[T1, T2] + tail(T2) =
     # quad[eps, T2] + tail(T2): the closed-form tail is exact at every T, a
     # zero frequency (1, 1, 2) included, and (1, 1, 2.01) puts |omega| T of
-    # its smallest frequency on Si's series and panel regimes; measured
+    # its smallest frequency on Si's series and its depth-84 fraction; measured
     # gaps up to 8.3e-15
     for T1, T2 in [(20.0, 50.0), (20.0, 1000.0), (50.0, 200.0), (200.0, 1000.0)]:
         near = integrals._triple_sine_tail(ws, T1).value
@@ -363,7 +380,10 @@ def test_triple_sine_quad_reads_its_truncation(monkeypatch):
 @pytest.mark.parametrize("ws", [(1, 1, 2), (3.3, 3.3, 3.4), (0.01, 0.5, 0.5), (100, 100, 100), (0.5, 0.5, 600)])
 def test_triple_sine_tail_bound_covers_the_tail(ws):
     # the same product-to-sum tail with scipy's Si in place of si: the gap
-    # is si's error and the rounding that tail_bound bounds
+    # is si's error and the rounding that tail_bound bounds.  Measured gaps
+    # up to 1.7e-12 at (100, 100, 100) and 2.0e-11 at (0.5, 0.5, 600),
+    # against bounds of 4.1e-10 and 4.9e-9 that triple_sine_quad reports
+    # (3.0e-8 and 3.6e-7 when each Si was charged 1e-12)
     T = integrals._TRIPLE_SINE_TRUNCATION
     w1, w2, w3 = ws
     terms = []
@@ -373,7 +393,8 @@ def test_triple_sine_tail_bound_covers_the_tail(ws):
                 - a * a / 2 * (math.pi / 2 - sici(a * T)[0]))
         terms.append(sign * math.copysign(1.0, omega) * part if omega else 0.0)
     tail = integrals._triple_sine_tail(ws, T)
-    assert abs(tail.value - math.fsum(terms) / 2) <= tail.tail_bound <= 1e-6
+    assert abs(tail.value - math.fsum(terms) / 2) <= tail.tail_bound < 1e-8
+    assert triple_sine_quad(*ws).tail_bound == tail.tail_bound
 
 
 def test_triple_sine_integrand_is_the_per_point_product():
@@ -429,11 +450,12 @@ def test_phase_tables_take_a_tenth_of_the_sines(monkeypatch, module, quad, args,
 
 
 def test_si_of_an_array_is_si_of_each_element():
-    # the series (t <= 2), the panel rule on a table panel (2 < t <= 40)
-    # and the asymptotic form (t > 40), each row of the panel rule summed
-    # alone, so no element's bits depend on the others
-    ts = np.concatenate([np.linspace(0.0, 2.0, 37), np.linspace(2.0, 40.0, 401)[1:],
-                         np.geomspace(40.0, 1e6, 50)[1:], [math.pi, 7 * math.pi, 40.0]])
+    # the series (t <= 2), the continued fraction at depth 84 (2 < t <= 60)
+    # and at depth 6 (60 < t <= 2^55), and pi/2 beyond: each element's
+    # branch and depth follow from its own t, so no element's bits depend
+    # on the others
+    ts = np.concatenate([np.linspace(0.0, 2.0, 37), np.linspace(2.0, 60.0, 401)[1:],
+                         np.geomspace(60.0, 1e6, 50)[1:], [math.pi, 7 * math.pi, 40.0, 2.0**55, 1e20]])
     assert si(ts).tolist() == [si(t) for t in ts]
 
 
