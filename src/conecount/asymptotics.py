@@ -128,6 +128,8 @@ def main_term_thm1(X: float, Y: float) -> float:
     list of one term per q is held (at X = 2239 the call traces 17 kB,
     against 94 kB with one).
     """
+    if not (math.isfinite(X) and math.isfinite(Y)):
+        raise ValueError("box bounds must be finite")
     if Y < 0:
         raise ValueError("box bounds must be nonnegative")
     if X < 1.5:

@@ -61,7 +61,7 @@ import numpy as np
 from .arith import arith_table
 from .calibration import Calibration
 from .errors import ResourceLimitError
-from .integrals import QuadResult, integrate_panels, panel_order
+from .integrals import QuadResult, check_q, integrate_panels, panel_order
 
 _SIN_EPS = 1.0e-8
 _NEAR_SIN = 1.0e-3  # a rotated |sin(pi a x)| below this takes the term from its reduced argument
@@ -131,15 +131,7 @@ def f_eval(alpha, X: float, Y: float):
     steps): a float for a scalar alpha, an array of alpha's shape for an
     array, each entry the bits of its scalar call, as for every kernel below."""
     _check_box(X, Y)
-    m = math.floor(Y)
-    if m < 1:
-        return _real(np.zeros(np.shape(alpha)))
-    return _real(kernel_sum(alpha, math.floor(X), m, 1.0))
-
-
-def _check_q(q: int) -> None:
-    if q < 1:
-        raise ValueError("q must be a positive integer")
+    return _real(kernel_sum(alpha, math.floor(X), math.floor(Y), 1.0))
 
 
 def _check_box(*bounds: float) -> None:
@@ -150,7 +142,7 @@ def _check_box(*bounds: float) -> None:
 def g_q_eval(alpha, q: int, X: float, Y: float):
     """The part of f(alpha) with q not dividing x: the sum over x <= X less
     the sum over the multiples x = q x' at (q alpha) x' (exactly 0 for q = 1)."""
-    _check_q(q)
+    check_q(q)
     _check_box(X, Y)
     m = math.floor(Y)
     alpha = np.asarray(alpha, dtype=float)
@@ -164,7 +156,7 @@ def f_star_eval(beta, q: int, X: float, Y: float):
 
 def w_q_eval(gamma, q: int, X: float, Y: float):
     """w_q(gamma) = sum over 0 < |x| <= X/q of the full Dirichlet kernel at gamma x."""
-    _check_q(q)
+    check_q(q)
     _check_box(X, Y)
     return _real(kernel_sum(gamma, math.floor(X / q), math.floor(Y), 0.0))
 
@@ -209,7 +201,7 @@ def _sinc_sum(gamma: float | np.ndarray, n: int, m: int) -> float | np.ndarray:
 
 def v_q_eval(gamma, q: int, X: float, Y: float):
     """v_q(gamma): the w_q sum with sin(pi gamma x) replaced by pi gamma x."""
-    _check_q(q)
+    check_q(q)
     _check_box(X, Y)
     return _real(_sinc_sum(np.asarray(gamma, dtype=float), math.floor(X / q), math.floor(Y)))
 
@@ -325,13 +317,13 @@ def f_naive(alpha: float, X: int, Y: int) -> complex:
 
 def g_q_naive(alpha: float, q: int, X: int, Y: int) -> complex:
     """g_q(alpha) as its literal double sum over q !| x."""
-    _check_q(q)
+    check_q(q)
     return _exp_double_sum(alpha, [x for x in _nonzero(X) if x % q], _nonzero(Y))
 
 
 def f_star_naive(beta: float, q: int, X: int, Y: int) -> complex:
     """f*_q(beta) as its literal double sum, y = 0 row included."""
-    _check_q(q)
+    check_q(q)
     return _exp_double_sum(beta * q, _nonzero(X // q), range(-Y, Y + 1))
 
 
@@ -340,14 +332,14 @@ def w_q_naive(gamma: float, q: int, X: int, Y: int) -> complex:
     quotient of sines per term loses about |x| eps / |sin(pi gamma x)| of
     it near an integer gamma x: 1.5e-3 of w_1(13/19 - 1e-13) at X = 20,
     Y = 80, against 50-digit values."""
-    _check_q(q)
+    check_q(q)
     return _exp_double_sum(gamma, _nonzero(X // q), range(-Y, Y + 1))
 
 
 def v_q_naive(gamma: float, q: int, X: int, Y: int) -> float:
     """v_q(gamma) term by term; a term whose denominator vanishes takes its
     limit 2Y + 1."""
-    _check_q(q)
+    check_q(q)
     k = 2 * Y + 1
 
     def term(x: int) -> float:
@@ -446,7 +438,7 @@ def j_quadrature(q: int, X: float, Y: float) -> QuadResult:
     recurrence.  On those boxes the rows and the recurrence agree on each
     panel sum to 5.8e-15 of the largest.
     """
-    _check_q(q)
+    check_q(q)
     _check_box(X, Y)
     if q > X:
         return QuadResult(value=0.0, tail_bound=0.0)

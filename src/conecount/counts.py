@@ -522,7 +522,7 @@ def _blocks(*ns) -> tuple[list[int], list[int]]:
     Exp. Math. 5, 1996).  A run of several n ends where any of them does.
     """
     top = min(ns)
-    his = _run_ends(top, top) if len(ns) == 1 else sorted(set().union(*(_run_ends(n, top) for n in ns)))
+    his = sorted(set().union(*(_run_ends(n, top) for n in ns)))
     return [1, *(hi + 1 for hi in his[:-1])], his
 
 

@@ -127,8 +127,6 @@ def xi_main_term(B: int) -> XiMainTerm:
     the bits of a term-by-term loop.
     """
     L = quadratic_partition(B)
-    if L < 2:
-        return XiMainTerm(direct=0.0, c_part=0.0, g_part=0.0)
     check_harmonic_n((L - 1) ** 2)
     table = arith_table((L - 1) ** 2)
     c = 66.0 - 2.0 * math.pi**2

@@ -14,7 +14,7 @@ Closed forms implemented here:
   * J(q) = (2 floor(Y) + 1)^2 * F(floor(X/q)), the closed form of the
     cubed-kernel integral int v_q(g)^3 dg evaluated by the circle module.
 
-Each improper integral is evaluated as (value over [eps, T]) plus an
+Each improper integral is evaluated as (value over [0, T]) plus an
 analytic tail, and is reported as a QuadResult carrying the value and a
 tail/residual bound.  The triple sine's tail past T = 200 is exact, four
 integral sines by product to sum, so its bound is only that tail's own
@@ -34,22 +34,24 @@ its integrand's top frequency Omega is integrated at n = 6 + H
 (``panel_order``); the rules come from the Legendre recurrence
 (``_gl_nodes``), without numpy.polynomial.  The triple-sine integrand
 (Omega = w1 + w2 + w3) and the cubed-Si integrand (Omega = 3) are
-entire, so [eps, T] is cut into equal panels of H = 16 half-periods each
+entire, so [0, T] is cut into equal panels of H = 16 half-periods each
 (``oscillatory_panels``), and the rare panel that n = 22 does not resolve
-is bisected.  The J(q) integrand v_q(gamma)^3
-(``circle.j_quadrature``) has its panels cut at the zeros
-j/(2 floor(Y) + 1) of the outer sine, and each holds up to
-H = 3 floor(X/q) half-periods of the cube: n = 6 + 3 floor(X/q).  A
-panel's share is its length-proportional part of the tolerance, floored
-at the panel's own rounding level 50 eps |G| (eps the float64 machine
-epsilon, G the panel's order n + 1 value), as in QUADPACK: no panel is
-asked to agree beyond what float64 can resolve, so whether a panel
-converges does not depend on how the platform rounds.  One routine,
-``_gl_sums``, applies every rule, and only for ``integrate_panels``; it
-sums each panel's weighted values by a numpy row sum, which rounds every
-row alone (a BLAS product rounds by its kernel and the rows it is handed),
-so the blocks a level is cut into cannot move a bit.  Panel results are
-added by math.fsum, correctly rounded and so independent of their order.
+is bisected.  The nodes lie strictly inside each panel, so neither
+integrand is taken at t = 0, where they are 0/0 with limits w1 w2 w3
+and 1.  The J(q) integrand v_q(gamma)^3 (``circle.j_quadrature``) has
+its panels cut at the zeros j/(2 floor(Y) + 1) of the outer sine, and
+each holds up to H = 3 floor(X/q) half-periods of the cube:
+n = 6 + 3 floor(X/q).  A panel's share is its length-proportional part
+of the tolerance, floored at the panel's own rounding level 50 eps |G|
+(eps the float64 machine epsilon, G the panel's order n + 1 value), as
+in QUADPACK: no panel is asked to agree beyond what float64 can
+resolve, so whether a panel converges does not depend on how the
+platform rounds.  One routine, ``_gl_sums``, applies every rule, and
+only for ``integrate_panels``; it sums each panel's weighted values by a
+numpy row sum, which rounds every row alone (a BLAS product rounds by
+its kernel and the rows it is handed), so the blocks a level is cut into
+cannot move a bit.  Panel results are added by math.fsum, correctly
+rounded and so independent of their order.
 
 The integrand protocol: ``_gl_sums`` calls the integrand once per block of
 panels with a ``Panels``, the midpoints m and half-widths h as columns and
@@ -73,6 +75,7 @@ error is at most 6.7e-16 over 80,000 t in (0, 1e7], as for scipy's sici.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, NamedTuple
@@ -91,8 +94,8 @@ QUAD_TOLERANCE = 1.0e-9
 _MAX_DEPTH = 12
 # half-periods of the top frequency on one equal oscillatory panel: 12 to
 # 32 all run the triple-sine and cubed-Si integrals within 15% of the time
-# at 16, but from 20 up the cubed-Si value moves 1.6e-14 to 3e-14 off its
-# closed form (1.8e-15 at 16)
+# at 16, but from 20 up the cubed-Si value moves 4.4e-15 to 2.2e-14 off
+# its closed form (0 at 16, 8.9e-16 at 12)
 _HALF_PERIODS = 16
 
 # integrand points per call of the integrand: the panels of one level run
@@ -113,16 +116,17 @@ MAX_PANELS = 10**6
 
 @dataclass(frozen=True)
 class QuadratureConfig:
-    """Truncation point of the cubed-Si integral (``si_cubed_quad``); the
-    triple sine ends its panels at ``_TRIPLE_SINE_TRUNCATION`` and adds
-    its tail past there exactly."""
+    """Truncation point of the cubed-Si integral (``si_cubed_quad``), at
+    least 100, where its residual bound starts to hold; the triple sine
+    ends its panels at ``_TRIPLE_SINE_TRUNCATION`` and adds its tail past
+    there exactly."""
 
     truncation: float = 1.0e4
 
     def __post_init__(self):
         # a NaN fails the comparison too
-        if not 1.0 <= self.truncation < math.inf:
-            raise ValueError("truncation must be finite and >= 1")
+        if not 100.0 <= self.truncation < math.inf:
+            raise ValueError("truncation must be finite and >= 100")
 
 
 class QuadResult(NamedTuple):
@@ -170,14 +174,14 @@ def panel_order(half_periods: int) -> int:
     return 6 + half_periods
 
 
-def oscillatory_panels(a: float, b: float, omega: float) -> tuple[np.ndarray, int]:
-    """Equal panels over [a, b] of at most ``_HALF_PERIODS`` half-periods
+def oscillatory_panels(b: float, omega: float) -> tuple[np.ndarray, int]:
+    """Equal panels over [0, b] of at most ``_HALF_PERIODS`` half-periods
     pi/omega each, and the order that resolves one of them.  More than
     ``MAX_PANELS`` panels raise ResourceLimitError before any is cut."""
-    count = math.ceil((b - a) / (_HALF_PERIODS * _PI / omega))
+    count = math.ceil(b / (_HALF_PERIODS * _PI / omega))
     if count > MAX_PANELS:
         raise ResourceLimitError(f"oscillatory panels capped at {MAX_PANELS}")
-    return np.linspace(a, b, count + 1), panel_order(_HALF_PERIODS)
+    return np.linspace(0.0, b, count + 1), panel_order(_HALF_PERIODS)
 
 
 class Panels(NamedTuple):
@@ -250,15 +254,17 @@ def integrate_panels(
     rules see it only at their nodes, so a kink (or jump) that lies beyond
     every node of both goes undetected: for |x - 0.123456789| on
     [0, 0.125] at order 2 the 2- and 3-point values agree to 9e-19 while
-    the panel's true error is 2.4e-6.  The package's callers meet the
-    precondition with integrands that are entire, so any panel will do:
-    ``triple_sine_quad`` and ``si_cubed_quad`` integrate
-    sin(w1 t) sin(w2 t) sin(w3 t)/t^3 over [eps, 200] and (Si t)^3/t^3
-    over [eps, T] on the equal panels of ``oscillatory_panels`` (the
-    computed Si changes branch at t = 2 and depth at t = 60 inside panels,
-    where it steps by under 1e-15, far below a panel's share), and
-    ``circle.j_quadrature`` integrates v_q^3 on panels cut at the zeros
-    j/(2 floor(Y) + 1) of its outer sine.
+    the panel's true error is 2.4e-6.  Every node lies strictly inside its
+    panel, so an integrand need only be defined there, not at the
+    breakpoints.  The package's callers meet the precondition with
+    integrands that are entire, so any panel will do, and all three start
+    at 0, where each is 0/0 with a finite limit: ``triple_sine_quad`` and
+    ``si_cubed_quad`` integrate sin(w1 t) sin(w2 t) sin(w3 t)/t^3 over
+    [0, 200] and (Si t)^3/t^3 over [0, T] on the equal panels of
+    ``oscillatory_panels`` (the computed Si changes branch at t = 2 and
+    depth at t = 60 inside panels, where it steps by under 1e-15, far
+    below a panel's share), and ``circle.j_quadrature`` integrates v_q^3
+    on panels cut at the zeros j/(2 floor(Y) + 1) of its outer sine.
     """
     pts = np.asarray(breakpoints, dtype=float)
     if pts.size < 2:
@@ -382,16 +388,6 @@ def triple_sine_closed(w1: float, w2: float, w3: float) -> float:
     )
 
 
-def _triple_sine_small_t(w: tuple[float, float, float], eps: float) -> float:
-    # integrand = w1 w2 w3 (1 - (sum w^2) t^2/6 + c4 t^4 + ...) near t = 0
-    w1, w2, w3 = w
-    sq = w1 * w1 + w2 * w2 + w3 * w3
-    c4 = (w1 * w1 * w2 * w2 + w1 * w1 * w3 * w3 + w2 * w2 * w3 * w3) / 36.0 + (
-        w1**4 + w2**4 + w3**4
-    ) / 120.0
-    return w1 * w2 * w3 * (eps - sq * eps**3 / 18.0 + c4 * eps**5 / 5.0)
-
-
 def _triple_sine_tail(w: tuple[float, float, float], T: float) -> QuadResult:
     """2 int_T^inf sin(w1 t) sin(w2 t) sin(w3 t)/t^3 dt in closed form, and
     a bound on its error.
@@ -432,20 +428,18 @@ def triple_sine_quad(w1: float, w2: float, w3: float) -> QuadResult:
     """The triple-sine integral by panel quadrature and a closed-form tail.
 
     The integrand is even, so 2 int_0^inf is computed: over
-    [eps, ``_TRIPLE_SINE_TRUNCATION``] on the equal panels of
+    [0, ``_TRIPLE_SINE_TRUNCATION``] on the equal panels of
     ``oscillatory_panels`` for the top frequency Omega = w1 + w2 + w3,
-    point by point; |t| < eps = min(1e-3, 0.03/Omega) by the even
-    Maclaurin branch, whose first dropped term is below
-    w1 w2 w3 eps (Omega eps)^6 / 5040; and the tail past the truncation
-    exactly, in Si (``_triple_sine_tail``), whose error bound is the
-    ``tail_bound`` reported.  A top frequency that needs more than
-    ``MAX_PANELS`` panels raises ResourceLimitError.
+    point by point (the Gauss-Legendre nodes lie inside each panel, so
+    the integrand is never taken at t = 0, where it tends to w1 w2 w3);
+    and the tail past the truncation exactly, in Si
+    (``_triple_sine_tail``), whose error bound is the ``tail_bound``
+    reported.  A top frequency that needs more than ``MAX_PANELS`` panels
+    raises ResourceLimitError.
     """
     _check_frequencies(w1, w2, w3)
-    omega = w1 + w2 + w3
-    eps = min(1.0e-3, 0.03 / omega)
     T = _TRIPLE_SINE_TRUNCATION
-    brk, order = oscillatory_panels(eps, T, omega)
+    brk, order = oscillatory_panels(T, w1 + w2 + w3)
 
     def integrand(p: Panels) -> np.ndarray:
         t = p.mid + p.half * p.u
@@ -457,9 +451,8 @@ def triple_sine_quad(w1: float, w2: float, w3: float) -> QuadResult:
         return v
 
     body = integrate_panels(integrand, brk, order=order)
-    head = _triple_sine_small_t((w1, w2, w3), eps)
     tail = _triple_sine_tail((w1, w2, w3), T)
-    return QuadResult(value=2.0 * (head + body) + tail.value, tail_bound=tail.tail_bound)
+    return QuadResult(value=2.0 * body + tail.value, tail_bound=tail.tail_bound)
 
 
 # ---------------------------------------------------------------------------
@@ -473,24 +466,19 @@ def si_cubed_closed() -> float:
 
 
 def si_cubed_quad(cfg: QuadratureConfig | None = None) -> QuadResult:
-    """int_0^inf (Si t)^3 / t^3 dt by panel quadrature on [eps, T].
+    """int_0^inf (Si t)^3 / t^3 dt by panel quadrature on [0, T].
 
     The panels are those of ``oscillatory_panels`` for the top frequency 3
     of (Si t)^3 = (pi/2 - cos(t)/t - ...)^3, so a truncation that needs
-    more than ``MAX_PANELS`` panels raises ResourceLimitError.
-
-    Near zero (Si t)^3/t^3 -> 1; the branch below eps = 1e-3 integrates the
-    even series (1 - t^2/6 + (77/5400) t^4).  Beyond T the expansion
+    more than ``MAX_PANELS`` panels raises ResourceLimitError.  The
+    integrand tends to 1 as t -> 0+ and is never taken at t = 0, where
+    no Gauss-Legendre node lies.  Beyond T the expansion
     Si t = pi/2 - cos(t)/t - sin(t)/t^2 + O(t^-3) gives the analytic tail
     (pi/2)^3/(2 T^2); the oscillatory corrections are O(T^-3) and enter the
     reported residual bound instead of the value.
     """
-    cfg = cfg or QuadratureConfig()
-    if cfg.truncation < 100.0:
-        raise ValueError("cubed-sine truncation below 100 cannot meet tolerance")
-    eps = 1.0e-3
-    T = cfg.truncation
-    brk, order = oscillatory_panels(eps, T, 3.0)
+    T = (cfg or QuadratureConfig()).truncation
+    brk, order = oscillatory_panels(T, 3.0)
 
     def integrand(p: Panels) -> np.ndarray:
         t = p.mid + p.half * p.u
@@ -498,11 +486,10 @@ def si_cubed_quad(cfg: QuadratureConfig | None = None) -> QuadResult:
         return s * s * s / (t * t * t)
 
     body = integrate_panels(integrand, brk, order=order)
-    head = eps - eps**3 / 18.0 + (77.0 / 27000.0) * eps**5
     tail = (_PI / 2.0) ** 3 / (2.0 * T * T)
     # |Si t - pi/2| <= 1.1/t for t >= 100 bounds the dropped oscillatory part
     residual = 3.0 * (_PI / 2.0 + 1.1 / T) ** 2 * 1.1 * (2.0 / (3.0 * T**3)) + QUAD_TOLERANCE
-    return QuadResult(value=head + body + tail, tail_bound=residual)
+    return QuadResult(value=body + tail, tail_bound=residual)
 
 
 # ---------------------------------------------------------------------------
@@ -510,10 +497,20 @@ def si_cubed_quad(cfg: QuadratureConfig | None = None) -> QuadResult:
 # ---------------------------------------------------------------------------
 
 
+def check_q(q: int) -> None:
+    """Refuse a q that is not a positive integer; numpy integers pass, as
+    Python ints do."""
+    try:
+        positive = operator.index(q) >= 1
+    except TypeError:  # a float, 2.0 included
+        positive = False
+    if not positive:
+        raise ValueError("q must be a positive integer")
+
+
 def j_closed(q: int, X: float, Y: float) -> float:
     """J(q) = (2 floor(Y) + 1)^2 * F(floor(X/q)); zero whenever q > X."""
-    if q < 1:
-        raise ValueError("q must be a positive integer")
+    check_q(q)
     if X < 0 or Y < 0:
         raise ValueError("box bounds must be nonnegative")
     n = math.floor(X / q)

@@ -84,11 +84,19 @@ def test_singular_series_partials_match_fsum():
         assert partials[q - 1] == singular_series_partial(q), q
 
 
-def test_main_term_examples():
+def test_main_term_examples(monkeypatch):
     assert main_term_thm1(1.6, 10) == pytest.approx(2400.0, abs=1e-9)
     assert main_term_thm1(2, 2) == pytest.approx(552.0, abs=1e-9)
     with pytest.raises(ValueError):
         main_term_thm1(1.2, 10)
+    # an infinite Y used to return inf and a NaN Y nan; a NaN X failed in
+    # math.floor and an infinite X overflowed there.  All are refused
+    # before any F or sieve
+    monkeypatch.setattr(asymptotics, "arith_table", _refuse_sieve)
+    monkeypatch.setattr(asymptotics, "F_rounded", _refuse_sieve)
+    for X, Y in [(3, math.inf), (3, math.nan), (math.nan, 3), (math.inf, 3), (3, -math.inf)]:
+        with pytest.raises(ValueError, match="box bounds must be finite"):
+            main_term_thm1(X, Y)
 
 
 # float.hex(main_term_thm1(X, X)) before the exact F was shared between

@@ -138,18 +138,20 @@ def test_w_v_at_zero_and_brute():
 
 
 @pytest.mark.parametrize("kernel", [circle.g_q_eval, circle.w_q_eval, circle.f_star_eval, circle.v_q_eval])
-@pytest.mark.parametrize("q", [0, -1])
+@pytest.mark.parametrize("q", [0, -1, 1.5])
 def test_kernels_reject_q_below_one(kernel, q):
-    # q = 0 used to return 0.0 after a divide-by-zero warning, or raise ZeroDivisionError
+    # q = 0 used to return 0.0 after a divide-by-zero warning, or raise
+    # ZeroDivisionError; q = 1.5 to return a value (g_q_eval(0.1, 1.5, 4, 3)
+    # gave -0.0748 against the literal sum's -2.764)
     with pytest.raises(ValueError, match="q must be a positive integer"):
         kernel(0.1, q, 5, 5)
 
 
 @pytest.mark.parametrize("oracle", [circle.g_q_naive, circle.w_q_naive, circle.f_star_naive, circle.v_q_naive])
-@pytest.mark.parametrize("q", [0, -1])
+@pytest.mark.parametrize("q", [0, -1, 1.5])
 def test_oracles_reject_q_below_one(oracle, q):
     # q = 0 used to raise ZeroDivisionError and q = -1 to return 0, while the
-    # kernels the oracles check refuse both
+    # kernels the oracles check refuse both; q = 1.5 is no integer
     with pytest.raises(ValueError, match="q must be a positive integer"):
         oracle(0.1, q, 5, 5)
 
@@ -506,10 +508,11 @@ def test_j_quadrature_cube_by_multiplication(q, X, Y):
     assert circle.j_quadrature(q, X, Y).value == pytest.approx(pow_cubed, rel=1e-14, abs=0.0)
 
 
-@pytest.mark.parametrize("q", [0, -1])
+@pytest.mark.parametrize("q", [0, -1, 1.5])
 def test_j_quadrature_rejects_q_below_one(q, monkeypatch):
     # q = 0 used to divide by zero, q = -1 to reach numpy's Gauss-Legendre
-    # nodes with a negative order; both are refused before any work
+    # nodes with a negative order, q = 1.5 to integrate at floor(X/1.5);
+    # all are refused before any work
     monkeypatch.setattr(circle, "integrate_panels", None)
     with pytest.raises(ValueError, match="q must be a positive integer"):
         circle.j_quadrature(q, 5, 5)

@@ -174,7 +174,7 @@ def _points(monkeypatch, module, quad, *args):
 @pytest.mark.parametrize("ws", [(1, 2, 7), (0.2, 0.2, 9.6)])
 def test_triple_sine_quad_evaluation_budget(monkeypatch, ws):
     # 40 equal panels of 16 half-periods of the top frequency
-    # w1 + w2 + w3 = 10 over [eps, 200], at orders 22 and 23 (45 points),
+    # w1 + w2 + w3 = 10 over [0, 200], at orders 22 and 23 (45 points),
     # four of them bisected: measured 1,980 points per call for both,
     # against about 90,000 when the panels ran to T = 1e4
     assert _points(monkeypatch, integrals, triple_sine_quad, *ws)[0] <= 2_000
@@ -193,11 +193,11 @@ def test_si_cubed_quad_evaluation_budget(monkeypatch):
      (100, 100, 100), (0.5, 0.5, 600)],
 )
 def test_triple_sine_quad_extremes(ws):
-    # a top frequency of 0.15 puts [eps, 200] on one panel, longer than
+    # a top frequency of 0.15 puts [0, 200] on one panel, longer than
     # the whole region where the integrand is large; 60 puts it on 239
-    # short panels and 601 on 2,392; with the small-t branch cut at 1e-3
-    # whatever the frequency, 300 and 601 missed the closed form by 3.9e-6
-    # and 4.0e-7
+    # short panels and 601 on 2,392.  The panels start at t = 0, where no
+    # node lies; a Maclaurin head cut off at t = 1e-3 whatever the
+    # frequency missed the closed form by 3.9e-6 at 300 and 4.0e-7 at 601
     res = triple_sine_quad(*ws)
     assert abs(res.value - triple_sine_closed(*ws)) <= res.tail_bound + integrals.QUAD_TOLERANCE
 
@@ -230,6 +230,29 @@ def test_j_quadrature_evaluation_budget(monkeypatch, q, X, Y):
     assert points / panels <= _J_POINTS_PER_PANEL[q, X, Y]
 
 
+@pytest.mark.parametrize("quad", [lambda: triple_sine_quad(1.3, 2.2, 0.7), si_cubed_quad],
+                         ids=["triple_sine", "si_cubed"])
+def test_oscillatory_quadratures_start_at_zero_off_the_nodes(quad, monkeypatch):
+    # both improper integrals run their panels from t = 0, where the
+    # integrand is 0/0: the Gauss-Legendre nodes lie strictly inside each
+    # panel, bisected ones included, so no point handed to it is 0
+    first, smallest = [], []
+
+    def watching(f, breakpoints, **kwargs):
+        first.append(breakpoints[0])
+
+        def watched(p):
+            smallest.append(float((p.mid + p.half * p.u).min()))
+            return f(p)
+
+        return integrate_panels(watched, breakpoints, **kwargs)
+
+    monkeypatch.setattr(integrals, "integrate_panels", watching)
+    quad()
+    assert first == [0.0]
+    assert min(smallest) > 0.0
+
+
 def test_si_cubed_integrand_limit():
     # (Si t)^3 / t^3 -> 1 as t -> 0+
     for t in (1e-5, 1e-4, 1e-3):
@@ -254,12 +277,13 @@ def test_si_cubed_truncation_consistency():
 
 
 def test_si_cubed_config_validation():
-    with pytest.raises(ValueError):
-        si_cubed_quad(QuadratureConfig(truncation=50.0))
-    for bad in (0.5, math.inf, math.nan):
-        # inf and NaN used to reach math.ceil of the panel count
-        with pytest.raises(ValueError, match="finite and >= 1"):
+    # below 100 the residual bound of si_cubed_quad does not hold; inf and
+    # NaN used to reach math.ceil of the panel count.  All are refused when
+    # the config is built
+    for bad in (0.5, 50.0, np.nextafter(100.0, 0.0), math.inf, math.nan):
+        with pytest.raises(ValueError, match="finite and >= 100"):
             QuadratureConfig(truncation=bad)
+    assert QuadratureConfig(truncation=100.0).truncation == 100.0
 
 
 def test_integrate_panels_budget(monkeypatch):
@@ -354,8 +378,8 @@ def _triple_sine_body(ws, a, b):
 
 @pytest.mark.parametrize("ws", [(1, 1, 1), (2, 1, 1), (1, 1, 2), (1, 1, 2.01), (1.5, 1.8, 6.6), (0.2, 0.2, 9.6)])
 def test_triple_sine_tail_joins_any_truncation(ws):
-    # quad[eps, T1] + tail(T1) = quad[eps, T1] + quad[T1, T2] + tail(T2) =
-    # quad[eps, T2] + tail(T2): the closed-form tail is exact at every T, a
+    # quad[0, T1] + tail(T1) = quad[0, T1] + quad[T1, T2] + tail(T2) =
+    # quad[0, T2] + tail(T2): the closed-form tail is exact at every T, a
     # zero frequency (1, 1, 2) included, and (1, 1, 2.01) puts |omega| T of
     # its smallest frequency on Si's series and its depth-84 fraction; measured
     # gaps up to 8.3e-15
@@ -368,7 +392,7 @@ def test_triple_sine_tail_joins_any_truncation(ws):
 def test_triple_sine_quad_reads_its_truncation(monkeypatch):
     # the whole call at another truncation moves only by the panel
     # quadrature's own error, whose tolerance is shared by length over
-    # [eps, T]: measured up to 6.5e-12 over T = 20..1000
+    # [0, T]: measured up to 6.9e-12 over T = 20..1000
     ws = (0.2, 0.2, 9.6)
     values = []
     for T in (20.0, 50.0, 200.0, 1000.0):
@@ -463,5 +487,8 @@ def test_j_closed_values():
     assert j_closed(1, 2, 2) == 787.5
     assert j_closed(2, 2, 2) == 150.0
     assert j_closed(3, 2, 2) == 0.0
-    with pytest.raises(ValueError):
-        j_closed(0, 2, 2)
+    assert j_closed(np.int64(2), 2, 2) == 150.0
+    # q = 1.5 used to give 1543.5, the F of floor(4/1.5)
+    for q in (0, 1.5, 2.0):
+        with pytest.raises(ValueError, match="q must be a positive integer"):
+            j_closed(q, 4, 3)
